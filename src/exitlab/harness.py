@@ -7,11 +7,23 @@ ratio. Accuracy columns hold argmax accuracy for single-label tasks and
 exact-set (subset) accuracy for multi-label; ``micro_f1`` is the
 multi-label micro-averaged F1 and coincides with accuracy on
 single-label tasks.
+
+Record once, replay many: each :func:`evaluate`, :func:`sweep` and
+:func:`compare_policies` call runs each sample's layers at most once.
+Policies are deterministic functions of the per-layer prediction stream,
+and stopping at layer j reproduces the first j layers of a full pass bit
+for bit, so every grid point and every bisection probe of one call is
+replayed over the layer outputs the call has already computed. A sample's
+layers are computed lazily, up to the deepest layer any configuration of
+the call needs; a single ``evaluate`` thus runs exactly the layers of the
+live early-exit path. The reported speedup is still the layer-count cost
+model above, not the wall time of the replay.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +40,7 @@ from .policies import (
     MaxProb,
     Pabee,
 )
-from .similarity import MLC, SLC, SimilarityMeasure
+from .similarity import MLC, SLC, ProbDist, SimilarityMeasure
 
 __all__ = [
     "PolicySpec",
@@ -68,6 +80,12 @@ class PolicySpec:
     def __post_init__(self):
         if self.policy not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}")
+        if self.patience is not None and self.patience < 1:
+            raise ConfigError(f"patience must be at least 1, got {self.patience}")
+        if self.fixed_layer is not None and self.fixed_layer < 1:
+            raise ConfigError(f"fixed exit layer must be at least 1, got {self.fixed_layer}")
+        if self.thre is not None and not math.isfinite(self.thre):
+            raise ConfigError(f"thre must be a finite number, got {self.thre}")
 
     def build(self) -> ExitPolicy:
         if self.policy == "fpabee":
@@ -141,25 +159,61 @@ def _predictions_match(task: str, prob, example) -> bool:
     return prob.label_set() == frozenset(example.labels)
 
 
-def evaluate(
-    model: MultiExitModel,
-    dataset: Dataset,
-    policy: ExitPolicy | PolicySpec,
-    vocab: Vocab,
-) -> EvalResult:
-    """Run the early-exit forward pass sample by sample (batch size 1)."""
-    if dataset.task != model.config.task:
-        raise ConfigError(f"dataset task {dataset.task!r} does not match model task {model.config.task!r}")
+class _LayerCache:
+    """Per-sample layer outputs of one model over one dataset, for one call.
+
+    Each example is encoded once and gets one :meth:`MultiExitModel.iter_layers`
+    generator; a sample is extended only when a policy asks for a layer
+    deeper than any earlier policy did. The cache lives as long as the
+    call that built it, so nothing needs invalidating when parameters change.
+    """
+
+    def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab):
+        if dataset.task != model.config.task:
+            raise ConfigError(f"dataset task {dataset.task!r} does not match model task {model.config.task!r}")
+        self.dataset = dataset
+        self.n_layers = model.config.n_layers
+        max_len = model.config.max_seq_len
+        self._layers = [model.iter_layers(vocab.encode(ex.text, max_len=max_len))
+                        for ex in dataset.examples]
+        self._seen: list[list[tuple[ProbDist, float]]] = [[] for _ in dataset.examples]
+
+    def layer(self, sample: int, layer: int) -> tuple[ProbDist, float]:
+        """``(prob, confidence)`` of ``sample`` at 1-based ``layer``."""
+        seen = self._seen[sample]
+        while len(seen) < layer:
+            _, prob, conf = next(self._layers[sample])
+            seen.append((prob, conf))
+        return seen[layer - 1]
+
+
+def _replay(cache: _LayerCache, policy: ExitPolicy) -> tuple[np.ndarray, list[ProbDist]]:
+    """Per-sample exit layer and prediction, as ``forward_early_exit`` gives them.
+
+    Per sample: ``reset()``, then one ``step`` per layer until a halt; a
+    sample that never halts falls back to the final layer.
+    """
+    exits = np.zeros(len(cache.dataset), dtype=np.int64)
+    probs = []
+    for i in range(len(cache.dataset)):
+        policy.reset()
+        for layer in range(1, cache.n_layers + 1):
+            prob, conf = cache.layer(i, layer)
+            if policy.step(layer, prob, conf).halt:
+                break
+        exits[i] = layer
+        probs.append(prob)
+    return exits, probs
+
+
+def _evaluate(cache: _LayerCache, policy: ExitPolicy | PolicySpec) -> EvalResult:
     spec = policy if isinstance(policy, PolicySpec) else PolicySpec(policy.name)
     built = policy.build() if isinstance(policy, PolicySpec) else policy
-    n = model.config.n_layers
-    exits = np.zeros(len(dataset), dtype=np.int64)
+    dataset, n = cache.dataset, cache.n_layers
+    exits, probs = _replay(cache, built)
     hits = 0
     tp = fp = fn = 0
-    for i, ex in enumerate(dataset.examples):
-        ids = vocab.encode(ex.text, max_len=model.config.max_seq_len)
-        prob, exit_layer, _ = model.forward_early_exit(ids, built)
-        exits[i] = exit_layer
+    for prob, ex in zip(probs, dataset.examples):
         if _predictions_match(dataset.task, prob, ex):
             hits += 1
         if dataset.task == MLC:
@@ -188,6 +242,20 @@ def evaluate(
     )
 
 
+def evaluate(
+    model: MultiExitModel,
+    dataset: Dataset,
+    policy: ExitPolicy | PolicySpec,
+    vocab: Vocab,
+) -> EvalResult:
+    """Early-exit evaluation sample by sample (batch size 1).
+
+    Runs exactly the layers that ``forward_early_exit`` would run on each
+    sample, and gives the same exit layers and predictions.
+    """
+    return _evaluate(_LayerCache(model, dataset, vocab), policy)
+
+
 def sweep(
     model: MultiExitModel,
     dataset: Dataset,
@@ -195,8 +263,13 @@ def sweep(
     vocab: Vocab,
     seed: int = 0,
 ) -> SweepResult:
-    """One evaluation per grid point, rows sorted by ascending speedup."""
-    rows = [evaluate(model, dataset, spec, vocab) for spec in specs]
+    """One evaluation per grid point, rows sorted by ascending speedup.
+
+    All grid points are replayed over one layer cache, so each sample's
+    layers run at most once.
+    """
+    cache = _LayerCache(model, dataset, vocab)
+    rows = [_evaluate(cache, spec) for spec in specs]
     rows.sort(key=lambda r: r.speedup)
     return SweepResult(
         rows=rows,
@@ -381,10 +454,6 @@ def _knob_bounds(policy: str, n_layers: int, n_classes: int) -> tuple[float, flo
     raise ConfigError(f"policy {policy!r} has no continuous knob")
 
 
-def _with_knob(spec: PolicySpec, knob: float) -> PolicySpec:
-    return replace(spec, thre=knob)
-
-
 def compare_policies(
     model: MultiExitModel,
     dataset: Dataset,
@@ -400,18 +469,23 @@ def compare_policies(
     fpabee and the confidence family are bisected on their continuous
     threshold; pabee enumerates its integer patience; fixed picks the
     nearest layer. Policies that cannot reach the target are reported
-    with ``attained=False`` at their closest achievable point.
+    with ``attained=False`` at their closest achievable point. Every
+    probe is replayed over one layer cache, so each sample's layers run
+    at most once.
     """
+    if not 0.0 <= target_speedup < 1.0:
+        raise ConfigError(f"target speedup must lie in [0, 1), got {target_speedup}")
     n = model.config.n_layers
+    cache = _LayerCache(model, dataset, vocab)
     out: list[CompareResult] = []
     for spec in specs:
         if spec.policy == "fixed":
             layer = int(np.clip(round(n * (1.0 - target_speedup)), 1, n))
-            best = evaluate(model, dataset, replace(spec, fixed_layer=layer), vocab)
+            best = _evaluate(cache, replace(spec, fixed_layer=layer))
         elif spec.policy == "pabee":
             best = None
             for patience in range(1, n + 1):
-                res = evaluate(model, dataset, replace(spec, patience=patience), vocab)
+                res = _evaluate(cache, replace(spec, patience=patience))
                 if best is None or abs(res.speedup - target_speedup) < abs(best.speedup - target_speedup):
                     best = res
                 if abs(res.speedup - target_speedup) <= tolerance:
@@ -422,7 +496,7 @@ def compare_policies(
 
             def probe(knob: float) -> EvalResult:
                 nonlocal best
-                res = evaluate(model, dataset, _with_knob(spec, knob), vocab)
+                res = _evaluate(cache, replace(spec, thre=knob))
                 if best is None or abs(res.speedup - target_speedup) < abs(best.speedup - target_speedup):
                     best = res
                 return res

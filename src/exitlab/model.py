@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -253,17 +255,28 @@ class MultiExitModel:
             c = T.sigmoid(self._confidence_logits(h.reshape((1, t, d)), layer_index))
         return float(c.array[0])
 
-    def forward_full(self, tokens, keep_hidden: bool = False) -> PredictionStream:
-        """All n layers; the stream used for training targets and oracles."""
+    def iter_layers(self, tokens) -> Iterator[tuple[T.Tensor, ProbDist, float]]:
+        """Yield ``(h, prob, confidence)`` for layers 1..n of one input, lazily.
+
+        Each layer runs only when the next item is requested, so a consumer
+        that stops after layer j has computed exactly j layers. Tape
+        recording is off while a layer runs but never across a ``yield``:
+        a suspended generator leaves taped training untouched.
+        """
         with T.no_grad():
             h = self.embed(tokens)
-            stream = PredictionStream([], [], [] if keep_hidden else None)
-            for layer in range(1, self.config.n_layers + 1):
-                h, p = self.forward_layer(h, layer)
-                stream.probs.append(p)
-                stream.confidences.append(self.layer_confidence(h, layer))
-                if keep_hidden:
-                    stream.hidden.append(h.numpy())
+        for layer in range(1, self.config.n_layers + 1):
+            h, prob = self.forward_layer(h, layer)
+            yield h, prob, self.layer_confidence(h, layer)
+
+    def forward_full(self, tokens, keep_hidden: bool = False) -> PredictionStream:
+        """All n layers; the stream used for training targets and oracles."""
+        stream = PredictionStream([], [], [] if keep_hidden else None)
+        for h, prob, conf in self.iter_layers(tokens):
+            stream.probs.append(prob)
+            stream.confidences.append(conf)
+            if keep_hidden:
+                stream.hidden.append(h.numpy())
         return stream
 
     def forward_early_exit(self, tokens, policy: ExitPolicy) -> tuple[ProbDist, int, ExitTrace]:
@@ -275,18 +288,13 @@ class MultiExitModel:
         policy.reset()
         n = self.config.n_layers
         entries: list[TraceEntry] = []
-        with T.no_grad():
-            h = self.embed(tokens)
-            prob = None
-            for layer in range(1, n + 1):
-                h, prob = self.forward_layer(h, layer)
-                conf = self.layer_confidence(h, layer)
-                decision = policy.step(layer, prob, conf)
-                entries.append(
-                    TraceEntry(layer, _pred_summary(prob), policy.last_score, policy.pat, decision)
-                )
-                if decision.halt:
-                    return prob, layer, ExitTrace(tuple(entries), layer, decision.reason)
+        for layer, (_, prob, conf) in enumerate(self.iter_layers(tokens), start=1):
+            decision = policy.step(layer, prob, conf)
+            entries.append(
+                TraceEntry(layer, _pred_summary(prob), policy.last_score, policy.pat, decision)
+            )
+            if decision.halt:
+                return prob, layer, ExitTrace(tuple(entries), layer, decision.reason)
         fallback = ExitDecision(True, FINAL_FALLBACK)
         entries[-1] = replace(entries[-1], decision=fallback)
         return prob, n, ExitTrace(tuple(entries), n, FINAL_FALLBACK)
@@ -314,7 +322,14 @@ def save_checkpoint(model: MultiExitModel, path, vocab: list[str] | None = None)
 
 def load_checkpoint(path) -> tuple[MultiExitModel, list[str] | None]:
     """Rebuild a model (and its vocab, if stored) from :func:`save_checkpoint`."""
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        # numpy reports a non-npz file as pickled data, an empty one as EOF
+        raise DataError(f"{path}: not a readable npz checkpoint") from e
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataError(f"{path}: a single .npy array, not an npz checkpoint")
+    with archive as data:
         if "__meta__" not in data:
             raise DataError(f"{path}: not an exitlab checkpoint (missing metadata)")
         meta = json.loads(str(data["__meta__"]))

@@ -1,5 +1,7 @@
 """End-to-end CLI: gen-data -> train -> eval -> sweep -> compare, exit codes."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,45 @@ class TestExitCodes:
             "--out", str(root / "m2.npz"), "--grid-batch-sizes", "16",
         ])
         assert rc == 1
+
+
+def _npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, np.arange(3))
+    return buf.getvalue()
+
+
+class TestBadInputs:
+    """Each bad knob or checkpoint exits with its code and one stderr line."""
+
+    @pytest.mark.parametrize("argv, checkpoint, code", [
+        pytest.param(["eval", "--policy", "fpabee", "--thre", "0.2", "--patience", "0"], None, 1,
+                     id="fpabee-patience-0"),
+        pytest.param(["eval", "--policy", "pabee", "--patience", "0"], None, 1, id="pabee-patience-0"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "0"], None, 1, id="fixed-layer-0"),
+        pytest.param(["eval", "--policy", "entropy", "--thre", "nan"], None, 1, id="nan-thre"),
+        pytest.param(["eval", "--policy", "maxprob", "--thre", "inf"], None, 1, id="inf-thre"),
+        pytest.param(["compare", "--target-speedup", "1.5"], None, 1, id="target-above-one"),
+        pytest.param(["compare", "--target-speedup", "-0.1"], None, 1, id="target-negative"),
+        pytest.param(["compare", "--target-speedup", "nan"], None, 1, id="target-nan"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], b"garbage", 2,
+                     id="garbage-checkpoint"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], b"", 2, id="empty-checkpoint"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], b"PK\x03\x04truncated", 2,
+                     id="corrupt-zip-checkpoint"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _npy_bytes(), 2,
+                     id="npy-checkpoint"),
+    ])
+    def test_exit_code_and_one_line_message(self, workspace, tmp_path, capsys, argv, checkpoint, code):
+        root, data_dir, ckpt = workspace
+        if checkpoint is not None:
+            ckpt = tmp_path / "bad.npz"
+            ckpt.write_bytes(checkpoint)
+        rc = main(argv[:1] + ["--model", str(ckpt), "--data", str(data_dir / "test.jsonl"),
+                              "--task", "slc"] + argv[1:])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith("exitlab: ") and err.count("\n") == 1, err
 
 
 class TestTrainConfigFile:

@@ -1,5 +1,7 @@
 """Harness: speedup accounting, sweeps, pareto filtering, emitters, compare."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_
 from exitlab.errors import ConfigError
 from exitlab.harness import (
     EvalResult,
+    _LayerCache,
+    _replay,
     PolicySpec,
     SweepResult,
     compare_policies,
@@ -265,3 +269,86 @@ class TestComparePolicies:
         model, data, vocab = make_setup(n_examples=24)
         results = compare_policies(model, data, 0.5, [PolicySpec("fixed")], vocab)
         assert results[0].attained
+
+
+# Knobs under which the six policies exit at different layers of make_setup(n_layers=5),
+# from layer 1 up to the final-layer fallback.
+SIX_POLICIES = {
+    "slc": [
+        PolicySpec("fpabee", measure="jskd", thre=1.096, patience=1),
+        PolicySpec("pabee", patience=1),
+        PolicySpec("entropy", thre=1.065),
+        PolicySpec("maxprob", thre=0.45),
+        PolicySpec("learned", thre=0.5),
+        PolicySpec("fixed", fixed_layer=3),
+    ],
+    "mlc": [
+        PolicySpec("fpabee", measure="jskd", thre=2.75, patience=1),
+        PolicySpec("pabee", patience=1),
+        PolicySpec("entropy", thre=0.685),
+        PolicySpec("maxprob", thre=0.6),
+        PolicySpec("learned", thre=0.5),
+        PolicySpec("fixed", fixed_layer=3),
+    ],
+}
+
+
+def count_layer_calls(model, monkeypatch):
+    """Wrap ``model.forward_layer``; the returned list grows by one per call."""
+    calls = []
+    original = model.forward_layer
+
+    def counted(h, layer_index):
+        calls.append(layer_index)
+        return original(h, layer_index)
+
+    monkeypatch.setattr(model, "forward_layer", counted)
+    return calls
+
+
+@pytest.mark.parametrize("task, n_classes", [("slc", 3), ("mlc", 4)])
+class TestReplay:
+    def live(self, model, data, spec, vocab):
+        """Per-sample (exit layer, prediction) of the live early-exit path."""
+        policy = spec.build()
+        out = []
+        for ex in data.examples:
+            prob, layer, _ = model.forward_early_exit(vocab.encode(ex.text, max_len=24), policy)
+            out.append((layer, prob))
+        return out
+
+    def test_replay_equals_live_path_per_sample(self, task, n_classes):
+        model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
+        for spec in SIX_POLICIES[task]:
+            live = self.live(model, data, spec, vocab)
+            exits, probs = _replay(_LayerCache(model, data, vocab), spec.build())
+            assert exits.tolist() == [layer for layer, _ in live], spec
+            for prob, (_, live_prob) in zip(probs, live):
+                assert prob.probs.tobytes() == live_prob.probs.tobytes(), spec
+            r = evaluate(model, data, spec, vocab)
+            assert r.histogram == np.bincount(exits, minlength=6)[1:].tolist()
+            hits = sum(p.argmax() == ex.label if task == "slc" else p.label_set() == set(ex.labels)
+                       for (_, p), ex in zip(live, data.examples))
+            assert r.accuracy == hits / len(data)
+
+    def test_evaluate_runs_exactly_the_live_layers(self, task, n_classes, monkeypatch):
+        model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
+        specs = SIX_POLICIES[task]
+        live_layers = [sum(layer for layer, _ in self.live(model, data, s, vocab)) for s in specs]
+        calls = count_layer_calls(model, monkeypatch)
+        for spec, expected in zip(specs, live_layers):
+            calls.clear()
+            evaluate(model, data, spec, vocab)
+            assert len(calls) == expected, spec
+
+    def test_sweep_and_compare_run_each_layer_at_most_once(self, task, n_classes, monkeypatch):
+        model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
+        specs = SIX_POLICIES[task] + [PolicySpec("fixed", fixed_layer=5)]
+        separate = {spec: evaluate(model, data, spec, vocab) for spec in specs}
+        calls = count_layer_calls(model, monkeypatch)
+        result = sweep(model, data, specs, vocab)
+        assert len(calls) <= len(data) * 5
+        assert {row.spec: row for row in result.rows} == separate
+        calls.clear()
+        compare_policies(model, data, 0.5, [replace(s, thre=None) for s in specs[:5]], vocab)
+        assert len(calls) <= len(data) * 5

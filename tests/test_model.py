@@ -142,6 +142,25 @@ class TestForwardFull:
         assert stream.hidden[0].shape == (2, 8)
 
 
+class TestIterLayers:
+    def test_suspended_generator_leaves_taping_on(self, trained_like_model):
+        layers = trained_like_model.iter_layers([1, 2])
+        next(layers)
+        w = T.Tensor(np.ones((2, 1)), requires_grad=True)
+        assert T.matmul(T.Tensor(np.ones((1, 2))), w).node is not None
+
+    def test_runs_only_the_layers_consumed(self, trained_like_model, monkeypatch):
+        m = trained_like_model
+        calls = []
+        original = m.forward_layer
+        monkeypatch.setattr(m, "forward_layer", lambda h, j: calls.append(j) or original(h, j))
+        layers = m.iter_layers([1, 2])
+        assert calls == []
+        next(layers)
+        next(layers)
+        assert calls == [1, 2]
+
+
 class TestForwardEarlyExit:
     def test_fixed_policy_exits_at_that_layer(self, trained_like_model):
         for j in (1, 2, 3):
