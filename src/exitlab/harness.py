@@ -207,9 +207,13 @@ def _replay(cache: _LayerCache, policy: ExitPolicy) -> tuple[np.ndarray, list[Pr
 
 
 def _evaluate(cache: _LayerCache, policy: ExitPolicy | PolicySpec) -> EvalResult:
-    spec = policy if isinstance(policy, PolicySpec) else PolicySpec(policy.name)
-    built = policy.build() if isinstance(policy, PolicySpec) else policy
     dataset, n = cache.dataset, cache.n_layers
+    if isinstance(policy, PolicySpec):
+        if policy.policy == "fixed" and policy.fixed_layer is not None and policy.fixed_layer > n:
+            raise ConfigError(f"fixed exit layer {policy.fixed_layer} exceeds the model's {n} layers")
+        spec, built = policy, policy.build()
+    else:
+        spec, built = PolicySpec(policy.name), policy
     exits, probs = _replay(cache, built)
     hits = 0
     tp = fp = fn = 0

@@ -332,13 +332,24 @@ def load_checkpoint(path) -> tuple[MultiExitModel, list[str] | None]:
     with archive as data:
         if "__meta__" not in data:
             raise DataError(f"{path}: not an exitlab checkpoint (missing metadata)")
-        meta = json.loads(str(data["__meta__"]))
+        try:
+            meta = json.loads(str(data["__meta__"]))
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}: checkpoint metadata is not JSON") from e
+        if not isinstance(meta, dict):
+            raise DataError(f"{path}: checkpoint metadata is not a JSON object")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise DataError(
                 f"{path}: checkpoint version {meta.get('version')!r} unsupported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        config = ModelConfig(**meta["config"])
+        if not isinstance(meta.get("config"), dict):
+            raise DataError(f"{path}: checkpoint metadata has no model config")
+        try:
+            config = ModelConfig(**meta["config"])
+        except TypeError as e:
+            # an unknown or missing field, or a value of the wrong type
+            raise DataError(f"{path}: bad model config in checkpoint: {e}") from e
         model = MultiExitModel(config)
         for name, t in model.params.items():
             if name not in data:

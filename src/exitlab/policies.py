@@ -1,19 +1,24 @@
 """Halt/continue state machines over a stream of per-layer predictions.
 
-The flexible patience policy counts consecutive cross-layer similarity
-scores below a threshold and halts once the counter reaches the patience
-value; the classic patience policy is the same recurrence with an
-exact-prediction-match test. Confidence baselines (entropy, max-prob,
+Every policy is one :class:`ExitPolicy` object holding its own per-sample
+state: call ``reset()`` before each new input, then ``step`` once per
+layer until it halts.
+
+The flexible patience policy (:class:`FPabee`) is the one implementation
+of the counter recurrence: it counts consecutive cross-layer scores
+strictly below a threshold, resets the counter on a score >= the
+threshold, and halts once the counter reaches the patience value. The
+classic patience policy (:class:`Pabee`) is the same recurrence with the
+exact-prediction-match scorer. Confidence baselines (entropy, max-prob,
 learned head) and a fixed-layer policy round out the set.
 
 All policies are deterministic functions of the prediction stream and
-their parameters. State is per-sample: call ``reset()`` (or build a fresh
-state) before each new input.
+their parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .similarity import SLC, ProbDist, entropy
@@ -22,14 +27,6 @@ __all__ = [
     "ExitDecision",
     "TraceEntry",
     "ExitTrace",
-    "FPabeeState",
-    "PabeeState",
-    "fpabee_step",
-    "pabee_step",
-    "entropy_step",
-    "maxprob_step",
-    "learned_confidence_step",
-    "fixed_exit",
     "prediction_match_scorer",
     "ExitPolicy",
     "FPabee",
@@ -83,118 +80,17 @@ class ExitTrace:
             raise ValueError("exit_layer must match the last recorded layer")
 
 
-def _summary(p: ProbDist) -> int | frozenset[int]:
-    return p.argmax() if p.kind == SLC else p.label_set()
-
-
-# -- flexible patience ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FPabeeState:
-    """Counter state for the similarity-threshold patience recurrence.
-
-    ``pat`` counts consecutive comparisons with score strictly below
-    ``thre``; a score >= thre resets it to 0. ``prev`` is empty until the
-    first prediction arrives, so the first comparison happens at the
-    second layer.
-    """
-
-    thre: float
-    patience: int
-    pat: int = 0
-    prev: ProbDist | None = None
-    last_score: float | None = None
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be a positive integer")
-
-
-def fpabee_step(state: FPabeeState, p: ProbDist, scorer: Scorer) -> tuple[FPabeeState, ExitDecision]:
-    """Consume one layer's prediction; halt once ``pat`` reaches the patience.
-
-    ``scorer`` is any ``(prev, cur) -> float`` callable; a
-    :class:`~exitlab.similarity.SimilarityMeasure` works directly.
-    """
-    if state.prev is None:
-        return replace(state, prev=p, last_score=None), ExitDecision(False)
-    s = float(scorer(state.prev, p))
-    pat = state.pat + 1 if s < state.thre else 0
-    halt = pat >= state.patience
-    new = replace(state, pat=pat, prev=p, last_score=s)
-    return new, ExitDecision(halt, PATIENCE_REACHED if halt else None)
-
-
-# -- classic patience ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PabeeState:
-    """Counter state for exact-prediction-match patience."""
-
-    patience: int
-    pat: int = 0
-    prev: ProbDist | None = None
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be a positive integer")
-
-
-def _same_prediction(a: ProbDist, b: ProbDist) -> bool:
-    if a.kind == SLC:
-        return a.argmax() == b.argmax()
-    return a.label_set() == b.label_set()
-
-
-def pabee_step(state: PabeeState, p: ProbDist) -> tuple[PabeeState, ExitDecision]:
-    """Increment on unchanged argmax (or unchanged 0.5-threshold label set)."""
-    if state.prev is None:
-        return replace(state, prev=p), ExitDecision(False)
-    pat = state.pat + 1 if _same_prediction(state.prev, p) else 0
-    halt = pat >= state.patience
-    return replace(state, pat=pat, prev=p), ExitDecision(halt, PATIENCE_REACHED if halt else None)
-
-
 def prediction_match_scorer(prev: ProbDist, cur: ProbDist) -> float:
-    """0.0 when predictions match, 1.0 otherwise.
+    """0.0 when predictions match (argmax, or 0.5-threshold label set), else 1.0.
 
     Plugged into the flexible recurrence with any thre in (0, 1] it
     reproduces classic patience exiting decision-for-decision.
     """
-    return 0.0 if _same_prediction(prev, cur) else 1.0
-
-
-# -- confidence baselines --------------------------------------------------
-
-
-def entropy_step(p: ProbDist, threshold: float) -> ExitDecision:
-    """Halt when prediction entropy drops strictly below ``threshold``."""
-    halt = entropy(p) < threshold
-    return ExitDecision(halt, CONFIDENCE if halt else None)
-
-
-def maxprob_step(p: ProbDist, threshold: float) -> ExitDecision:
-    """Halt when the winning probability strictly exceeds ``threshold``.
-
-    For mlc the weakest label decides: min over labels of max(p, 1-p).
-    """
-    if p.kind == SLC:
-        conf = float(p.probs.max())
+    if prev.kind == SLC:
+        same = prev.argmax() == cur.argmax()
     else:
-        conf = float(p.probs.max(axis=1).min())
-    halt = conf > threshold
-    return ExitDecision(halt, CONFIDENCE if halt else None)
-
-
-def learned_confidence_step(confidence: float, threshold: float) -> ExitDecision:
-    """Halt when a trained per-layer confidence head exceeds ``threshold``."""
-    halt = confidence > threshold
-    return ExitDecision(halt, CONFIDENCE if halt else None)
-
-
-# -- policy objects ---------------------------------------------------------
+        same = prev.label_set() == cur.label_set()
+    return 0.0 if same else 1.0
 
 
 class ExitPolicy:
@@ -216,64 +112,86 @@ class ExitPolicy:
 
 
 class FPabee(ExitPolicy):
+    """Similarity-threshold patience.
+
+    ``pat`` counts consecutive comparisons with score strictly below
+    ``thre``; a score >= thre resets it to 0. There is no previous
+    prediction at the first layer, so the first comparison happens at the
+    second. ``scorer`` is any ``(prev, cur) -> float`` callable; a
+    :class:`~exitlab.similarity.SimilarityMeasure` works directly.
+    """
+
     name = "fpabee"
 
     def __init__(self, scorer: Scorer, thre: float, patience: int):
         self.scorer = scorer
         self.thre = float(thre)
         self.patience = int(patience)
+        if self.patience < 1:
+            raise ValueError("patience must be a positive integer")
         self.reset()
 
     def reset(self) -> None:
-        self._state = FPabeeState(self.thre, self.patience)
-        self.last_score = None
         self.pat = 0
+        self.last_score = None
+        self._prev = None
 
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
-        self._state, decision = fpabee_step(self._state, probs, self.scorer)
-        self.last_score = self._state.last_score
-        self.pat = self._state.pat
-        return decision
+        prev, self._prev = self._prev, probs
+        if prev is None:
+            return ExitDecision(False)
+        self.last_score = float(self.scorer(prev, probs))
+        self.pat = self.pat + 1 if self.last_score < self.thre else 0
+        halt = self.pat >= self.patience
+        return ExitDecision(halt, PATIENCE_REACHED if halt else None)
 
 
-class Pabee(ExitPolicy):
+class Pabee(FPabee):
+    """Classic patience: increment on an unchanged argmax (or unchanged
+    0.5-threshold label set), reset on any change."""
+
     name = "pabee"
 
     def __init__(self, patience: int):
-        self.patience = int(patience)
-        self.reset()
-
-    def reset(self) -> None:
-        self._state = PabeeState(self.patience)
-        self.pat = 0
-
-    def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
-        self._state, decision = pabee_step(self._state, probs)
-        self.pat = self._state.pat
-        return decision
+        super().__init__(prediction_match_scorer, 0.5, patience)
 
 
 class EntropyThreshold(ExitPolicy):
+    """Halt when prediction entropy drops strictly below ``threshold``."""
+
     name = "entropy"
 
     def __init__(self, threshold: float):
         self.threshold = float(threshold)
 
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
-        return entropy_step(probs, self.threshold)
+        halt = entropy(probs) < self.threshold
+        return ExitDecision(halt, CONFIDENCE if halt else None)
 
 
 class MaxProb(ExitPolicy):
+    """Halt when the winning probability strictly exceeds ``threshold``.
+
+    For mlc the weakest label decides: min over labels of max(p, 1-p).
+    """
+
     name = "maxprob"
 
     def __init__(self, threshold: float):
         self.threshold = float(threshold)
 
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
-        return maxprob_step(probs, self.threshold)
+        if probs.kind == SLC:
+            conf = float(probs.probs.max())
+        else:
+            conf = float(probs.probs.max(axis=1).min())
+        halt = conf > self.threshold
+        return ExitDecision(halt, CONFIDENCE if halt else None)
 
 
 class LearnedConfidence(ExitPolicy):
+    """Halt when a trained per-layer confidence head exceeds ``threshold``."""
+
     name = "learned"
 
     def __init__(self, threshold: float):
@@ -282,10 +200,13 @@ class LearnedConfidence(ExitPolicy):
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
         if confidence is None:
             raise ValueError("learned-confidence policy needs the per-layer confidence value")
-        return learned_confidence_step(confidence, self.threshold)
+        halt = confidence > self.threshold
+        return ExitDecision(halt, CONFIDENCE if halt else None)
 
 
 class FixedExit(ExitPolicy):
+    """Halt exactly at ``layer`` (final-layer fallback if it exceeds n)."""
+
     name = "fixed"
 
     def __init__(self, layer: int):
@@ -296,8 +217,3 @@ class FixedExit(ExitPolicy):
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
         halt = layer == self.layer
         return ExitDecision(halt, FIXED_LAYER if halt else None)
-
-
-def fixed_exit(layer: int) -> FixedExit:
-    """Policy that halts exactly at ``layer`` (final-layer fallback if > n)."""
-    return FixedExit(layer)

@@ -1,14 +1,16 @@
 """Cross-layer similarity scores between successive classifier outputs.
 
-Four variants, all built from one cross-entropy primitive:
+Four variants of one cross-entropy primitive, all computed by
+:func:`score`:
 
     kd(p, q)    = -sum_j p_j * ln(q_j)            (forward distillation)
     rekd(p, q)  = kd(q, p)                        (reverse direction)
     symkd(p, q) = kd(p, q) + kd(q, p)
     jskd(p, q)  = kd(p, m)/2 + kd(q, m)/2,  m = (p + q)/2
 
-Scores are cross-entropies as written, so a pair of identical
-distributions scores its own entropy, not zero; thresholds are in nats.
+Probabilities are floored at 1e-12 inside the log. Scores are
+cross-entropies as written, so a pair of identical distributions scores
+its own entropy, not zero; thresholds are in nats.
 Set ``subtract_self_entropy`` on a measure to get the KL-style variant
 (identical inputs score 0) for ablations.
 
@@ -26,10 +28,6 @@ __all__ = [
     "ProbDist",
     "SimilarityMeasure",
     "VARIANTS",
-    "score_kd",
-    "score_rekd",
-    "score_symkd",
-    "score_jskd",
     "score",
     "entropy",
 ]
@@ -39,6 +37,7 @@ MLC = "mlc"
 VARIANTS = ("kd", "rekd", "symkd", "jskd")
 
 _SUM_TOL = 1e-9
+_LOG_FLOOR = 1e-12  # a zero probability costs about 27.6 nats, not inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,21 +100,18 @@ class ProbDist:
 
 @dataclass(frozen=True)
 class SimilarityMeasure:
-    """A named score variant plus its log floor.
+    """A named score variant, optionally in KL mode.
 
     Instances are callable as ``measure(prev, cur)`` so anything expecting
     a plain scorer can take one directly.
     """
 
     variant: str = "jskd"
-    epsilon: float = 1e-12
     subtract_self_entropy: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown similarity variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon floor must be positive")
 
     def __call__(self, prev: ProbDist, cur: ProbDist) -> float:
         return score(self, prev, cur)
@@ -128,78 +124,33 @@ def _check_pair(prev: ProbDist, cur: ProbDist) -> None:
         raise ValueError(f"class counts differ: {prev.k} vs {cur.k}")
 
 
-def _cross_entropy(w: np.ndarray, q: np.ndarray, epsilon: float) -> float:
-    return float(-(w * np.log(np.maximum(q, epsilon))).sum())
-
-
-def score_kd(
-    prev: ProbDist,
-    cur: ProbDist,
-    epsilon: float = 1e-12,
-    subtract_self_entropy: bool = False,
-) -> float:
-    """Cross-entropy of ``cur`` under ``prev``'s mass (summed over labels for mlc)."""
-    _check_pair(prev, cur)
-    w = prev.flat()
-    s = _cross_entropy(w, cur.flat(), epsilon)
+def _cross_entropy(w: np.ndarray, q: np.ndarray, subtract_self_entropy: bool) -> float:
+    """kd on flat arrays: -sum w ln q, less w's own cross-entropy in KL mode."""
+    s = float(-(w * np.log(np.maximum(q, _LOG_FLOOR))).sum())
     if subtract_self_entropy:
-        s -= _cross_entropy(w, w, epsilon)
+        s -= _cross_entropy(w, w, False)
     return s
-
-
-def score_rekd(
-    prev: ProbDist,
-    cur: ProbDist,
-    epsilon: float = 1e-12,
-    subtract_self_entropy: bool = False,
-) -> float:
-    """The reverse direction: exactly ``score_kd(cur, prev)``."""
-    return score_kd(cur, prev, epsilon, subtract_self_entropy)
-
-
-def score_symkd(
-    prev: ProbDist,
-    cur: ProbDist,
-    epsilon: float = 1e-12,
-    subtract_self_entropy: bool = False,
-) -> float:
-    """Symmetric sum of both directions."""
-    return score_kd(prev, cur, epsilon, subtract_self_entropy) + score_kd(
-        cur, prev, epsilon, subtract_self_entropy
-    )
-
-
-def score_jskd(
-    prev: ProbDist,
-    cur: ProbDist,
-    epsilon: float = 1e-12,
-    subtract_self_entropy: bool = False,
-) -> float:
-    """Both directions against the midpoint mixture, averaged."""
-    _check_pair(prev, cur)
-    mid = ProbDist(prev.kind, (prev.probs + cur.probs) / 2.0)
-    return 0.5 * score_kd(prev, mid, epsilon, subtract_self_entropy) + 0.5 * score_kd(
-        cur, mid, epsilon, subtract_self_entropy
-    )
-
-
-_DISPATCH = {
-    "kd": score_kd,
-    "rekd": score_rekd,
-    "symkd": score_symkd,
-    "jskd": score_jskd,
-}
 
 
 def score(measure: SimilarityMeasure, prev: ProbDist, cur: ProbDist) -> float:
     """Apply ``measure`` to a pair of same-kind, same-k distributions."""
-    return _DISPATCH[measure.variant](prev, cur, measure.epsilon, measure.subtract_self_entropy)
+    _check_pair(prev, cur)
+    p, q = prev.flat(), cur.flat()
+    kl = measure.subtract_self_entropy
+    if measure.variant == "kd":
+        return _cross_entropy(p, q, kl)
+    if measure.variant == "rekd":
+        return _cross_entropy(q, p, kl)
+    if measure.variant == "symkd":
+        return _cross_entropy(p, q, kl) + _cross_entropy(q, p, kl)
+    mid = (p + q) / 2.0
+    return 0.5 * _cross_entropy(p, mid, kl) + 0.5 * _cross_entropy(q, mid, kl)
 
 
-def entropy(dist: ProbDist, epsilon: float = 1e-12) -> float:
+def entropy(dist: ProbDist) -> float:
     """Shannon entropy in nats; mean per-label binary entropy for mlc."""
     if dist.kind == SLC:
         p = dist.probs
-        return float(-(p * np.log(np.maximum(p, epsilon))).sum())
-    per_label = -(dist.probs * np.log(np.maximum(dist.probs, epsilon))).sum(axis=1)
+        return float(-(p * np.log(np.maximum(p, _LOG_FLOOR))).sum())
+    per_label = -(dist.probs * np.log(np.maximum(dist.probs, _LOG_FLOOR))).sum(axis=1)
     return float(per_label.mean())

@@ -21,14 +21,13 @@ from . import tensor as T
 from .data import Dataset, DataSplits, Vocab, binarize_mlc
 from .errors import ConfigError
 from .model import MultiExitModel
-from .similarity import SLC, ProbDist
+from .similarity import SLC
 
 __all__ = [
     "TrainConfig",
     "LossReport",
     "load_train_config",
     "save_train_config",
-    "per_layer_loss",
     "total_loss",
     "AdamW",
     "train",
@@ -111,21 +110,6 @@ def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
     return replace(base or TrainConfig(), **values)
 
 
-def per_layer_loss(p: ProbDist, target) -> float:
-    """Loss of one prediction: -ln p[target] (slc) or mean label BCE (mlc)."""
-    if p.kind == SLC:
-        t = int(target)
-        if not 0 <= t < p.k:
-            raise ValueError(f"target {t} outside [0, {p.k})")
-        return float(-np.log(max(p.probs[t], _LOG_FLOOR)))
-    targets = binarize_mlc(target, p.k) if not isinstance(target, np.ndarray) else target
-    if targets.shape != (p.k,) or not np.isin(targets, (0.0, 1.0)).all():
-        raise ValueError(f"mlc target must be a 0/1 vector of length {p.k}")
-    pos = np.maximum(p.probs[:, 0], _LOG_FLOOR)
-    neg = np.maximum(p.probs[:, 1], _LOG_FLOOR)
-    return float(-(targets * np.log(pos) + (1.0 - targets) * np.log(neg)).mean())
-
-
 def layer_weights(n: int) -> np.ndarray:
     """Depth weights j / sum(1..n); they sum to 1."""
     j = np.arange(1, n + 1, dtype=np.float64)
@@ -196,7 +180,11 @@ def _batch_losses(
     probs: list[T.Tensor],
     targets: np.ndarray,
 ) -> tuple[list[T.Tensor], np.ndarray]:
-    """Per-layer mean loss tensors plus a [n_layers, b] correctness matrix."""
+    """Per-layer mean loss tensors plus a [n_layers, b] correctness matrix.
+
+    The one definition of the per-layer loss: -ln p[target] for slc, the
+    label-averaged binary cross-entropy for mlc, each averaged over the batch.
+    """
     losses: list[T.Tensor] = []
     correct = np.zeros((len(probs), probs[0].shape[0]))
     if model.config.task == SLC:

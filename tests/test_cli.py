@@ -1,12 +1,15 @@
 """End-to-end CLI: gen-data -> train -> eval -> sweep -> compare, exit codes."""
 
 import io
+import json
+import os
 
 import numpy as np
 import pytest
 
 from exitlab.cli import main
 from exitlab.harness import parse_csv
+from exitlab.model import CHECKPOINT_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +178,17 @@ def _npy_bytes():
     return buf.getvalue()
 
 
+def _npz_bytes(meta: str):
+    """An npz holding only the given ``__meta__`` string."""
+    buf = io.BytesIO()
+    np.savez(buf, __meta__=np.array(meta))
+    return buf.getvalue()
+
+
+def _meta_json(**fields):
+    return json.dumps({"format": "exitlab-checkpoint", "version": CHECKPOINT_VERSION, **fields})
+
+
 class TestBadInputs:
     """Each bad knob or checkpoint exits with its code and one stderr line."""
 
@@ -195,6 +209,19 @@ class TestBadInputs:
                      id="corrupt-zip-checkpoint"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _npy_bytes(), 2,
                      id="npy-checkpoint"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"],
+                     _npz_bytes(_meta_json(config={"vocab_size": 9, "n_classes": 3, "warp_speed": 9})), 2,
+                     id="unknown-config-key"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _npz_bytes(_meta_json()), 2,
+                     id="missing-config"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _npz_bytes("{not json"), 2,
+                     id="non-json-metadata"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _npz_bytes("[1, 2]"), 2,
+                     id="metadata-not-an-object"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "4"], None, 1,
+                     id="fixed-layer-above-n"),
+        pytest.param(["sweep", "--policy", "fixed", "--layer-grid", "1,4", "--out", os.devnull], None, 1,
+                     id="layer-grid-above-n"),
     ])
     def test_exit_code_and_one_line_message(self, workspace, tmp_path, capsys, argv, checkpoint, code):
         root, data_dir, ckpt = workspace

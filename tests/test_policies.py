@@ -4,29 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitlab.policies import (
     CONFIDENCE,
     FINAL_FALLBACK,
     FIXED_LAYER,
     PATIENCE_REACHED,
+    EntropyThreshold,
     ExitDecision,
     ExitTrace,
     FixedExit,
     FPabee,
-    FPabeeState,
+    LearnedConfidence,
+    MaxProb,
     Pabee,
-    PabeeState,
     TraceEntry,
-    entropy_step,
-    fixed_exit,
-    fpabee_step,
-    learned_confidence_step,
-    maxprob_step,
-    pabee_step,
     prediction_match_scorer,
 )
 from exitlab.similarity import ProbDist
+
+DUMMY = ProbDist.slc([0.5, 0.5])
+
+deterministic = settings(derandomize=True, database=None, deadline=None)
 
 
 def simulate_patience_exit(scores, thre, patience, n_layers):
@@ -45,16 +46,39 @@ def simulate_patience_exit(scores, thre, patience, n_layers):
 
 
 def run_fpabee_on_scores(scores, thre, patience):
-    """Drive fpabee_step with a scripted scorer replaying ``scores``."""
+    """Drive FPabee with a scripted scorer replaying ``scores``.
+
+    Returns ``(exit_layer, halted)``; a stream that never halts exits at
+    its final layer, ``len(scores) + 1``, with ``halted`` False.
+    """
     queue = list(scores)
-    scorer = lambda prev, cur: queue.pop(0)
-    dummy = ProbDist.slc([0.5, 0.5])
-    state = FPabeeState(thre, patience)
+    policy = FPabee(lambda prev, cur: queue.pop(0), thre, patience)
     for layer in range(1, len(scores) + 2):
-        state, decision = fpabee_step(state, dummy, scorer)
-        if decision.halt:
+        if policy.step(layer, DUMMY).halt:
+            return layer, True
+    return len(scores) + 1, False
+
+
+def fpabee_exit(scores, thre, patience):
+    return run_fpabee_on_scores(scores, thre, patience)[0]
+
+
+def classic_patience_exit(predictions, patience):
+    """Independent reference for classic patience over per-layer predictions."""
+    pat = 0
+    for i in range(1, len(predictions)):
+        pat = pat + 1 if predictions[i] == predictions[i - 1] else 0
+        if pat >= patience:
+            return i + 1
+    return len(predictions)
+
+
+def pabee_exit(stream, patience):
+    policy = Pabee(patience)
+    for layer, p in enumerate(stream, start=1):
+        if policy.step(layer, p).halt:
             return layer
-    return len(scores) + 1
+    return len(stream)
 
 
 def uniform_stream(rng, n, k=3):
@@ -64,33 +88,58 @@ def uniform_stream(rng, n, k=3):
     return out
 
 
+score_streams = st.lists(st.floats(0.0, 2.0), min_size=1, max_size=13)
+
+
+@st.composite
+def prediction_streams(draw):
+    """``(stream, predictions)``: ProbDists plus each layer's argmax or label set,
+    the latter computed from the raw rows without ProbDist's own methods."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 5))
+        rows = draw(st.lists(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k),
+                             min_size=n, max_size=n))
+        rows = [[v / sum(r) for v in r] for r in rows]
+        stream = [ProbDist.slc(r) for r in rows]
+        predictions = [max(range(k), key=r.__getitem__) for r in rows]
+    else:
+        k = draw(st.integers(1, 5))
+        rows = draw(st.lists(st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k),
+                             min_size=n, max_size=n))
+        stream = [ProbDist.mlc(r) for r in rows]
+        predictions = [{j for j, v in enumerate(r) if v > 0.5} for r in rows]
+    return stream, predictions
+
+
 class TestFPabeeStep:
     def test_hand_stepped_sequence(self):
         # thre=0.5, scores [0.4, 0.6, 0.3, 0.2] -> pat 1,0,1,2; halt on the
         # 4th comparison, i.e. at layer 5
-        dummy = ProbDist.slc([0.5, 0.5])
         queue = [0.4, 0.6, 0.3, 0.2]
-        scorer = lambda p, c: queue.pop(0)
-        state = FPabeeState(thre=0.5, patience=2)
-        state, d = fpabee_step(state, dummy, scorer)  # layer 1, no comparison
-        assert state.pat == 0 and not d.halt
+        policy = FPabee(lambda p, c: queue.pop(0), thre=0.5, patience=2)
+        d = policy.step(1, DUMMY)  # layer 1, no comparison
+        assert policy.pat == 0 and policy.last_score is None and not d.halt
         expected_pat = [1, 0, 1, 2]
         for layer, want in zip(range(2, 6), expected_pat):
-            state, d = fpabee_step(state, dummy, scorer)
-            assert state.pat == want
+            d = policy.step(layer, DUMMY)
+            assert policy.pat == want
             assert d.halt == (layer == 5)
         assert d.reason == PATIENCE_REACHED
+        assert policy.last_score == 0.2
+        policy.reset()
+        assert policy.pat == 0 and policy.last_score is None
 
     def test_infinite_threshold_exits_at_patience_plus_one(self):
         for patience in (1, 2, 3, 5):
             scores = [1e9] * 10
-            assert run_fpabee_on_scores(scores, math.inf, patience) == patience + 1
+            assert fpabee_exit(scores, math.inf, patience) == patience + 1
 
     def test_zero_threshold_never_halts(self):
         rng = np.random.default_rng(0)
         scores = rng.uniform(0.0, 5.0, size=10).tolist()
         # scores are >= 0 >= thre, so every comparison resets
-        assert run_fpabee_on_scores(scores, 0.0, 1) == 11
+        assert run_fpabee_on_scores(scores, 0.0, 1) == (11, False)
 
     def test_matches_direct_simulation_on_random_streams(self):
         rng = np.random.default_rng(1)
@@ -99,72 +148,74 @@ class TestFPabeeStep:
             scores = rng.uniform(0, 2, size=n - 1).tolist()
             thre = float(rng.uniform(0, 2))
             patience = int(rng.integers(1, 5))
-            assert run_fpabee_on_scores(scores, thre, patience) == simulate_patience_exit(
+            assert fpabee_exit(scores, thre, patience) == simulate_patience_exit(
                 scores, thre, patience, n
             )
 
     def test_score_equal_to_threshold_resets(self):
-        assert run_fpabee_on_scores([0.5, 0.5], 0.5, 1) == 3  # neither increments
+        assert run_fpabee_on_scores([0.5, 0.5], 0.5, 1) == (3, False)  # neither increments
 
     def test_patience_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            FPabeeState(0.5, 0)
+            FPabee(prediction_match_scorer, 0.5, 0)
 
 
 class TestPabee:
     def test_stable_argmax_halts_after_patience(self):
         stream = [ProbDist.slc([0.1, 0.2, 0.7])] * 3
-        state = PabeeState(patience=2)
-        decisions = []
-        for p in stream:
-            state, d = pabee_step(state, p)
-            decisions.append(d.halt)
+        policy = Pabee(patience=2)
+        decisions = [policy.step(layer, p).halt for layer, p in enumerate(stream, start=1)]
         assert decisions == [False, False, True]
 
     def test_alternating_argmax_never_halts(self):
         a = ProbDist.slc([0.8, 0.2])
         b = ProbDist.slc([0.2, 0.8])
-        state = PabeeState(patience=1)
-        for p in [a, b, a, b, a, b]:
-            state, d = pabee_step(state, p)
-            assert not d.halt
+        policy = Pabee(patience=1)
+        for layer, p in enumerate([a, b, a, b, a, b], start=1):
+            assert not policy.step(layer, p).halt
 
     def test_equivalent_to_flexible_policy_with_match_scorer(self):
+        # any thre in (0, 1] separates the scorer's 0.0 from its 1.0
         rng = np.random.default_rng(2)
         for _ in range(300):
             n = int(rng.integers(2, 10))
             patience = int(rng.integers(1, 4))
             stream = uniform_stream(rng, n)
-            pab = Pabee(patience)
-            flex = FPabee(prediction_match_scorer, thre=0.5, patience=patience)
-            for layer, p in enumerate(stream, start=1):
-                d1 = pab.step(layer, p)
-                d2 = flex.step(layer, p)
-                assert d1.halt == d2.halt
-                if d1.halt:
-                    break
+            for thre in (1e-9, 0.5, 1.0):
+                pab = Pabee(patience)
+                flex = FPabee(prediction_match_scorer, thre=thre, patience=patience)
+                for layer, p in enumerate(stream, start=1):
+                    d1 = pab.step(layer, p)
+                    d2 = flex.step(layer, p)
+                    assert d1.halt == d2.halt
+                    if d1.halt:
+                        break
 
     def test_mlc_uses_threshold_label_sets(self):
         a = ProbDist.mlc([0.9, 0.1, 0.6])
         b = ProbDist.mlc([0.7, 0.2, 0.55])  # same set {0, 2}
         c = ProbDist.mlc([0.7, 0.6, 0.55])  # set {0, 1, 2}
-        state = PabeeState(patience=1)
-        state, d = pabee_step(state, a)
-        state, d = pabee_step(state, b)
-        assert d.halt
-        state = PabeeState(patience=1)
-        state, d = pabee_step(state, a)
-        state, d = pabee_step(state, c)
-        assert not d.halt
+        policy = Pabee(patience=1)
+        policy.step(1, a)
+        assert policy.step(2, b).halt
+        policy.reset()
+        policy.step(1, a)
+        assert not policy.step(2, c).halt
+
+    @deterministic
+    @given(prediction_streams(), st.integers(1, 5))
+    def test_matches_direct_classic_patience_simulation(self, drawn, patience):
+        stream, predictions = drawn
+        assert pabee_exit(stream, patience) == classic_patience_exit(predictions, patience)
 
 
 class TestConfidenceBaselines:
     def test_entropy_one_hot_halts_for_any_positive_threshold(self):
-        d = entropy_step(ProbDist.slc([1.0, 0.0]), threshold=1e-6)
+        d = EntropyThreshold(1e-6).step(1, ProbDist.slc([1.0, 0.0]))
         assert d.halt and d.reason == CONFIDENCE
 
     def test_entropy_uniform_does_not_halt_at_half(self):
-        assert not entropy_step(ProbDist.slc([0.5, 0.5]), threshold=0.5).halt
+        assert not EntropyThreshold(0.5).step(1, ProbDist.slc([0.5, 0.5])).halt
 
     def test_entropy_boundary_matches_scalar_oracle(self):
         rng = np.random.default_rng(3)
@@ -172,34 +223,33 @@ class TestConfidenceBaselines:
             p = rng.dirichlet(np.ones(4))
             h = float(-(p * np.log(np.maximum(p, 1e-12))).sum())
             for threshold in (0.2, 0.5, 1.0):
-                assert entropy_step(ProbDist.slc(p), threshold).halt == (h < threshold)
+                assert EntropyThreshold(threshold).step(1, ProbDist.slc(p)).halt == (h < threshold)
 
     def test_maxprob_halts_above_threshold(self):
-        assert maxprob_step(ProbDist.slc([0.9, 0.1]), 0.8).halt
+        assert MaxProb(0.8).step(1, ProbDist.slc([0.9, 0.1])).halt
 
     def test_maxprob_uniform_never_halts_above_chance(self):
-        assert not maxprob_step(ProbDist.slc([0.25] * 4), 0.5).halt
+        assert not MaxProb(0.5).step(1, ProbDist.slc([0.25] * 4)).halt
 
     def test_maxprob_tie_with_threshold_does_not_halt(self):
-        assert not maxprob_step(ProbDist.slc([0.8, 0.2]), 0.8).halt
+        assert not MaxProb(0.8).step(1, ProbDist.slc([0.8, 0.2])).halt
 
     def test_maxprob_mlc_uses_weakest_label(self):
         p = ProbDist.mlc([0.95, 0.60])  # weakest label confidence 0.60
-        assert maxprob_step(p, 0.55).halt
-        assert not maxprob_step(p, 0.65).halt
+        assert MaxProb(0.55).step(1, p).halt
+        assert not MaxProb(0.65).step(1, p).halt
 
     def test_learned_confidence_threshold(self):
-        assert learned_confidence_step(0.9, 0.8).halt
-        assert not learned_confidence_step(0.5, 1.0).halt  # threshold 1 never halts
+        assert LearnedConfidence(0.8).step(1, DUMMY, 0.9).halt
+        assert not LearnedConfidence(1.0).step(1, DUMMY, 0.5).halt  # threshold 1 never halts
 
 
 class TestFixedExit:
     def test_halts_exactly_at_layer(self):
-        policy = fixed_exit(3)
-        dummy = ProbDist.slc([0.5, 0.5])
-        assert not policy.step(1, dummy).halt
-        assert not policy.step(2, dummy).halt
-        d = policy.step(3, dummy)
+        policy = FixedExit(3)
+        assert not policy.step(1, DUMMY).halt
+        assert not policy.step(2, DUMMY).halt
+        d = policy.step(3, DUMMY)
         assert d.halt and d.reason == FIXED_LAYER
 
     def test_layer_must_be_positive(self):
@@ -208,35 +258,27 @@ class TestFixedExit:
 
 
 class TestMonotonicity:
-    """Raising thre never delays an exit; raising patience never hastens one."""
+    """Laws of FPabee itself, per score stream: raising thre never delays an
+    exit, raising patience never hastens one, and no halt comes before
+    ``patience`` comparisons have been made."""
 
-    def test_exit_layer_nonincreasing_in_threshold(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            n = int(rng.integers(3, 14))
-            scores = rng.uniform(0, 2, size=n - 1).tolist()
-            patience = int(rng.integers(1, 4))
-            thresholds = sorted(rng.uniform(0, 2, size=5))
-            exits = [simulate_patience_exit(scores, t, patience, n) for t in thresholds]
-            assert all(a >= b for a, b in zip(exits, exits[1:]))
+    @deterministic
+    @given(score_streams, st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.integers(1, 4))
+    def test_exit_layer_nonincreasing_in_threshold(self, scores, t1, t2, patience):
+        lo, hi = sorted((t1, t2))
+        assert fpabee_exit(scores, hi, patience) <= fpabee_exit(scores, lo, patience)
 
-    def test_exit_layer_nondecreasing_in_patience(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            n = int(rng.integers(3, 14))
-            scores = rng.uniform(0, 2, size=n - 1).tolist()
-            thre = float(rng.uniform(0, 2))
-            exits = [simulate_patience_exit(scores, thre, p, n) for p in range(1, 6)]
-            assert all(a <= b for a, b in zip(exits, exits[1:]))
+    @deterministic
+    @given(score_streams, st.floats(0.0, 2.0), st.integers(1, 5), st.integers(1, 5))
+    def test_exit_layer_nondecreasing_in_patience(self, scores, thre, p1, p2):
+        lo, hi = sorted((p1, p2))
+        assert fpabee_exit(scores, thre, lo) <= fpabee_exit(scores, thre, hi)
 
-    def test_early_halt_needs_at_least_patience_comparisons(self):
-        rng = np.random.default_rng(6)
-        for _ in range(200):
-            n = int(rng.integers(3, 14))
-            scores = rng.uniform(0, 2, size=n - 1).tolist()
-            patience = int(rng.integers(1, 5))
-            exit_layer = simulate_patience_exit(scores, 1.0, patience, n)
-            assert exit_layer == n or exit_layer >= patience + 1
+    @deterministic
+    @given(score_streams, st.floats(0.0, 2.0), st.integers(1, 5))
+    def test_early_halt_needs_at_least_patience_comparisons(self, scores, thre, patience):
+        exit_layer, halted = run_fpabee_on_scores(scores, thre, patience)
+        assert not halted or exit_layer >= patience + 1
 
 
 class TestExitTrace:

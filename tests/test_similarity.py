@@ -5,18 +5,32 @@ import math
 import numpy as np
 import pytest
 
-from exitlab.similarity import (
-    ProbDist,
-    SimilarityMeasure,
-    entropy,
-    score,
-    score_jskd,
-    score_kd,
-    score_rekd,
-    score_symkd,
-)
+from exitlab.similarity import ProbDist, SimilarityMeasure, entropy, score
 
 LN2 = math.log(2.0)
+VARIANTS = ("kd", "rekd", "symkd", "jskd")
+
+# each measure is a plain (prev, cur) -> float scorer
+kd, rekd, symkd, jskd = (SimilarityMeasure(v) for v in VARIANTS)
+
+
+def formula_score(variant, p, q, kl=False):
+    """The module-docstring formula on flat numpy arrays, floor 1e-12."""
+    def cross(w, x):
+        s = -(w * np.log(np.maximum(x, 1e-12))).sum()
+        if kl:
+            s -= -(w * np.log(np.maximum(w, 1e-12))).sum()
+        return s
+
+    p, q = p.probs.reshape(-1), q.probs.reshape(-1)
+    if variant == "kd":
+        return cross(p, q)
+    if variant == "rekd":
+        return cross(q, p)
+    if variant == "symkd":
+        return cross(p, q) + cross(q, p)
+    m = (p + q) / 2
+    return cross(p, m) / 2 + cross(q, m) / 2
 
 
 def mlc_kd_oracle(prev_pos, cur_pos, eps=1e-12):
@@ -41,34 +55,34 @@ def random_mlc(rng, k):
 
 class TestKD:
     def test_one_hot_prev_picks_single_term(self):
-        s = score_kd(ProbDist.slc([1.0, 0.0]), ProbDist.slc([0.5, 0.5]))
+        s = kd(ProbDist.slc([1.0, 0.0]), ProbDist.slc([0.5, 0.5]))
         assert s == pytest.approx(LN2, abs=1e-9)
 
     def test_identical_uniform_scores_entropy_not_zero(self):
         u = ProbDist.slc([0.5, 0.5])
-        assert score_kd(u, u) == pytest.approx(LN2, abs=1e-9)
+        assert kd(u, u) == pytest.approx(LN2, abs=1e-9)
 
     def test_mlc_matches_double_loop_oracle(self):
         prev = ProbDist.mlc([0.9, 0.2])
         cur = ProbDist.mlc([0.8, 0.3])
         expected = mlc_kd_oracle([0.9, 0.2], [0.8, 0.3])
-        assert score_kd(prev, cur) == pytest.approx(expected, abs=1e-12)
+        assert kd(prev, cur) == pytest.approx(expected, abs=1e-12)
 
     def test_mlc_random_against_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             k = int(rng.integers(1, 8))
             p, q = rng.uniform(0.01, 0.99, size=k), rng.uniform(0.01, 0.99, size=k)
-            got = score_kd(ProbDist.mlc(p), ProbDist.mlc(q))
+            got = kd(ProbDist.mlc(p), ProbDist.mlc(q))
             assert got == pytest.approx(mlc_kd_oracle(p, q), rel=1e-12)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            score_kd(ProbDist.slc([0.5, 0.5]), ProbDist.mlc([0.5, 0.5]))
+            kd(ProbDist.slc([0.5, 0.5]), ProbDist.mlc([0.5, 0.5]))
 
     def test_k_mismatch_rejected(self):
         with pytest.raises(ValueError, match="class counts"):
-            score_kd(ProbDist.slc([0.5, 0.5]), ProbDist.slc([0.4, 0.3, 0.3]))
+            kd(ProbDist.slc([0.5, 0.5]), ProbDist.slc([0.4, 0.3, 0.3]))
 
 
 class TestReKD:
@@ -76,37 +90,37 @@ class TestReKD:
         rng = np.random.default_rng(1)
         for _ in range(100):
             p, q = random_slc(rng, 4), random_slc(rng, 4)
-            assert score_rekd(p, q) == score_kd(q, p)
+            assert rekd(p, q) == kd(q, p)
 
     def test_one_hot_in_flipped_first_argument(self):
         prev, cur = ProbDist.slc([0.5, 0.5]), ProbDist.slc([1.0, 0.0])
-        assert score_rekd(prev, cur) == pytest.approx(LN2, abs=1e-9)
-        assert score_rekd(prev, cur) == score_kd(ProbDist.slc([1.0, 0.0]), ProbDist.slc([0.5, 0.5]))
+        assert rekd(prev, cur) == pytest.approx(LN2, abs=1e-9)
+        assert rekd(prev, cur) == kd(ProbDist.slc([1.0, 0.0]), ProbDist.slc([0.5, 0.5]))
 
     def test_mlc_random_against_swapped_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             k = int(rng.integers(1, 6))
             p, q = rng.uniform(0.05, 0.95, size=k), rng.uniform(0.05, 0.95, size=k)
-            got = score_rekd(ProbDist.mlc(p), ProbDist.mlc(q))
+            got = rekd(ProbDist.mlc(p), ProbDist.mlc(q))
             assert got == pytest.approx(mlc_kd_oracle(q, p), rel=1e-12)
 
 
 class TestSymKD:
     def test_identical_uniform_is_twice_ln2(self):
         u = ProbDist.slc([0.5, 0.5])
-        assert score_symkd(u, u) == pytest.approx(2 * LN2, abs=1e-9)
+        assert symkd(u, u) == pytest.approx(2 * LN2, abs=1e-9)
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             p, q = random_slc(rng, 5), random_slc(rng, 5)
-            assert score_symkd(p, q) == score_symkd(q, p)
+            assert symkd(p, q) == symkd(q, p)
 
     def test_scalar_formula(self):
         p, q = [0.9, 0.1], [0.1, 0.9]
         expected = -(0.9 * math.log(0.1) + 0.1 * math.log(0.9)) * 2
-        got = score_symkd(ProbDist.slc(p), ProbDist.slc(q))
+        got = symkd(ProbDist.slc(p), ProbDist.slc(q))
         assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -115,27 +129,29 @@ class TestJSKD:
         rng = np.random.default_rng(4)
         for _ in range(20):
             p = random_slc(rng, 4)
-            assert score_jskd(p, p) == pytest.approx(entropy(p), abs=1e-9)
+            assert jskd(p, p) == pytest.approx(entropy(p), abs=1e-9)
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             p, q = random_slc(rng, 3), random_slc(rng, 3)
-            assert score_jskd(p, q) == score_jskd(q, p)
+            assert jskd(p, q) == jskd(q, p)
 
     def test_maximal_disagreement_is_ln2(self):
         p, q = ProbDist.slc([1.0, 0.0]), ProbDist.slc([0.0, 1.0])
-        assert score_jskd(p, q) == pytest.approx(LN2, abs=1e-9)
+        assert jskd(p, q) == pytest.approx(LN2, abs=1e-9)
 
 
 class TestDispatchAndKLMode:
     def test_dispatch_matches_direct_calls(self):
         rng = np.random.default_rng(6)
         p, q = random_slc(rng, 4), random_slc(rng, 4)
-        for variant, fn in (
-            ("kd", score_kd), ("rekd", score_rekd), ("symkd", score_symkd), ("jskd", score_jskd),
-        ):
-            assert score(SimilarityMeasure(variant), p, q) == fn(p, q)
+        a, b = random_mlc(rng, 3), random_mlc(rng, 3)
+        for variant in VARIANTS:
+            for kl in (False, True):
+                m = SimilarityMeasure(variant, subtract_self_entropy=kl)
+                assert score(m, p, q) == formula_score(variant, p, q, kl)
+                assert score(m, a, b) == formula_score(variant, a, b, kl)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
@@ -144,7 +160,7 @@ class TestDispatchAndKLMode:
     def test_kl_mode_zero_on_identical_inputs(self):
         rng = np.random.default_rng(7)
         p = random_slc(rng, 5)
-        for variant in ("kd", "rekd", "symkd", "jskd"):
+        for variant in VARIANTS:
             m = SimilarityMeasure(variant, subtract_self_entropy=True)
             assert score(m, p, p) == pytest.approx(0.0, abs=1e-9)
 
@@ -158,7 +174,7 @@ class TestDispatchAndKLMode:
     def test_measure_is_callable(self):
         p = ProbDist.slc([0.5, 0.5])
         m = SimilarityMeasure("kd")
-        assert m(p, p) == score_kd(p, p)
+        assert m(p, p) == score(m, p, p) == pytest.approx(LN2, abs=1e-12)
 
 
 class TestProperties:
@@ -171,7 +187,7 @@ class TestProperties:
             else:
                 k = int(rng.integers(1, 11))
                 p, q = random_mlc(rng, k), random_mlc(rng, k)
-            for variant in ("kd", "rekd", "symkd", "jskd"):
+            for variant in VARIANTS:
                 s = score(SimilarityMeasure(variant), p, q)
                 assert np.isfinite(s) and s >= 0
 
@@ -180,7 +196,7 @@ class TestProperties:
         for _ in range(500):
             k = int(rng.integers(2, 11))
             p, q = random_slc(rng, k), random_slc(rng, k)
-            assert score_jskd(p, q) <= score_symkd(p, q) + 1e-12
+            assert jskd(p, q) <= symkd(p, q) + 1e-12
 
     def test_single_label_mlc_equals_two_class_slc(self):
         rng = np.random.default_rng(11)
@@ -188,7 +204,7 @@ class TestProperties:
             a, b = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
             mlc_p, mlc_q = ProbDist.mlc([a]), ProbDist.mlc([b])
             slc_p, slc_q = ProbDist.slc([a, 1 - a]), ProbDist.slc([b, 1 - b])
-            for variant in ("kd", "rekd", "symkd", "jskd"):
+            for variant in VARIANTS:
                 m = SimilarityMeasure(variant)
                 assert score(m, mlc_p, mlc_q) == pytest.approx(score(m, slc_p, slc_q), rel=1e-12)
 

@@ -10,7 +10,6 @@ from exitlab import tensor as T
 from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_synthetic
 from exitlab.errors import ConfigError
 from exitlab.model import ModelConfig, MultiExitModel
-from exitlab.similarity import ProbDist
 from exitlab.training import (
     AdamW,
     TrainConfig,
@@ -20,7 +19,6 @@ from exitlab.training import (
     grid_search,
     layer_weights,
     make_grid,
-    per_layer_loss,
     total_loss,
     train,
     _batch_losses,
@@ -54,26 +52,28 @@ def toy_setup(task="slc", n_classes=3, n_train=80, easy_fraction=1.0, seed=0):
     return splits, vocab, cfg
 
 
+def one_row_loss(task, prob_row, target):
+    """``_batch_losses`` on one layer's prediction for one example."""
+    cfg = ModelConfig(vocab_size=1, n_classes=len(prob_row), task=task, n_layers=2,
+                      d_model=2, n_heads=1, d_ff=2, max_seq_len=1)
+    losses, _ = _batch_losses(MultiExitModel(cfg), [T.Tensor(np.array([prob_row]))], np.array([target]))
+    return losses[0].item()
+
+
 class TestPerLayerLoss:
     def test_perfect_slc_prediction_is_zero(self):
-        assert per_layer_loss(ProbDist.slc([1.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-9)
+        assert one_row_loss("slc", [1.0, 0.0], 0) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_slc_is_log_k(self):
-        p = ProbDist.slc([0.25] * 4)
         for target in range(4):
-            assert per_layer_loss(p, target) == pytest.approx(math.log(4), abs=1e-9)
+            assert one_row_loss("slc", [0.25] * 4, target) == pytest.approx(math.log(4), abs=1e-9)
 
     def test_mlc_matches_scalar_bce_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             probs = rng.uniform(0.05, 0.95, size=3)
             targets = rng.integers(0, 2, size=3).astype(float)
-            p = ProbDist.mlc(probs)
-            assert per_layer_loss(p, targets) == pytest.approx(bce_oracle(probs, targets), rel=1e-9)
-
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            per_layer_loss(ProbDist.slc([0.5, 0.5]), 2)
+            assert one_row_loss("mlc", probs, targets) == pytest.approx(bce_oracle(probs, targets), rel=1e-9)
 
 
 class TestTotalLoss:
