@@ -303,8 +303,6 @@ def _cmd_compare(args) -> int:
         if name == "fpabee":
             specs.append(PolicySpec("fpabee", measure=args.measure,
                                     patience=args.patience, kl_mode=args.kl_mode))
-        elif name == "pabee":
-            specs.append(PolicySpec("pabee"))
         else:
             specs.append(PolicySpec(name))
     results = compare_policies(model, dataset, args.target_speedup, specs, vocab)

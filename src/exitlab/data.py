@@ -151,7 +151,7 @@ def load_jsonl(path, task: str, n_classes: int | None = None) -> Dataset:
     """Read one record per line; validates schema and label ranges.
 
     With ``n_classes`` unset the class count is inferred as max label + 1
-    (at least 2).
+    (at least 2). A file without any record is a :class:`DataError`.
     """
     if task not in (SLC, MLC):
         raise ConfigError(f"task must be {SLC!r} or {MLC!r}, got {task!r}")
@@ -186,6 +186,8 @@ def load_jsonl(path, task: str, n_classes: int | None = None) -> Dataset:
                 ):
                     raise DataError(f"{path}:{lineno}: 'labels' must be a list of nonnegative integers")
                 examples.append(Example(rec["text"], labels=tuple(sorted(set(labels)))))
+    if not examples:
+        raise DataError(f"{path}: no records")
 
     seen_max = -1
     for ex in examples:

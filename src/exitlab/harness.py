@@ -12,7 +12,7 @@ Record once, replay many: each :func:`evaluate`, :func:`sweep` and
 :func:`compare_policies` call runs each sample's layers at most once.
 Policies are deterministic functions of the per-layer prediction stream,
 and stopping at layer j reproduces the first j layers of a full pass bit
-for bit, so every grid point and every bisection probe of one call is
+for bit, so every grid point and every compare probe of one call is
 replayed over the layer outputs the call has already computed. A sample's
 layers are computed lazily, up to the deepest layer any configuration of
 the call needs; a single ``evaluate`` thus runs exactly the layers of the
@@ -311,7 +311,8 @@ def _csv_header(n_layers: int) -> list[str]:
 
 
 def _fmt(value) -> str:
-    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    # float() first: a numpy scalar's repr is not a plain number
+    return "" if value is None else repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def emit_csv(result: SweepResult, path) -> None:
@@ -447,15 +448,30 @@ def emit_svg(curves: list[tuple[str, list[tuple[float, float]]]], path,
 # -- matched-speedup comparison ------------------------------------------------
 
 
-def _knob_bounds(policy: str, n_layers: int, n_classes: int) -> tuple[float, float, bool]:
-    """(low, high, speedup_increases_with_knob) for each scalar knob."""
-    if policy == "fpabee":
-        return 0.0, 80.0, True
-    if policy == "entropy":
-        return 0.0, np.log(max(2, n_classes)) + 1.0, True
-    if policy in ("maxprob", "learned"):
-        return 0.0, 1.0, False
-    raise ConfigError(f"policy {policy!r} has no continuous knob")
+def _knob_candidates(cache: _LayerCache, spec: PolicySpec) -> list[PolicySpec]:
+    """``spec`` at every knob value with its own exit pattern, speedup monotone.
+
+    fixed and pabee take layers / patience 1..n. A threshold changes an
+    exit only where it crosses a sample's own score (``last_score``), so
+    the sorted distinct scores, plus one value below and one above them,
+    cover ``<`` and ``>`` comparisons alike. Midpoints are avoided: they
+    can round onto a neighbour.
+    """
+    n = cache.n_layers
+    if spec.policy == "fixed":
+        return [replace(spec, fixed_layer=j) for j in range(1, n + 1)]
+    if spec.policy == "pabee":
+        return [replace(spec, patience=p) for p in range(1, n + 1)]
+    policy = replace(spec, thre=0.0).build()
+    scores = set()
+    for i in range(len(cache.dataset)):
+        policy.reset()
+        for layer in range(1, n + 1):
+            policy.step(layer, *cache.layer(i, layer))
+            if policy.last_score is not None:
+                scores.add(policy.last_score)
+    c = sorted(scores) or [0.0]
+    return [replace(spec, thre=t) for t in (c[0] - 1.0, *c, c[-1] + 1.0)]
 
 
 def compare_policies(
@@ -465,67 +481,47 @@ def compare_policies(
     specs: list[PolicySpec],
     vocab: Vocab,
     tolerance: float = 0.02,
-    max_iters: int = 30,
 ) -> list[CompareResult]:
     """Tune each policy's scalar knob to land within ``tolerance`` of the
     target speedup and report its score there.
 
-    fpabee and the confidence family are bisected on their continuous
-    threshold; pabee enumerates its integer patience; fixed picks the
-    nearest layer. Policies that cannot reach the target are reported
-    with ``attained=False`` at their closest achievable point. Every
-    probe is replayed over one layer cache, so each sample's layers run
-    at most once.
+    One search serves every policy: over the candidates of
+    :func:`_knob_candidates`, probe the first, then the last, then bisect
+    on the list index while the target lies between them, stopping at the
+    first probe within ``tolerance``. Speedup is monotone along the list,
+    so otherwise the closest probe is the closest point any knob reaches;
+    it is reported with ``attained=False``. Every probe is replayed over
+    one layer cache, so each sample's layers run at most once.
     """
     if not 0.0 <= target_speedup < 1.0:
         raise ConfigError(f"target speedup must lie in [0, 1), got {target_speedup}")
-    n = model.config.n_layers
+
+    def gap(res: EvalResult) -> float:
+        return abs(res.speedup - target_speedup)
+
     cache = _LayerCache(model, dataset, vocab)
     out: list[CompareResult] = []
     for spec in specs:
-        if spec.policy == "fixed":
-            layer = int(np.clip(round(n * (1.0 - target_speedup)), 1, n))
-            best = _evaluate(cache, replace(spec, fixed_layer=layer))
-        elif spec.policy == "pabee":
-            best = None
-            for patience in range(1, n + 1):
-                res = _evaluate(cache, replace(spec, patience=patience))
-                if best is None or abs(res.speedup - target_speedup) < abs(best.speedup - target_speedup):
-                    best = res
-                if abs(res.speedup - target_speedup) <= tolerance:
-                    break
-        else:
-            lo, hi, increasing = _knob_bounds(spec.policy, n, dataset.n_classes)
-            best = None
+        candidates = _knob_candidates(cache, spec)
+        best = None
 
-            def probe(knob: float) -> EvalResult:
-                nonlocal best
-                res = _evaluate(cache, replace(spec, thre=knob))
-                if best is None or abs(res.speedup - target_speedup) < abs(best.speedup - target_speedup):
-                    best = res
-                return res
+        def below(index: int) -> bool:
+            """Probe one candidate; True when its speedup is below the target."""
+            nonlocal best
+            res = _evaluate(cache, candidates[index])
+            if best is None or gap(res) < gap(best):
+                best = res
+            return res.speedup < target_speedup
 
-            # endpoints realize the never-halt / always-halt extremes
-            probe(lo)
-            if abs(best.speedup - target_speedup) > tolerance:
-                probe(hi)
-            for _ in range(max_iters):
-                if abs(best.speedup - target_speedup) <= tolerance:
-                    break
-                mid = (lo + hi) / 2.0
-                res = probe(mid)
-                overshoot = res.speedup > target_speedup
-                if overshoot == increasing:
-                    hi = mid
-                else:
+        lo, hi = 0, len(candidates) - 1
+        first_below = below(lo)
+        if gap(best) > tolerance and below(hi) != first_below:
+            while gap(best) > tolerance and hi - lo > 1:
+                mid = (lo + hi) // 2
+                if below(mid) == first_below:
                     lo = mid
-            assert best is not None
-        out.append(
-            CompareResult(
-                spec=best.spec,
-                target_speedup=target_speedup,
-                result=best,
-                attained=abs(best.speedup - target_speedup) <= tolerance,
-            )
-        )
+                else:
+                    hi = mid
+        out.append(CompareResult(spec=best.spec, target_speedup=target_speedup, result=best,
+                                 attained=gap(best) <= tolerance))
     return out

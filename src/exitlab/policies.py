@@ -96,8 +96,9 @@ def prediction_match_scorer(prev: ProbDist, cur: ProbDist) -> float:
 class ExitPolicy:
     """Common protocol: ``reset()`` per sample, then one ``step`` per layer.
 
-    ``last_score`` and ``pat`` are populated by patience policies so the
-    caller can record them in the trace.
+    ``last_score`` is the value the latest ``step`` compared with the
+    threshold (``None`` before any comparison, and always for fixed);
+    ``pat`` is the patience counter. The caller records both in the trace.
     """
 
     name = "base"
@@ -165,7 +166,8 @@ class EntropyThreshold(ExitPolicy):
         self.threshold = float(threshold)
 
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
-        halt = entropy(probs) < self.threshold
+        self.last_score = entropy(probs)
+        halt = self.last_score < self.threshold
         return ExitDecision(halt, CONFIDENCE if halt else None)
 
 
@@ -182,10 +184,10 @@ class MaxProb(ExitPolicy):
 
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
         if probs.kind == SLC:
-            conf = float(probs.probs.max())
+            self.last_score = float(probs.probs.max())
         else:
-            conf = float(probs.probs.max(axis=1).min())
-        halt = conf > self.threshold
+            self.last_score = float(probs.probs.max(axis=1).min())
+        halt = self.last_score > self.threshold
         return ExitDecision(halt, CONFIDENCE if halt else None)
 
 
@@ -200,7 +202,8 @@ class LearnedConfidence(ExitPolicy):
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
         if confidence is None:
             raise ValueError("learned-confidence policy needs the per-layer confidence value")
-        halt = confidence > self.threshold
+        self.last_score = confidence
+        halt = self.last_score > self.threshold
         return ExitDecision(halt, CONFIDENCE if halt else None)
 
 

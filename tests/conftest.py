@@ -6,10 +6,16 @@ cost a few minutes of CPU between them and are only built when requested.
 """
 
 import pytest
+from hypothesis import settings
 
 from exitlab.data import SyntheticSpec, build_vocab, generate_synthetic
 from exitlab.model import ModelConfig, MultiExitModel
 from exitlab.training import TrainConfig, train
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a run's outcome depends on the code alone.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 SLC_DATA = SyntheticSpec(task="slc", n_classes=4, n_train=3000, n_dev=300, n_test=500,
                          easy_fraction=0.7, noise=0.0, seed=11)

@@ -95,6 +95,22 @@ class TestHappyPath:
         assert "policy,knob,speedup,score,attained" in out
         assert "fixed" in out and "entropy" in out
 
+    def test_compare_out_round_trips_for_all_six_policies(self, workspace, capsys):
+        root, data_dir, ckpt = workspace
+        out = root / "compare.csv"
+        rc = main([
+            "compare", "--model", str(ckpt), "--data", str(data_dir / "test.jsonl"),
+            "--task", "slc", "--target-speedup", "0.4", "--out", str(out),
+        ])
+        assert rc == 0
+        printed = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        rows = parse_csv(out).rows
+        assert [r.spec.policy for r in rows] == ["fpabee", "pabee", "entropy", "maxprob",
+                                                 "learned", "fixed"]
+        for (policy, knob, speedup, _, _), row in zip(printed, rows):
+            assert (policy, knob, speedup) == (row.spec.policy, repr(row.spec.knob_value()),
+                                               f"{row.speedup:.4f}")
+
     def test_sweep_is_byte_deterministic(self, workspace):
         root, data_dir, ckpt = workspace
         a, b = root / "a.csv", root / "b.csv"
@@ -190,7 +206,10 @@ def _meta_json(**fields):
 
 
 class TestBadInputs:
-    """Each bad knob or checkpoint exits with its code and one stderr line."""
+    """Each bad knob, data file or checkpoint exits with its code and one stderr line.
+
+    A row's own ``--data`` comes after the shared one, and argparse keeps the last.
+    """
 
     @pytest.mark.parametrize("argv, checkpoint, code", [
         pytest.param(["eval", "--policy", "fpabee", "--thre", "0.2", "--patience", "0"], None, 1,
@@ -202,6 +221,8 @@ class TestBadInputs:
         pytest.param(["compare", "--target-speedup", "1.5"], None, 1, id="target-above-one"),
         pytest.param(["compare", "--target-speedup", "-0.1"], None, 1, id="target-negative"),
         pytest.param(["compare", "--target-speedup", "nan"], None, 1, id="target-nan"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1", "--data", os.devnull], None, 2,
+                     id="empty-data"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], b"garbage", 2,
                      id="garbage-checkpoint"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], b"", 2, id="empty-checkpoint"),

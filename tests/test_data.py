@@ -25,11 +25,11 @@ from exitlab.errors import ConfigError, DataError
 
 
 class TestJsonl:
-    def test_empty_file_gives_empty_dataset(self, tmp_path):
+    def test_empty_file_is_data_error(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        ds = load_jsonl(path, "slc")
-        assert len(ds) == 0
+        path.write_text("\n\n")
+        with pytest.raises(DataError, match="no records"):
+            load_jsonl(path, "slc")
 
     def test_round_trip(self, tmp_path):
         ds = Dataset("slc", 3, [Example("a b c", label=2), Example("d e", label=0)])

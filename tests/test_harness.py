@@ -4,12 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_synthetic
 from exitlab.errors import ConfigError
 from exitlab.harness import (
     EvalResult,
     _LayerCache,
+    _evaluate,
+    _knob_candidates,
     _replay,
     PolicySpec,
     SweepResult,
@@ -209,6 +213,15 @@ class TestEmitters:
             assert a.histogram == b.histogram
             assert a.spec.policy == b.spec.policy
 
+    def test_numpy_float_knob_round_trips(self, tmp_path):
+        model, data, vocab = make_setup()
+        thre = np.float64(1.0984312345678901)
+        result = sweep(model, data, [PolicySpec("entropy", thre=thre)], vocab)
+        path = tmp_path / "sweep.csv"
+        emit_csv(result, path)
+        assert "np.float64" not in path.read_text()
+        assert parse_csv(path).rows[0].spec.thre == float(thre)
+
     def test_histogram_column_count_matches_layers(self, tmp_path):
         model, data, vocab = make_setup(n_layers=5)
         r = evaluate(model, data, PolicySpec("fixed", fixed_layer=3), vocab)
@@ -267,8 +280,81 @@ class TestComparePolicies:
 
     def test_continuous_knob_lands_within_tolerance(self):
         model, data, vocab = make_setup(n_examples=24)
-        results = compare_policies(model, data, 0.5, [PolicySpec("fixed")], vocab)
-        assert results[0].attained
+        results = compare_policies(model, data, 0.5, THRESHOLD_SPECS, vocab)
+        for res in results:
+            assert res.attained, res.spec
+            assert abs(res.result.speedup - 0.5) <= 0.02
+
+    @pytest.mark.parametrize("patience", [1, 2])
+    def test_always_halt_end_reached_beyond_80_nats(self, patience):
+        model, data, vocab = make_setup(n_layers=5, task="mlc", n_classes=4)
+        for name, p in model.params.items():
+            if name.startswith("head"):
+                p.array[...] *= 200.0  # symkd scores up to about 137 nats
+        target = 1 - (patience + 1) / 5
+        spec = PolicySpec("fpabee", measure="symkd", patience=patience)
+        res, = compare_policies(model, data, target, [spec], vocab)
+        assert res.attained
+        assert res.result.speedup == pytest.approx(target, abs=1e-12)
+        assert res.spec.thre > 80.0
+
+
+THRESHOLD_SPECS = [
+    PolicySpec("fpabee", measure="jskd", patience=1),
+    PolicySpec("entropy"),
+    PolicySpec("maxprob"),
+    PolicySpec("learned"),
+]
+COMPARED_SPECS = THRESHOLD_SPECS + [PolicySpec("pabee"), PolicySpec("fixed")]
+
+
+@pytest.fixture(scope="module", params=[("slc", 3), ("mlc", 4)], ids=["slc", "mlc"])
+def knob_frontier(request):
+    """(model, data, vocab, cache, {policy: [speedup of each candidate knob]})."""
+    task, n_classes = request.param
+    model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
+    cache = _LayerCache(model, data, vocab)
+    frontier = {spec.policy: [_evaluate(cache, c).speedup for c in _knob_candidates(cache, spec)]
+                for spec in COMPARED_SPECS}
+    return model, data, vocab, cache, frontier
+
+
+class TestExactKnobSearch:
+    """compare_policies against every candidate knob of all six policies."""
+
+    def check(self, knob_frontier, target, tolerance):
+        model, data, vocab, _, frontier = knob_frontier
+        results = compare_policies(model, data, target, COMPARED_SPECS, vocab, tolerance=tolerance)
+        for spec, res in zip(COMPARED_SPECS, results):
+            gap = abs(res.result.speedup - target)
+            closest = min(abs(s - target) for s in frontier[spec.policy])
+            assert res.attained == (closest <= tolerance), (spec, target)
+            if res.attained:
+                assert gap <= tolerance
+            else:
+                assert gap == closest, (spec, target)
+
+    def test_candidates_cover_every_exit_pattern(self, knob_frontier):
+        _, _, _, cache, frontier = knob_frontier
+        for speedups in frontier.values():
+            assert speedups in (sorted(speedups), sorted(speedups, reverse=True))
+        for spec in THRESHOLD_SPECS:
+            knobs = [c.thre for c in _knob_candidates(cache, spec)]
+            patterns = {tuple(_replay(cache, replace(spec, thre=t).build())[0]) for t in knobs}
+            assert len(patterns) > 2, spec
+            between = [(a + b) / 2 for a, b in zip(knobs, knobs[1:])] + [-1e6, 1e6]
+            for t in between:
+                assert tuple(_replay(cache, replace(spec, thre=t).build())[0]) in patterns, (spec, t)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 0.01, 0.02])
+    def test_attained_exactly_when_a_candidate_lands(self, knob_frontier, tolerance):
+        for target in (0.0, 0.1, 0.25, 0.37, 0.5, 0.6, 0.75, 0.79, 0.95):
+            self.check(knob_frontier, target, tolerance)
+
+    @settings(max_examples=30)  # each example builds a fresh layer cache
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.005, 0.02, 0.1]))
+    def test_random_targets(self, knob_frontier, target, tolerance):
+        self.check(knob_frontier, target, tolerance)
 
 
 # Knobs under which the six policies exit at different layers of make_setup(n_layers=5),

@@ -8,8 +8,9 @@ import pytest
 from exitlab import tensor as T
 from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
-from exitlab.policies import FINAL_FALLBACK, FixedExit, FPabee, MaxProb
-from exitlab.similarity import SimilarityMeasure
+from exitlab.policies import (CONFIDENCE, FINAL_FALLBACK, EntropyThreshold, FixedExit, FPabee,
+                              LearnedConfidence, MaxProb)
+from exitlab.similarity import SLC, SimilarityMeasure, entropy
 
 
 def tiny_config(**kw):
@@ -188,6 +189,29 @@ class TestForwardEarlyExit:
         _, exit_layer, trace = trained_like_model.forward_early_exit([4], FixedExit(2))
         assert [e.layer for e in trace.entries] == [1, 2]
         assert trace.exit_layer == exit_layer == 2
+
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    def test_confidence_trace_scores_are_the_compared_values(self, task):
+        m = randomize(MultiExitModel(tiny_config(task=task, n_layers=4)), seed=2)
+        tokens = [3, 1, 2]
+        stream = m.forward_full(tokens)
+        expected = {
+            "entropy": [entropy(p) for p in stream.probs],
+            "maxprob": [float(p.probs.max() if p.kind == SLC else p.probs.max(axis=1).min())
+                        for p in stream.probs],
+            "learned": stream.confidences,
+        }
+        for policy in (EntropyThreshold, MaxProb, LearnedConfidence):
+            values = expected[policy.name]
+            for threshold in (0.0, sorted(values)[1], 1.0):
+                _, exit_layer, trace = m.forward_early_exit(tokens, policy(threshold))
+                scores = [e.score for e in trace.entries]
+                assert scores == values[:exit_layer], policy.name
+                # the score alone explains the exit: it crosses the threshold
+                # at the halting layer and nowhere before
+                crossed = [s < threshold if policy is EntropyThreshold else s > threshold
+                           for s in scores]
+                assert crossed == [False] * (exit_layer - 1) + [trace.reason == CONFIDENCE]
 
     def test_prediction_matches_forward_full_at_exit_layer(self, trained_like_model):
         m = trained_like_model

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from exitlab.policies import (
@@ -26,8 +26,6 @@ from exitlab.policies import (
 from exitlab.similarity import ProbDist
 
 DUMMY = ProbDist.slc([0.5, 0.5])
-
-deterministic = settings(derandomize=True, database=None, deadline=None)
 
 
 def simulate_patience_exit(scores, thre, patience, n_layers):
@@ -202,7 +200,6 @@ class TestPabee:
         policy.step(1, a)
         assert not policy.step(2, c).halt
 
-    @deterministic
     @given(prediction_streams(), st.integers(1, 5))
     def test_matches_direct_classic_patience_simulation(self, drawn, patience):
         stream, predictions = drawn
@@ -262,19 +259,16 @@ class TestMonotonicity:
     exit, raising patience never hastens one, and no halt comes before
     ``patience`` comparisons have been made."""
 
-    @deterministic
     @given(score_streams, st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.integers(1, 4))
     def test_exit_layer_nonincreasing_in_threshold(self, scores, t1, t2, patience):
         lo, hi = sorted((t1, t2))
         assert fpabee_exit(scores, hi, patience) <= fpabee_exit(scores, lo, patience)
 
-    @deterministic
     @given(score_streams, st.floats(0.0, 2.0), st.integers(1, 5), st.integers(1, 5))
     def test_exit_layer_nondecreasing_in_patience(self, scores, thre, p1, p2):
         lo, hi = sorted((p1, p2))
         assert fpabee_exit(scores, thre, lo) <= fpabee_exit(scores, thre, hi)
 
-    @deterministic
     @given(score_streams, st.floats(0.0, 2.0), st.integers(1, 5))
     def test_early_halt_needs_at_least_patience_comparisons(self, scores, thre, patience):
         exit_layer, halted = run_fpabee_on_scores(scores, thre, patience)
