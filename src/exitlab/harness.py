@@ -334,7 +334,12 @@ def emit_csv(result: SweepResult, path) -> None:
 
 def parse_csv(path) -> SweepResult:
     """Inverse of :func:`emit_csv` (task is not stored; slc is assumed
-    for scoring, which leaves the stored metric columns untouched)."""
+    for scoring, which leaves the stored metric columns untouched).
+
+    The ``thre`` column holds each row's knob, so it becomes ``fixed_layer``
+    on a ``fixed`` row, is dropped on a ``pabee`` row (whose patience has
+    its own column) and is ``thre`` otherwise. ``kl_mode`` is not stored:
+    a re-parsed fpabee row comes back with ``kl_mode=False``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -344,13 +349,16 @@ def parse_csv(path) -> SweepResult:
         seed, model_hash, data_hash = 0, "", ""
         for rec in reader:
             m = dict(zip(header, rec))
-            spec = PolicySpec(
-                policy=m["policy"],
-                measure=m["measure"] or "jskd",
-                thre=float(m["thre"]) if m["thre"] else None,
-                patience=int(m["patience"]) if m["patience"] else None,
-                fixed_layer=int(float(m["thre"])) if m["policy"] == "fixed" and m["thre"] else None,
-            )
+            policy = m["policy"]
+            knob = float(m["thre"]) if m["thre"] else None
+            patience = int(m["patience"]) if m["patience"] else None
+            if policy == "fixed":
+                spec = PolicySpec(policy, fixed_layer=None if knob is None else int(knob))
+            elif policy == "pabee":
+                spec = PolicySpec(policy, patience=patience)
+            else:
+                spec = PolicySpec(policy, measure=m["measure"] or "jskd", thre=knob,
+                                  patience=patience)
             rows.append(
                 EvalResult(
                     spec=spec,

@@ -81,10 +81,7 @@ class Tensor:
     __slots__ = ("_array", "node", "requires_grad")
 
     def __init__(self, array, requires_grad: bool = False, node: TapeNode | None = None):
-        arr = np.asarray(array, dtype=np.float64, order="C")
-        if not arr.flags.c_contiguous:
-            arr = np.array(arr, dtype=np.float64, order="C")
-        self._array = arr
+        self._array = np.asarray(array, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.node = node
 
@@ -239,7 +236,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with optional leading batch dims on either operand.
 
     Supported: 2D @ 2D, ND @ 2D (shared right matrix), and ND @ ND with
-    identical leading dims.
+    identical leading dims. The backward of ND @ 2D runs as one 2-D gemm
+    per gradient over the leading dims flattened into rows. The forward
+    stays ``np.matmul``: at the model's shapes its per-batch gemms are as
+    fast as one flattened gemm or faster.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} and {b.shape}")
@@ -250,12 +250,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.array, b.array)
     aa, ba = a.array, b.array
 
-    def back(g):
-        ga = np.matmul(g, np.swapaxes(ba, -1, -2))
-        gb = np.matmul(np.swapaxes(aa, -1, -2), g)
-        ga = ga.sum(axis=tuple(range(ga.ndim - aa.ndim)))
-        gb = gb.sum(axis=tuple(range(gb.ndim - ba.ndim)))
-        return ga, gb
+    if b.ndim == 2:
+
+        def back(g):
+            a2 = aa.reshape(-1, aa.shape[-1])
+            g2 = g.reshape(-1, ba.shape[-1])
+            return (g2 @ ba.T).reshape(aa.shape), a2.T @ g2
+
+    else:
+
+        def back(g):
+            ga = np.matmul(g, np.swapaxes(ba, -1, -2))
+            gb = np.matmul(np.swapaxes(aa, -1, -2), g)
+            ga = ga.sum(axis=tuple(range(ga.ndim - aa.ndim)))
+            gb = gb.sum(axis=tuple(range(gb.ndim - ba.ndim)))
+            return ga, gb
 
     return _result("matmul", out, (a, b), back)
 
@@ -407,9 +416,13 @@ _GELU_A = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU in the tanh approximation (kept fixed so golden files are stable)."""
+    """GELU in the tanh approximation.
+
+    The cube is computed as ``x * x * x``: ``x**3`` goes through numpy's
+    generic ``pow`` loop, which is tens of times slower.
+    """
     x = a.array
-    u = _GELU_C * (x + _GELU_A * x**3)
+    u = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(u)
     out = 0.5 * x * (1.0 + t)
 

@@ -213,6 +213,25 @@ class TestEmitters:
             assert a.histogram == b.histogram
             assert a.spec.policy == b.spec.policy
 
+    def test_round_trip_gives_back_the_spec_for_all_six_policies(self, tmp_path):
+        model, data, vocab = make_setup()
+        specs = [
+            PolicySpec("fpabee", measure="kd", thre=0.25, patience=2),
+            PolicySpec("fpabee", measure="symkd", thre=0.5, patience=3, kl_mode=True),
+            PolicySpec("pabee", patience=3),
+            PolicySpec("entropy", thre=0.75),
+            PolicySpec("maxprob", thre=0.6),
+            PolicySpec("learned", thre=0.4),
+            PolicySpec("fixed", fixed_layer=4),
+        ]
+        result = sweep(model, data, specs, vocab)
+        path = tmp_path / "sweep.csv"
+        emit_csv(result, path)
+        # kl_mode is not a CSV column, so it always reads back False
+        assert [r.spec for r in parse_csv(path).rows] == [
+            replace(r.spec, kl_mode=False) for r in result.rows
+        ]
+
     def test_numpy_float_knob_round_trips(self, tmp_path):
         model, data, vocab = make_setup()
         thre = np.float64(1.0984312345678901)

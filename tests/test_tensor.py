@@ -76,6 +76,45 @@ class TestMatmul:
         for i in range(5):
             np.testing.assert_allclose(out.array[i], a[i] @ b, atol=1e-12)
 
+    @pytest.mark.parametrize("a_shape, n", [
+        ((32, 14, 64), 256),  # FFN up-projection of a training batch
+        ((32, 14, 256), 64),  # FFN down-projection
+        ((1, 24, 64), 64),  # batch-1 Q/K/V/O projection
+        ((2, 4, 14, 64), 64),  # 4-D left operand
+        # single rows and one output column: here one flattened gemm would
+        # round differently from np.matmul's per-batch products
+        ((4, 1, 16), 16),
+        ((7, 13, 64), 1),
+    ])
+    def test_nd_by_2d_forward_is_np_matmul_bit_for_bit(self, a_shape, n):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=a_shape)
+        b = rng.normal(size=(a_shape[-1], n))
+        np.testing.assert_array_equal(T.matmul(T.Tensor(a), T.Tensor(b)).array, np.matmul(a, b))
+
+    @pytest.mark.parametrize("a_shape", [(5, 3, 4), (2, 3, 5, 4)])
+    def test_nd_by_2d_gradients_match_batched_reference(self, a_shape):
+        rng = np.random.default_rng(7)
+        a = T.Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = T.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        g = rng.normal(size=a_shape[:-1] + (6,))
+        grads = T.backward((T.matmul(a, b) * T.Tensor(g)).sum())
+        lead = tuple(range(len(a_shape) - 2))
+        ga = np.matmul(g, b.array.T)
+        gb = np.matmul(np.swapaxes(a.array, -1, -2), g).sum(axis=lead)
+        np.testing.assert_allclose(grads[a], ga, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads[b], gb, rtol=1e-12, atol=1e-12)
+
+
+class TestGelu:
+    def test_matches_tanh_formula_with_np_power(self):
+        x = np.random.default_rng(8).normal(scale=3.0, size=(32, 14, 64))
+        c = np.sqrt(2.0 / np.pi)
+        expected = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * np.power(x, 3))))
+        # the cube may differ by one ulp; in the negative tail 1 + tanh cancels,
+        # so the bound is absolute there, at the scale of one ulp of 1
+        np.testing.assert_allclose(T.gelu(T.Tensor(x)).array, expected, rtol=1e-15, atol=1e-15)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -181,6 +220,10 @@ class TestGradchecks:
 
     def test_matmul_batched_3d_2d(self):
         a, b = randt(self.rng, 2, 3, 4), randt(self.rng, 4, 3)
+        assert_gradcheck(lambda: (T.matmul(a, b) * T.matmul(a, b)).mean(), [a, b])
+
+    def test_matmul_batched_4d_2d(self):
+        a, b = randt(self.rng, 2, 2, 3, 4), randt(self.rng, 4, 3)
         assert_gradcheck(lambda: (T.matmul(a, b) * T.matmul(a, b)).mean(), [a, b])
 
     def test_matmul_4d_4d(self):
