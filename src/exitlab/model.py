@@ -7,6 +7,12 @@ distribution for single-label tasks, per-label sigmoids for multi-label.
 A second scalar head per layer produces the confidence value used by the
 learned-confidence baseline.
 
+One definition serves training and inference. Training runs
+``_block`` and the heads on taped :class:`~exitlab.tensor.Tensor` values;
+inference runs the same code on plain float64 ndarrays through
+:data:`exitlab.tensor.arrays`, the same forward kernels with nothing
+recorded, and gives the same bits as the taped ops under ``no_grad``.
+
 Inference is per sample (batch size 1); prefix equivalence holds by
 construction, i.e. stopping at layer j reproduces the first j entries of
 a full pass bit for bit.
@@ -61,6 +67,10 @@ class ModelConfig:
             raise ConfigError("need at least 2 layers for cross-layer comparison")
         if self.n_classes < 2:
             raise ConfigError("need at least 2 classes")
+        if min(self.d_model, self.n_heads, self.d_ff) < 1:
+            raise ConfigError("d_model, n_heads and d_ff must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < 1 or self.max_seq_len < 1:
@@ -73,7 +83,6 @@ class PredictionStream:
 
     probs: list[ProbDist]
     confidences: list[float]
-    hidden: list[np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -85,6 +94,9 @@ class MultiExitModel:
     def __init__(self, config: ModelConfig):
         self.config = config
         self.params: dict[str, T.Tensor] = {}
+        # the same buffers as self.params, which optimizers and checkpoint
+        # loading update in place, so this view never goes stale
+        self._arrays: dict[str, np.ndarray] = {}
         self._init_params()
 
     # -- parameters ----------------------------------------------------
@@ -92,6 +104,7 @@ class MultiExitModel:
     def _param(self, name: str, array: np.ndarray) -> T.Tensor:
         t = T.Tensor(array, requires_grad=True)
         self.params[name] = t
+        self._arrays[name] = t.array
         return t
 
     def _init_params(self) -> None:
@@ -141,10 +154,14 @@ class MultiExitModel:
     def _block_prefix(self, layer_index: int) -> str:
         return "block0" if self.config.share_layer_params else f"block{layer_index - 1}"
 
+    def _ops(self, taped: bool):
+        """The op namespace and parameter map: taped Tensors, or plain arrays."""
+        return (T, self.params) if taped else (T.arrays, self._arrays)
+
     # -- forward pieces --------------------------------------------------
 
-    def embed(self, tokens) -> T.Tensor:
-        """Token + position embeddings.
+    def embed(self, tokens, taped: bool = False) -> np.ndarray | T.Tensor:
+        """Token + position embeddings, a plain array or, with ``taped``, a Tensor.
 
         1-D input of length t gives [t, d_model]; 2-D [b, t] input (already
         padded) gives [b, t, d_model].
@@ -162,8 +179,9 @@ class MultiExitModel:
                 f"token id {int(ids.reshape(-1)[pos])} at flat position {pos} "
                 f"is outside the vocabulary (size {self.config.vocab_size})"
             )
-        tok = T.embedding_lookup(self.params["embed.tok"], ids)
-        pos = T.embedding_lookup(self.params["embed.pos"], np.arange(seq_len))
+        ops, p = self._ops(taped)
+        tok = ops.embedding_lookup(p["embed.tok"], ids)
+        pos = ops.embedding_lookup(p["embed.pos"], np.arange(seq_len))
         return tok + pos
 
     def _attention_mask(self, pad_mask: np.ndarray, n_heads: int) -> T.Tensor:
@@ -172,40 +190,49 @@ class MultiExitModel:
         add = (1.0 - pad_mask[:, None, None, :]) * -1e9
         return T.Tensor(np.broadcast_to(add, (b, n_heads, t, t)).copy())
 
-    def _block(self, h: T.Tensor, layer_index: int, attn_mask: T.Tensor | None) -> T.Tensor:
+    def _block(self, h, layer_index: int, attn_mask: T.Tensor | None):
+        """One transformer block on a [b, t, d_model] state.
+
+        A Tensor state runs the taped ops on the parameter tensors; an
+        ndarray state runs the same kernels on the parameter arrays.
+        """
         cfg = self.config
         pre = self._block_prefix(layer_index)
-        p = self.params
+        ops, p = self._ops(isinstance(h, T.Tensor))
         b, t, d = h.shape
         nh, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
 
         def heads(x):
-            return x.reshape((b, t, nh, hd)).transpose((0, 2, 1, 3))
+            return ops.transpose(x.reshape((b, t, nh, hd)), (0, 2, 1, 3))
 
-        q = heads(T.matmul(h, p[f"{pre}.wq"]) + p[f"{pre}.wbq"])
-        k = heads(T.matmul(h, p[f"{pre}.wk"]) + p[f"{pre}.wbk"])
-        v = heads(T.matmul(h, p[f"{pre}.wv"]) + p[f"{pre}.wbv"])
-        scores = T.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
+        q = heads(ops.matmul(h, p[f"{pre}.wq"]) + p[f"{pre}.wbq"])
+        k = heads(ops.matmul(h, p[f"{pre}.wk"]) + p[f"{pre}.wbk"])
+        v = heads(ops.matmul(h, p[f"{pre}.wv"]) + p[f"{pre}.wbv"])
+        scores = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
         if attn_mask is not None:
             scores = scores + attn_mask
-        ctx = T.matmul(T.softmax(scores, axis=-1), v)
-        ctx = ctx.transpose((0, 2, 1, 3)).reshape((b, t, d))
-        attn_out = T.matmul(ctx, p[f"{pre}.wo"]) + p[f"{pre}.wbo"]
-        h = T.layer_norm(h + attn_out, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
-        ff = T.gelu(T.matmul(h, p[f"{pre}.w1"]) + p[f"{pre}.b1"])
-        ff = T.matmul(ff, p[f"{pre}.w2"]) + p[f"{pre}.b2"]
-        return T.layer_norm(h + ff, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
+        ctx = ops.matmul(ops.softmax(scores, axis=-1), v)
+        ctx = ops.transpose(ctx, (0, 2, 1, 3)).reshape((b, t, d))
+        attn_out = ops.matmul(ctx, p[f"{pre}.wo"]) + p[f"{pre}.wbo"]
+        h = ops.layer_norm(h + attn_out, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
+        ff = ops.gelu(ops.matmul(h, p[f"{pre}.w1"]) + p[f"{pre}.b1"])
+        ff = ops.matmul(ff, p[f"{pre}.w2"]) + p[f"{pre}.b2"]
+        return ops.layer_norm(h + ff, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
 
-    def _head_logits(self, h: T.Tensor, layer_index: int) -> T.Tensor:
-        cls = T.select(h, axis=1, index=0)
+    def _exit_probs(self, h, layer_index: int):
+        """Exit ``layer_index``'s class probabilities [b, k] from a [b, t, d_model]
+        state: softmax for slc, per-label sigmoid for mlc."""
+        ops, p = self._ops(isinstance(h, T.Tensor))
         i = layer_index - 1
-        return T.matmul(cls, self.params[f"head{i}.w"]) + self.params[f"head{i}.b"]
+        logits = ops.matmul(ops.select(h, axis=1, index=0), p[f"head{i}.w"]) + p[f"head{i}.b"]
+        return ops.softmax(logits, axis=-1) if self.config.task == SLC else ops.sigmoid(logits)
 
-    def _confidence_logits(self, h: T.Tensor, layer_index: int) -> T.Tensor:
-        cls = T.select(h, axis=1, index=0)
+    def _confidence(self, h, layer_index: int):
+        """Exit ``layer_index``'s confidence values [b] in (0, 1)."""
+        ops, p = self._ops(isinstance(h, T.Tensor))
         i = layer_index - 1
-        out = T.matmul(cls, self.params[f"conf{i}.w"]) + self.params[f"conf{i}.b"]
-        return out.reshape((h.shape[0],))
+        logits = ops.matmul(ops.select(h, axis=1, index=0), p[f"conf{i}.w"]) + p[f"conf{i}.b"]
+        return ops.sigmoid(logits.reshape((h.shape[0],)))
 
     def _to_probdist(self, prob_row: np.ndarray) -> ProbDist:
         if self.config.task == SLC:
@@ -221,62 +248,53 @@ class MultiExitModel:
         confidence values [b], both as tensors attached to the tape.
         """
         mask_t = self._attention_mask(pad_mask, self.config.n_heads)
-        h = self.embed(ids)
+        h = self.embed(ids, taped=True)
         probs, confs = [], []
         for layer in range(1, self.config.n_layers + 1):
             h = self._block(h, layer, mask_t)
-            logits = self._head_logits(h, layer)
-            if self.config.task == SLC:
-                probs.append(T.softmax(logits, axis=-1))
-            else:
-                probs.append(T.sigmoid(logits))
-            confs.append(T.sigmoid(self._confidence_logits(h, layer)))
+            probs.append(self._exit_probs(h, layer))
+            confs.append(self._confidence(h, layer))
         return probs, confs
 
     # -- inference-side forward ---------------------------------------
 
-    def forward_layer(self, h_prev: T.Tensor, layer_index: int) -> tuple[T.Tensor, ProbDist]:
-        """Run one block on a [t, d_model] state; return new state + prediction."""
+    def forward_layer(self, h_prev: np.ndarray, layer_index: int) -> tuple[np.ndarray, ProbDist]:
+        """Run one block on a [t, d_model] array state; return new state + prediction.
+
+        The block and exit head run the shared kernels on plain arrays:
+        nothing is taped, whatever the ``no_grad`` state.
+        """
         if not 1 <= layer_index <= self.config.n_layers:
             raise ValueError(f"layer_index {layer_index} outside [1, {self.config.n_layers}]")
         t, d = h_prev.shape
-        with T.no_grad():
-            h = self._block(h_prev.reshape((1, t, d)), layer_index, None)
-            if self.config.task == SLC:
-                prob = T.softmax(self._head_logits(h, layer_index), axis=-1)
-            else:
-                prob = T.sigmoid(self._head_logits(h, layer_index))
-        return h.reshape((t, d)), self._to_probdist(prob.array[0])
+        h = self._block(h_prev.reshape((1, t, d)), layer_index, None)
+        return h.reshape((t, d)), self._to_probdist(self._exit_probs(h, layer_index)[0])
 
-    def layer_confidence(self, h: T.Tensor, layer_index: int) -> float:
-        """Confidence-head output in (0, 1) for a [t, d_model] state."""
+    def layer_confidence(self, h: np.ndarray, layer_index: int) -> float:
+        """Confidence-head output in (0, 1) for a [t, d_model] array state."""
         t, d = h.shape
-        with T.no_grad():
-            c = T.sigmoid(self._confidence_logits(h.reshape((1, t, d)), layer_index))
-        return float(c.array[0])
+        return float(self._confidence(h.reshape((1, t, d)), layer_index)[0])
 
-    def iter_layers(self, tokens) -> Iterator[tuple[T.Tensor, ProbDist, float]]:
+    def iter_layers(self, tokens) -> Iterator[tuple[np.ndarray, ProbDist, float]]:
         """Yield ``(h, prob, confidence)`` for layers 1..n of one input, lazily.
 
         Each layer runs only when the next item is requested, so a consumer
-        that stops after layer j has computed exactly j layers. Tape
-        recording is off while a layer runs but never across a ``yield``:
-        a suspended generator leaves taped training untouched.
+        that stops after layer j has computed exactly j layers. The states
+        are plain [t, d_model] arrays and every layer runs the shared
+        kernels untaped, so a suspended generator holds no tape and leaves
+        taped training untouched.
         """
-        with T.no_grad():
-            h = self.embed(tokens)
+        h = self.embed(tokens)
         for layer in range(1, self.config.n_layers + 1):
             h, prob = self.forward_layer(h, layer)
             yield h, prob, self.layer_confidence(h, layer)
 
-    def forward_full(self, tokens, keep_hidden: bool = False) -> PredictionStream:
+    def forward_full(self, tokens) -> PredictionStream:
         """All n layers; the stream used for training targets and oracles."""
-        stream = PredictionStream([], [], [] if keep_hidden else None)
-        for h, prob, conf in self.iter_layers(tokens):
+        stream = PredictionStream([], [])
+        for _, prob, conf in self.iter_layers(tokens):
             stream.probs.append(prob)
             stream.confidences.append(conf)
-            if keep_hidden:
-                stream.hidden.append(h.numpy())
         return stream
 
     def forward_early_exit(self, tokens, policy: ExitPolicy) -> tuple[ProbDist, int, ExitTrace]:
@@ -347,8 +365,8 @@ def load_checkpoint(path) -> tuple[MultiExitModel, list[str] | None]:
             raise DataError(f"{path}: checkpoint metadata has no model config")
         try:
             config = ModelConfig(**meta["config"])
-        except TypeError as e:
-            # an unknown or missing field, or a value of the wrong type
+        except (TypeError, ConfigError) as e:
+            # an unknown or missing field, or a value of the wrong type or range
             raise DataError(f"{path}: bad model config in checkpoint: {e}") from e
         model = MultiExitModel(config)
         for name, t in model.params.items():
@@ -357,5 +375,7 @@ def load_checkpoint(path) -> tuple[MultiExitModel, list[str] | None]:
             arr = np.asarray(data[name], dtype=np.float64)
             if arr.shape != t.shape:
                 raise DataError(f"{path}: parameter {name!r} has shape {arr.shape}, expected {t.shape}")
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: parameter {name!r} holds non-finite values")
             t.array[...] = arr
     return model, meta.get("vocab")

@@ -55,15 +55,17 @@ class ProbDist:
         arr = np.array(self.probs, dtype=np.float64, order="C")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
+        # range checks are written so that NaN fails them: every comparison
+        # with NaN is False
         if self.kind == SLC:
             if arr.ndim != 1 or arr.shape[0] < 2:
                 raise ValueError(f"slc distribution needs a vector of k >= 2, got shape {arr.shape}")
-            if arr.min() < -_SUM_TOL or abs(arr.sum() - 1.0) > _SUM_TOL:
+            if not (arr.min() >= -_SUM_TOL and abs(arr.sum() - 1.0) <= _SUM_TOL):
                 raise ValueError("slc probabilities must be nonnegative and sum to 1")
         elif self.kind == MLC:
             if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
                 raise ValueError(f"mlc distribution needs (k, 2) pairs with k >= 1, got shape {arr.shape}")
-            if arr.min() < -_SUM_TOL or np.abs(arr.sum(axis=1) - 1.0).max() > _SUM_TOL:
+            if not (arr.min() >= -_SUM_TOL and np.abs(arr.sum(axis=1) - 1.0).max() <= _SUM_TOL):
                 raise ValueError("every mlc pair must be nonnegative and sum to 1")
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")

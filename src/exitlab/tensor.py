@@ -6,12 +6,21 @@ restricted to python scalars and trailing-shape operands (bias style);
 anything fancier goes through an explicit ``reshape``. That keeps every
 backward rule a few lines and each one checkable against central finite
 differences.
+
+Every op the model uses has one forward kernel, a plain function of
+ndarrays. The taped op calls it and records a tape node; :data:`arrays`
+exposes the same kernels by the same names for inference, where they
+return plain ndarrays and record nothing. Tensor results are always
+C-contiguous, and so are the kernels' results (``transpose`` copies), so
+both namespaces run numpy and BLAS on the same layouts and give the same
+bits.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,9 +38,10 @@ __all__ = [
     "gelu",
     "layer_norm",
     "embedding_lookup",
-    "concat",
+    "transpose",
     "select",
     "backward",
+    "arrays",
 ]
 
 
@@ -154,7 +164,7 @@ class Tensor:
         return _reshape(self, tuple(shape))
 
     def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        return _transpose(self, axes)
+        return transpose(self, axes)
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         return _reduce(self, axis, keepdims, "sum")
@@ -282,14 +292,21 @@ def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _result("reshape", out, (a,), back)
 
 
-def _transpose(a: Tensor, axes: Sequence[int] | None) -> Tensor:
+def _transpose_fwd(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    # a C-contiguous copy, as every Tensor holds: np.matmul of a strided
+    # view may take another BLAS path and round differently
+    return np.ascontiguousarray(np.transpose(x, axes))
+
+
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes; the default swaps the last two."""
     if axes is None:
         if a.ndim < 2:
             raise ShapeError(f"transpose needs >=2-D input, got shape {a.shape}")
         axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    out = np.transpose(a.array, axes)
+    out = _transpose_fwd(a.array, axes)
 
     def back(g):
         return (np.transpose(g, inverse),)
@@ -297,29 +314,13 @@ def _transpose(a: Tensor, axes: Sequence[int] | None) -> Tensor:
     return _result("transpose", out, (a,), back)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along ``axis``; all other dims must agree."""
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    base = list(tensors[0].shape)
-    for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != len(base) or any(
-            i != axis % len(base) and other[i] != base[i] for i in range(len(base))
-        ):
-            raise ShapeError(f"concat: incompatible shapes {tensors[0].shape} and {t.shape}")
-    out = np.concatenate([t.array for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-
-    def back(g):
-        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
-
-    return _result("concat", out, tuple(tensors), back)
+def _select_fwd(x: np.ndarray, axis: int, index: int) -> np.ndarray:
+    return np.take(x, index, axis=axis)
 
 
 def select(a: Tensor, axis: int, index: int) -> Tensor:
     """Pick a single index along ``axis``, dropping that axis."""
-    out = np.take(a.array, index, axis=axis)
+    out = _select_fwd(a.array, axis, index)
     in_shape = a.shape
 
     def back(g):
@@ -357,12 +358,15 @@ _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``: positive entries summing to 1."""
-    x = a.array
+def _softmax_fwd(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Stable softmax along ``axis``: positive entries summing to 1."""
+    out = _softmax_fwd(a.array, axis)
 
     def back(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -371,9 +375,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _result("softmax", out, (a,), back)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    """Elementwise logistic function, clipped to the open interval (0, 1)."""
-    x = a.array
+def _sigmoid_fwd(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -381,6 +383,12 @@ def sigmoid(a: Tensor) -> Tensor:
     out[~pos] = ex / (1.0 + ex)
     # float64 saturates to exactly 0/1 beyond |x| ~ 37; keep the bound strict
     np.clip(out, _SIG_LO, _SIG_HI, out=out)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    """Elementwise logistic function, clipped to the open interval (0, 1)."""
+    out = _sigmoid_fwd(a.array)
 
     def back(g):
         return (g * out * (1.0 - out),)
@@ -415,6 +423,13 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of ``x`` and the tanh its backward reuses."""
+    u = _GELU_C * (x + _GELU_A * (x * x * x))
+    t = np.tanh(u)
+    return 0.5 * x * (1.0 + t), t
+
+
 def gelu(a: Tensor) -> Tensor:
     """GELU in the tanh approximation.
 
@@ -422,15 +437,24 @@ def gelu(a: Tensor) -> Tensor:
     generic ``pow`` loop, which is tens of times slower.
     """
     x = a.array
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
+    out, t = _gelu_fwd(x)
 
     def back(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du),)
 
     return _result("gelu", out, (a,), back)
+
+
+def _layer_norm_fwd(x, gain, bias, eps=1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of ``x`` plus the normalized input and the inverse
+    deviation, which its backward reuses."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return gain * xhat + bias, xhat, inv
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -444,13 +468,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} must be ({d},) for input {a.shape}"
         )
-    x = a.array
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gain.array * xhat + bias.array
+    out, xhat, inv = _layer_norm_fwd(a.array, gain.array, bias.array, eps)
 
     def back(g):
         gx_hat = g * gain.array
@@ -464,12 +482,16 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result("layer_norm", out, (a, gain, bias), back)
 
 
+def _embedding_fwd(table: np.ndarray, ids) -> np.ndarray:
+    return table[np.asarray(ids, dtype=np.int64)]
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of ``table`` by integer ids; grads accumulate per row."""
     idx = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2:
         raise ShapeError(f"embedding_lookup table must be 2-D, got {table.shape}")
-    out = table.array[idx]
+    out = _embedding_fwd(table.array, idx)
     rows, dim = table.shape
 
     def back(g):
@@ -478,6 +500,29 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         return (gt,)
 
     return _result("embedding", out, (table,), back)
+
+
+# -- untaped inference ---------------------------------------------------
+
+arrays = SimpleNamespace(
+    matmul=np.matmul,
+    transpose=_transpose_fwd,
+    select=_select_fwd,
+    softmax=_softmax_fwd,
+    sigmoid=_sigmoid_fwd,
+    gelu=lambda x: _gelu_fwd(x)[0],
+    layer_norm=lambda x, gain, bias, eps=1e-5: _layer_norm_fwd(x, gain, bias, eps)[0],
+    embedding_lookup=_embedding_fwd,
+)
+"""The forward kernels on plain float64 ndarrays, under the taped ops' names.
+
+Code written against ``ops.matmul``, ``ops.softmax`` ... runs taped with
+``ops = tensor`` on :class:`Tensor` inputs and untaped with ``ops = arrays``
+on ndarrays, where each call is the kernel alone: no Tensor, no tape node,
+no backward closure and no shape check. Operators (``+``, ``*``) and
+``reshape`` are the types' own. The names are kept apart from the taped
+ops', so a wrapper around a taped op only ever sees Tensors.
+"""
 
 
 # -- reverse pass --------------------------------------------------------

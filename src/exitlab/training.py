@@ -13,6 +13,7 @@ that exit's prediction is correct.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -57,8 +58,18 @@ class TrainConfig:
             raise ConfigError("batch_size must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ConfigError("learning_rate and weight_decay must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("learning_rate", "weight_decay", "confidence_loss_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite number >= 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {value}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError(f"adam_eps must be a finite number > 0, got {self.adam_eps}")
 
 
 @dataclass

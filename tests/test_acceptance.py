@@ -13,7 +13,7 @@ import pytest
 from exitlab import tensor as T
 from exitlab.cli import main as cli_main
 from exitlab.data import SyntheticSpec, build_vocab, generate_synthetic
-from exitlab.harness import PolicySpec, compare_policies, evaluate, sweep
+from exitlab.harness import PolicySpec, _LayerCache, _replay, compare_policies, evaluate, sweep
 from exitlab.model import ModelConfig, MultiExitModel
 from exitlab.policies import FPabee, Pabee
 from exitlab.similarity import ProbDist, SimilarityMeasure
@@ -320,6 +320,50 @@ def test_criterion_9_multi_label_path(mlc_workbench):
     report(9, "multi-label path", f1_ok and policies_ok and thre_ok and patience_ok,
            f"full micro-F1 {full.micro_f1:.4f} reproduced at speedup 0; "
            f"{len(ran)} policies ran; monotonicity held")
+
+
+def criteria_specs(task, model, test, vocab):
+    """Every buildable PolicySpec criteria 4 and 8 (slc) or 9 (mlc) run, each once."""
+    def fpabee(t, p):
+        return PolicySpec("fpabee", measure="jskd", thre=t, patience=p)
+
+    if task == "slc":
+        specs = [fpabee(t, 2) for t in (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)]
+        specs += [fpabee(0.05, p) for p in range(1, 6)]
+        specs += [PolicySpec("fixed", fixed_layer=6)]
+        specs += [fpabee(t, p) for p in (1, 2) for t in (0.01, 0.02, 0.05, 0.1)]
+        matched = compare_policies(
+            model, test, 0.5,
+            [PolicySpec("fpabee", measure="jskd", patience=2), PolicySpec("pabee")], vocab)
+        specs += [m.result.spec for m in matched]
+    else:
+        specs = [PolicySpec("fixed", fixed_layer=6), PolicySpec("maxprob", thre=1.0)]
+        specs += [fpabee(0.3, 2), PolicySpec("pabee", patience=2), PolicySpec("entropy", thre=0.15),
+                  PolicySpec("maxprob", thre=0.9), PolicySpec("learned", thre=0.7),
+                  PolicySpec("fixed", fixed_layer=3)]
+        specs += [fpabee(t, 2) for t in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6)]
+        specs += [fpabee(0.4, p) for p in range(1, 6)]
+    return list(dict.fromkeys(specs))
+
+
+@pytest.mark.parametrize("workbench", ["slc_workbench", "mlc_workbench"])
+def test_replay_equals_live_on_trained_fixtures(workbench, request):
+    """Criteria 4 and 9 read exits from the live path, criteria 8 and 9 from
+    replay; on every spec they use, both give the same exits and bytes."""
+    model, splits, vocab = request.getfixturevalue(workbench)
+    test = splits.test
+    cache = _LayerCache(model, test, vocab)
+    specs = criteria_specs(model.config.task, model, test, vocab)
+    mismatches = []
+    for spec in specs:
+        exits, probs = _replay(cache, spec.build())
+        policy = spec.build()
+        for i, ex in enumerate(test.examples):
+            ids = vocab.encode(ex.text, max_len=model.config.max_seq_len)
+            prob, exit_layer, _ = model.forward_early_exit(ids, policy)
+            if exit_layer != exits[i] or prob.probs.tobytes() != probs[i].probs.tobytes():
+                mismatches.append((spec, i))
+    assert not mismatches, mismatches[:5]
 
 
 def test_criterion_10_train_and_sweep_are_byte_deterministic(tmp_path):

@@ -3,13 +3,14 @@
 import io
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from exitlab.cli import main
 from exitlab.harness import parse_csv
-from exitlab.model import CHECKPOINT_VERSION
+from exitlab.model import CHECKPOINT_VERSION, ModelConfig, MultiExitModel
 
 
 @pytest.fixture(scope="module")
@@ -194,15 +195,24 @@ def _npy_bytes():
     return buf.getvalue()
 
 
-def _npz_bytes(meta: str):
-    """An npz holding only the given ``__meta__`` string."""
+def _npz_bytes(meta: str, **arrays):
+    """An npz holding the given ``__meta__`` string and arrays."""
     buf = io.BytesIO()
-    np.savez(buf, __meta__=np.array(meta))
+    np.savez(buf, __meta__=np.array(meta), **arrays)
     return buf.getvalue()
 
 
 def _meta_json(**fields):
     return json.dumps({"format": "exitlab-checkpoint", "version": CHECKPOINT_VERSION, **fields})
+
+
+def _nan_checkpoint_bytes():
+    """A well-formed checkpoint with a NaN in one head bias."""
+    model = MultiExitModel(ModelConfig(vocab_size=9, n_classes=3, n_layers=2, d_model=4,
+                                       n_heads=2, d_ff=4, max_seq_len=24))
+    arrays = {name: t.array.copy() for name, t in model.params.items()}
+    arrays["head1.b"][0] = np.nan
+    return _npz_bytes(_meta_json(config=asdict(model.config), vocab=["a"]), **arrays)
 
 
 class TestBadInputs:
@@ -233,12 +243,17 @@ class TestBadInputs:
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"],
                      _npz_bytes(_meta_json(config={"vocab_size": 9, "n_classes": 3, "warp_speed": 9})), 2,
                      id="unknown-config-key"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"],
+                     _npz_bytes(_meta_json(config={"vocab_size": 9, "n_classes": 3, "n_heads": 0})), 2,
+                     id="zero-heads-config"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _npz_bytes(_meta_json()), 2,
                      id="missing-config"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _npz_bytes("{not json"), 2,
                      id="non-json-metadata"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _npz_bytes("[1, 2]"), 2,
                      id="metadata-not-an-object"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _nan_checkpoint_bytes(), 2,
+                     id="nan-parameter-checkpoint"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "4"], None, 1,
                      id="fixed-layer-above-n"),
         pytest.param(["sweep", "--policy", "fixed", "--layer-grid", "1,4", "--out", os.devnull], None, 1,
@@ -254,6 +269,43 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert rc == code
         assert err.startswith("exitlab: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("flags, config", [
+        pytest.param(["--lr", "nan"], None, id="lr-nan"),
+        pytest.param(["--lr", "inf"], None, id="lr-inf"),
+        pytest.param(["--lr", "-0.1"], None, id="lr-negative"),
+        pytest.param(["--weight-decay", "inf"], None, id="weight-decay-inf"),
+        pytest.param(["--weight-decay", "nan"], None, id="weight-decay-nan"),
+        pytest.param([], "learning_rate = nan\n", id="config-lr-nan"),
+        pytest.param([], "weight_decay = -1\n", id="config-weight-decay-negative"),
+        pytest.param([], "confidence_loss_weight = nan\n", id="config-confidence-weight-nan"),
+        pytest.param([], "confidence_loss_weight = -0.5\n", id="config-confidence-weight-negative"),
+        pytest.param([], "beta1 = 1.5\n", id="config-beta1-above-one"),
+        pytest.param([], "beta1 = nan\n", id="config-beta1-nan"),
+        pytest.param([], "beta2 = 1.0\n", id="config-beta2-one"),
+        pytest.param([], "beta2 = -0.1\n", id="config-beta2-negative"),
+        pytest.param([], "adam_eps = -1\n", id="config-adam-eps-negative"),
+        pytest.param([], "adam_eps = 0\n", id="config-adam-eps-zero"),
+        pytest.param([], "adam_eps = inf\n", id="config-adam-eps-inf"),
+        pytest.param([], "seed = -1\n", id="config-seed-negative"),
+        pytest.param(["--seed", "-1"], None, id="seed-negative"),
+        pytest.param(["--heads", "0"], None, id="heads-zero"),
+        pytest.param(["--d-ff", "-4"], None, id="d-ff-negative"),
+    ])
+    def test_train_knob_exit_code_and_one_line_message(self, workspace, tmp_path, capsys, flags, config):
+        root, data_dir, ckpt = workspace
+        out = tmp_path / "m.npz"
+        argv = ["train", "--data", str(data_dir / "train.jsonl"), "--task", "slc",
+                "--out", str(out), "--layers", "2", "--d-model", "8", "--d-ff", "8"] + flags
+        if config is not None:
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("exitlab: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestTrainConfigFile:

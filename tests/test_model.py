@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitlab import tensor as T
 from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
 from exitlab.policies import (CONFIDENCE, FINAL_FALLBACK, EntropyThreshold, FixedExit, FPabee,
                               LearnedConfidence, MaxProb)
-from exitlab.similarity import SLC, SimilarityMeasure, entropy
+from exitlab.similarity import SLC, ProbDist, SimilarityMeasure, entropy
 
 
 def tiny_config(**kw):
@@ -76,7 +78,7 @@ class TestEmbed:
     def test_deterministic_for_seed(self):
         a = MultiExitModel(tiny_config(seed=5)).embed([1, 2, 3])
         b = MultiExitModel(tiny_config(seed=5)).embed([1, 2, 3])
-        np.testing.assert_array_equal(a.array, b.array)
+        np.testing.assert_array_equal(a, b)
 
     def test_batched_shape(self, model):
         out = model.embed(np.array([[1, 2], [3, 4]]))
@@ -137,10 +139,49 @@ class TestForwardFull:
         for pa, pb in zip(a.probs, b.probs):
             np.testing.assert_array_equal(pa.probs, pb.probs)
 
-    def test_keep_hidden(self, trained_like_model):
-        stream = trained_like_model.forward_full([1, 2], keep_hidden=True)
-        assert len(stream.hidden) == 3
-        assert stream.hidden[0].shape == (2, 8)
+
+@st.composite
+def tiny_models_and_tokens(draw):
+    """A randomized tiny model (slc or mlc, shared blocks or not) and one input.
+
+    Head widths reach 16, where numpy's matmul of a strided view can round
+    differently from that of a contiguous copy (seen with numpy 2.4 and
+    its bundled OpenBLAS).
+    """
+    max_seq_len = draw(st.integers(1, 16))
+    n_heads = draw(st.sampled_from([1, 2, 4]))
+    config = tiny_config(task=draw(st.sampled_from(["slc", "mlc"])),
+                         n_classes=draw(st.integers(2, 5)), n_layers=draw(st.integers(2, 4)),
+                         d_model=n_heads * draw(st.sampled_from([2, 4, 8, 16])), n_heads=n_heads,
+                         d_ff=draw(st.integers(4, 24)), max_seq_len=max_seq_len,
+                         share_layer_params=draw(st.booleans()))
+    model = randomize(MultiExitModel(config), seed=draw(st.integers(0, 2**16)),
+                      scale=draw(st.sampled_from([0.1, 0.5, 2.0])))
+    length = draw(st.integers(1, max_seq_len))
+    tokens = draw(st.lists(st.integers(0, config.vocab_size - 1), min_size=length, max_size=length))
+    return model, tokens
+
+
+class TestArrayInference:
+    @settings(max_examples=60)
+    @given(tiny_models_and_tokens())
+    def test_iter_layers_bit_equal_to_taped_ops_under_no_grad(self, model_and_tokens):
+        model, tokens = model_and_tokens
+        t, d = len(tokens), model.config.d_model
+        make = ProbDist.slc if model.config.task == SLC else ProbDist.mlc
+        with T.no_grad():
+            ref = model.embed(tokens, taped=True)
+            assert np.array_equal(model.embed(tokens), ref.array)
+            ref = ref.reshape((1, t, d))
+            layers = 0
+            for layer, (h, prob, conf) in enumerate(model.iter_layers(tokens), start=1):
+                ref = model._block(ref, layer, None)
+                assert isinstance(h, np.ndarray) and np.array_equal(h, ref.array.reshape((t, d)))
+                expected = make(model._exit_probs(ref, layer).array[0])
+                assert np.array_equal(prob.probs, expected.probs)
+                assert conf == float(model._confidence(ref, layer).array[0])
+                layers += 1
+        assert layers == model.config.n_layers
 
 
 class TestIterLayers:

@@ -222,6 +222,18 @@ class TestProbDist:
         with pytest.raises(ValueError, match="pair"):
             ProbDist("mlc", np.array([[0.9, 0.3]]))
 
+    @pytest.mark.parametrize("build, values", [
+        (ProbDist.slc, [np.nan, np.nan]),
+        (ProbDist.slc, [np.nan, 1.0]),
+        (ProbDist.slc, [np.inf, 0.0]),
+        (ProbDist.mlc, [np.nan]),
+        (ProbDist.mlc, [0.5, np.nan]),
+        (ProbDist.mlc, [np.inf]),
+    ])
+    def test_non_finite_values_rejected(self, build, values):
+        with pytest.raises(ValueError, match="sum to 1"):
+            build(values)
+
     def test_argmax_and_label_set(self):
         assert ProbDist.slc([0.2, 0.5, 0.3]).argmax() == 1
         assert ProbDist.mlc([0.9, 0.4, 0.6]).label_set() == frozenset({0, 2})

@@ -239,10 +239,6 @@ class TestGradchecks:
         a = randt(self.rng, 2, 6)
         assert_gradcheck(lambda: (a.reshape((3, 4)) * a.reshape((3, 4))).sum(), [a])
 
-    def test_concat(self):
-        a, b = randt(self.rng, 2, 3), randt(self.rng, 2, 2)
-        assert_gradcheck(lambda: (T.concat([a, b], axis=1) * T.concat([a, b], axis=1)).sum(), [a, b])
-
     def test_select(self):
         a = randt(self.rng, 3, 4, 5)
         assert_gradcheck(lambda: (T.select(a, axis=1, index=2) * 3.0).sum(), [a])
