@@ -53,24 +53,35 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
 
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy", choices=POLICY_NAMES, required=True)
+def _model_parser() -> argparse.ArgumentParser:
+    """Flags shared by eval, sweep and compare: the model, its data and the measure."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--model", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--task", choices=("slc", "mlc"), required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measure", choices=VARIANTS, default="jskd",
                    help="similarity variant for fpabee (default jskd)")
+    p.add_argument("--kl-mode", action="store_true",
+                   help="subtract self-entropy so identical distributions score 0")
+    return p
+
+
+def _add_policy_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policy", choices=POLICY_NAMES, required=True)
     p.add_argument("--thre", type=float, default=None,
                    help="scalar threshold knob (similarity score in nats for fpabee; "
                         "entropy / probability / confidence threshold otherwise)")
     p.add_argument("--patience", type=int, default=None, help="patience count for fpabee/pabee")
     p.add_argument("--fixed-layer", type=int, default=None, help="exit layer for the fixed policy")
-    p.add_argument("--kl-mode", action="store_true",
-                   help="subtract self-entropy so identical distributions score 0")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="exitlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = [_model_parser()]
 
-    g = sub.add_parser("gen-data", parents=[], help="write synthetic train/dev/test JSONL files")
+    g = sub.add_parser("gen-data", help="write synthetic train/dev/test JSONL files")
     g.add_argument("--task", choices=("slc", "mlc"), required=True)
     g.add_argument("--classes", type=int, required=True)
     g.add_argument("--n-train", type=int, default=2000)
@@ -106,40 +117,25 @@ def build_parser() -> _Parser:
                    help="key = value training-config file; overrides the training flags")
     t.add_argument("--vocab-out", default=None, help="also write the vocabulary, token per line")
 
-    e = sub.add_parser("eval", help="evaluate one policy configuration")
-    e.add_argument("--model", required=True)
-    e.add_argument("--data", required=True)
-    e.add_argument("--task", choices=("slc", "mlc"), required=True)
-    e.add_argument("--seed", type=int, default=0)
+    e = sub.add_parser("eval", parents=shared, help="evaluate one policy configuration")
     _add_policy_flags(e)
     e.add_argument("--out-csv", default=None, help="write the result as a one-row sweep CSV")
     e.add_argument("--out-hist", default=None, help="write the exit-layer histogram CSV")
 
-    s = sub.add_parser("sweep", help="grid of policy configurations -> CSV (and optional SVG)")
-    s.add_argument("--model", required=True)
-    s.add_argument("--data", required=True)
-    s.add_argument("--task", choices=("slc", "mlc"), required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s = sub.add_parser("sweep", parents=shared,
+                       help="grid of policy configurations -> CSV (and optional SVG)")
     s.add_argument("--policy", choices=POLICY_NAMES, required=True)
-    s.add_argument("--measure", choices=VARIANTS, default="jskd")
-    s.add_argument("--kl-mode", action="store_true")
     s.add_argument("--thre-grid", type=_float_list, default=None, help="comma list of thresholds")
     s.add_argument("--patience-grid", type=_int_list, default=None, help="comma list of patience values")
     s.add_argument("--layer-grid", type=_int_list, default=None, help="comma list for the fixed policy")
     s.add_argument("--out", required=True, help="CSV output path")
     s.add_argument("--svg", default=None, help="optional speedup-score curve SVG")
 
-    c = sub.add_parser("compare", help="match every policy to one target speedup")
-    c.add_argument("--model", required=True)
-    c.add_argument("--data", required=True)
-    c.add_argument("--task", choices=("slc", "mlc"), required=True)
-    c.add_argument("--seed", type=int, default=0)
+    c = sub.add_parser("compare", parents=shared, help="match every policy to one target speedup")
     c.add_argument("--target-speedup", type=float, required=True)
     c.add_argument("--policies", default="fpabee,pabee,entropy,maxprob,learned,fixed",
                    help="comma list of policies to include")
-    c.add_argument("--measure", choices=VARIANTS, default="jskd")
     c.add_argument("--patience", type=int, default=2, help="fixed patience for fpabee")
-    c.add_argument("--kl-mode", action="store_true")
     c.add_argument("--out", default=None, help="optional CSV output path")
     return parser
 

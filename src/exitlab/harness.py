@@ -13,9 +13,11 @@ Record once, replay many: each :func:`evaluate`, :func:`sweep` and
 Policies are deterministic functions of the per-layer prediction stream,
 and stopping at layer j reproduces the first j layers of a full pass bit
 for bit, so every grid point and every compare probe of one call is
-replayed over the layer outputs the call has already computed. A sample's
-layers are computed lazily, up to the deepest layer any configuration of
-the call needs; a single ``evaluate`` thus runs exactly the layers of the
+replayed over the layer outputs the call has already computed. Replay and
+the live ``forward_early_exit`` run the one exit loop,
+:func:`exitlab.policies.run_exit`, over a lazy per-sample layer stream; a
+sample's layers are computed up to the deepest layer any configuration of
+the call needs, so a single ``evaluate`` runs exactly the layers of the
 live early-exit path. The reported speedup is still the layer-count cost
 model above, not the wall time of the replay.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +42,7 @@ from .policies import (
     LearnedConfidence,
     MaxProb,
     Pabee,
+    run_exit,
 )
 from .similarity import MLC, SLC, ProbDist, SimilarityMeasure
 
@@ -163,8 +167,8 @@ class _LayerCache:
     """Per-sample layer outputs of one model over one dataset, for one call.
 
     Each example is encoded once and gets one :meth:`MultiExitModel.iter_layers`
-    generator; a sample is extended only when a policy asks for a layer
-    deeper than any earlier policy did. The cache lives as long as the
+    generator; a sample is extended only when a stream asks for a layer
+    deeper than any earlier stream did. The cache lives as long as the
     call that built it, so nothing needs invalidating when parameters change.
     """
 
@@ -178,30 +182,26 @@ class _LayerCache:
                         for ex in dataset.examples]
         self._seen: list[list[tuple[ProbDist, float]]] = [[] for _ in dataset.examples]
 
-    def layer(self, sample: int, layer: int) -> tuple[ProbDist, float]:
-        """``(prob, confidence)`` of ``sample`` at 1-based ``layer``."""
-        seen = self._seen[sample]
-        while len(seen) < layer:
-            _, prob, conf = next(self._layers[sample])
-            seen.append((prob, conf))
-        return seen[layer - 1]
+    def stream(self, sample: int) -> Iterator[tuple[ProbDist, float]]:
+        """``(prob, confidence)`` of ``sample`` at layers 1..n, lazily.
+
+        A layer is computed the first time any stream of the sample reaches it.
+        """
+        seen, layers = self._seen[sample], self._layers[sample]
+        for j in range(self.n_layers):
+            if j == len(seen):
+                _, prob, conf = next(layers)
+                seen.append((prob, conf))
+            yield seen[j]
 
 
 def _replay(cache: _LayerCache, policy: ExitPolicy) -> tuple[np.ndarray, list[ProbDist]]:
-    """Per-sample exit layer and prediction, as ``forward_early_exit`` gives them.
-
-    Per sample: ``reset()``, then one ``step`` per layer until a halt; a
-    sample that never halts falls back to the final layer.
-    """
+    """Per-sample exit layer and prediction: the last :func:`run_exit` step
+    over each sample's stream, as ``forward_early_exit`` gives them."""
     exits = np.zeros(len(cache.dataset), dtype=np.int64)
     probs = []
     for i in range(len(cache.dataset)):
-        policy.reset()
-        for layer in range(1, cache.n_layers + 1):
-            prob, conf = cache.layer(i, layer)
-            if policy.step(layer, prob, conf).halt:
-                break
-        exits[i] = layer
+        exits[i], prob, *_ = run_exit(policy, cache.stream(i), cache.n_layers)[-1]
         probs.append(prob)
     return exits, probs
 
@@ -306,7 +306,7 @@ def _csv_header(n_layers: int) -> list[str]:
     return (
         ["policy", "measure", "thre", "patience", "accuracy", "micro_f1", "speedup", "mean_exit_layer"]
         + [f"hist_{i}" for i in range(1, n_layers + 1)]
-        + ["seed", "model_hash", "data_hash"]
+        + ["seed", "model_hash", "data_hash", "kl_mode"]
     )
 
 
@@ -328,7 +328,8 @@ def emit_csv(result: SweepResult, path) -> None:
                  _fmt(row.accuracy), _fmt(row.micro_f1), _fmt(row.speedup),
                  _fmt(row.mean_exit_layer)]
                 + [str(c) for c in row.histogram]
-                + [str(result.seed), result.model_hash, result.data_hash]
+                + [str(result.seed), result.model_hash, result.data_hash,
+                   str(spec.kl_mode) if spec.policy == "fpabee" else ""]
             )
 
 
@@ -338,8 +339,8 @@ def parse_csv(path) -> SweepResult:
 
     The ``thre`` column holds each row's knob, so it becomes ``fixed_layer``
     on a ``fixed`` row, is dropped on a ``pabee`` row (whose patience has
-    its own column) and is ``thre`` otherwise. ``kl_mode`` is not stored:
-    a re-parsed fpabee row comes back with ``kl_mode=False``."""
+    its own column) and is ``thre`` otherwise. ``kl_mode`` is read on
+    fpabee rows; a file without that column reads as ``kl_mode=False``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -358,7 +359,7 @@ def parse_csv(path) -> SweepResult:
                 spec = PolicySpec(policy, patience=patience)
             else:
                 spec = PolicySpec(policy, measure=m["measure"] or "jskd", thre=knob,
-                                  patience=patience)
+                                  patience=patience, kl_mode=m.get("kl_mode") == "True")
             rows.append(
                 EvalResult(
                     spec=spec,
@@ -474,8 +475,8 @@ def _knob_candidates(cache: _LayerCache, spec: PolicySpec) -> list[PolicySpec]:
     scores = set()
     for i in range(len(cache.dataset)):
         policy.reset()
-        for layer in range(1, n + 1):
-            policy.step(layer, *cache.layer(i, layer))
+        for layer, (prob, conf) in enumerate(cache.stream(i), start=1):
+            policy.step(layer, prob, conf)
             if policy.last_score is not None:
                 scores.add(policy.last_score)
     c = sorted(scores) or [0.0]

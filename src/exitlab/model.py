@@ -11,11 +11,12 @@ One definition serves training and inference. Training runs
 ``_block`` and the heads on taped :class:`~exitlab.tensor.Tensor` values;
 inference runs the same code on plain float64 ndarrays through
 :data:`exitlab.tensor.arrays`, the same forward kernels with nothing
-recorded, and gives the same bits as the taped ops under ``no_grad``.
+recorded, and gives the same bits as the taped ops.
 
 Inference is per sample (batch size 1); prefix equivalence holds by
 construction, i.e. stopping at layer j reproduces the first j entries of
-a full pass bit for bit.
+a full pass bit for bit. Early exit is :func:`exitlab.policies.run_exit`
+over the lazy layers of :meth:`MultiExitModel.iter_layers`.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import hashlib
 import json
 import zipfile
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .policies import FINAL_FALLBACK, ExitDecision, ExitPolicy, ExitTrace, TraceEntry
+from .policies import ExitPolicy, ExitTrace, TraceEntry, run_exit
 from .similarity import MLC, SLC, ProbDist
 
 __all__ = [
@@ -262,7 +263,7 @@ class MultiExitModel:
         """Run one block on a [t, d_model] array state; return new state + prediction.
 
         The block and exit head run the shared kernels on plain arrays:
-        nothing is taped, whatever the ``no_grad`` state.
+        nothing is taped.
         """
         if not 1 <= layer_index <= self.config.n_layers:
             raise ValueError(f"layer_index {layer_index} outside [1, {self.config.n_layers}]")
@@ -300,22 +301,16 @@ class MultiExitModel:
     def forward_early_exit(self, tokens, policy: ExitPolicy) -> tuple[ProbDist, int, ExitTrace]:
         """Run layers until ``policy`` halts; fall back to the final classifier.
 
-        The returned prediction is bit-identical to the same layer's entry
-        in :meth:`forward_full`.
+        :func:`~exitlab.policies.run_exit` drives the layers, which run only
+        up to the exit. The returned prediction is bit-identical to the same
+        layer's entry in :meth:`forward_full`.
         """
-        policy.reset()
-        n = self.config.n_layers
-        entries: list[TraceEntry] = []
-        for layer, (_, prob, conf) in enumerate(self.iter_layers(tokens), start=1):
-            decision = policy.step(layer, prob, conf)
-            entries.append(
-                TraceEntry(layer, _pred_summary(prob), policy.last_score, policy.pat, decision)
-            )
-            if decision.halt:
-                return prob, layer, ExitTrace(tuple(entries), layer, decision.reason)
-        fallback = ExitDecision(True, FINAL_FALLBACK)
-        entries[-1] = replace(entries[-1], decision=fallback)
-        return prob, n, ExitTrace(tuple(entries), n, FINAL_FALLBACK)
+        layers = ((prob, conf) for _, prob, conf in self.iter_layers(tokens))
+        steps = run_exit(policy, layers, self.config.n_layers)
+        entries = tuple(TraceEntry(layer, _pred_summary(prob), score, pat, decision)
+                        for layer, prob, decision, score, pat in steps)
+        layer, prob, decision, _, _ = steps[-1]
+        return prob, layer, ExitTrace(entries, layer, decision.reason)
 
 
 def _pred_summary(p: ProbDist) -> int | frozenset[int]:

@@ -19,7 +19,6 @@ bits.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
@@ -29,7 +28,6 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "TapeNode",
-    "no_grad",
     "matmul",
     "softmax",
     "sigmoid",
@@ -47,21 +45,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate an op's contract."""
-
-
-_GRAD_ENABLED = True
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 class TapeNode:
@@ -114,19 +97,10 @@ class Tensor:
     def size(self) -> int:
         return self._array.size
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the storage."""
-        return self._array.reshape(-1)
-
     def item(self) -> float:
         if self._array.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self._array.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        """A detached copy of the values."""
-        return self._array.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad = ", grad" if self.requires_grad else ""
@@ -178,7 +152,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def _result(op: str, out: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -> Tensor:
-    requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    requires = any(p.requires_grad for p in parents)
     node = TapeNode(op, parents, backward) if requires else None
     return Tensor(out, requires_grad=requires, node=node)
 

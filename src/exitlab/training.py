@@ -21,7 +21,9 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset, DataSplits, Vocab, binarize_mlc
 from .errors import ConfigError
+from .harness import evaluate
 from .model import MultiExitModel
+from .policies import FixedExit
 from .similarity import SLC
 
 __all__ = [
@@ -186,6 +188,12 @@ def _mlc_targets(dataset: Dataset, idx: np.ndarray) -> np.ndarray:
     return np.stack([binarize_mlc(dataset.examples[i].labels, k) for i in idx])
 
 
+def _bce(p: T.Tensor, target: T.Tensor) -> T.Tensor:
+    """Elementwise binary cross-entropy of probabilities ``p`` against 0/1 ``target``."""
+    return -(target * T.log(T.clamp_min(p, _LOG_FLOOR))
+             + (1.0 - target) * T.log(T.clamp_min(1.0 - p, _LOG_FLOOR)))
+
+
 def _batch_losses(
     model: MultiExitModel,
     probs: list[T.Tensor],
@@ -207,10 +215,7 @@ def _batch_losses(
     else:
         t = T.Tensor(targets)
         for i, p in enumerate(probs):
-            pos = T.log(T.clamp_min(p, _LOG_FLOOR))
-            neg = T.log(T.clamp_min(1.0 - p, _LOG_FLOOR))
-            bce = -(t * pos + (1.0 - t) * neg).mean(axis=-1)
-            losses.append(bce.mean())
+            losses.append(_bce(p, t).mean(axis=-1).mean())
             correct[i] = ((p.array > 0.5) == (targets > 0.5)).all(axis=-1)
     return losses, correct
 
@@ -224,11 +229,7 @@ def _weighted_total(losses: list[T.Tensor]) -> T.Tensor:
 
 
 def _confidence_loss(confs: list[T.Tensor], correct: np.ndarray) -> T.Tensor:
-    terms = []
-    for i, c in enumerate(confs):
-        tgt = T.Tensor(correct[i])
-        bce = -(tgt * T.log(T.clamp_min(c, _LOG_FLOOR)) + (1.0 - tgt) * T.log(T.clamp_min(1.0 - c, _LOG_FLOOR)))
-        terms.append(bce.mean())
+    terms = [_bce(c, T.Tensor(correct[i])).mean() for i, c in enumerate(confs)]
     total = terms[0]
     for t in terms[1:]:
         total = total + t
@@ -310,16 +311,7 @@ def make_grid(batch_sizes, learning_rates, base: TrainConfig | None = None) -> l
 
 def dev_accuracy(model: MultiExitModel, dataset: Dataset, vocab: Vocab) -> float:
     """Final-layer accuracy (slc) or exact-set accuracy (mlc)."""
-    hits = 0
-    for ex in dataset.examples:
-        ids = vocab.encode(ex.text, max_len=model.config.max_seq_len)
-        stream = model.forward_full(ids)
-        final = stream.probs[-1]
-        if dataset.task == SLC:
-            hits += final.argmax() == ex.label
-        else:
-            hits += final.label_set() == frozenset(ex.labels)
-    return hits / max(1, len(dataset))
+    return evaluate(model, dataset, FixedExit(model.config.n_layers), vocab).accuracy
 
 
 def grid_search(

@@ -227,10 +227,17 @@ class TestEmitters:
         result = sweep(model, data, specs, vocab)
         path = tmp_path / "sweep.csv"
         emit_csv(result, path)
-        # kl_mode is not a CSV column, so it always reads back False
-        assert [r.spec for r in parse_csv(path).rows] == [
-            replace(r.spec, kl_mode=False) for r in result.rows
-        ]
+        assert [r.spec for r in parse_csv(path).rows] == [r.spec for r in result.rows]
+
+    def test_file_without_kl_mode_column_parses_as_false(self, tmp_path):
+        model, data, vocab = make_setup()
+        spec = PolicySpec("fpabee", measure="kd", thre=0.25, patience=2, kl_mode=True)
+        path = tmp_path / "sweep.csv"
+        emit_csv(sweep(model, data, [spec], vocab), path)
+        lines = path.read_text().splitlines()
+        assert lines[0].endswith(",data_hash,kl_mode") and lines[1].endswith(",True")
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        assert parse_csv(path).rows[0].spec == replace(spec, kl_mode=False)
 
     def test_numpy_float_knob_round_trips(self, tmp_path):
         model, data, vocab = make_setup()

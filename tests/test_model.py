@@ -165,22 +165,22 @@ def tiny_models_and_tokens(draw):
 class TestArrayInference:
     @settings(max_examples=60)
     @given(tiny_models_and_tokens())
-    def test_iter_layers_bit_equal_to_taped_ops_under_no_grad(self, model_and_tokens):
+    def test_iter_layers_bit_equal_to_taped_ops(self, model_and_tokens):
         model, tokens = model_and_tokens
         t, d = len(tokens), model.config.d_model
         make = ProbDist.slc if model.config.task == SLC else ProbDist.mlc
-        with T.no_grad():
-            ref = model.embed(tokens, taped=True)
-            assert np.array_equal(model.embed(tokens), ref.array)
-            ref = ref.reshape((1, t, d))
-            layers = 0
-            for layer, (h, prob, conf) in enumerate(model.iter_layers(tokens), start=1):
-                ref = model._block(ref, layer, None)
-                assert isinstance(h, np.ndarray) and np.array_equal(h, ref.array.reshape((t, d)))
-                expected = make(model._exit_probs(ref, layer).array[0])
-                assert np.array_equal(prob.probs, expected.probs)
-                assert conf == float(model._confidence(ref, layer).array[0])
-                layers += 1
+        ref = model.embed(tokens, taped=True)
+        assert ref.node is not None
+        assert np.array_equal(model.embed(tokens), ref.array)
+        ref = ref.reshape((1, t, d))
+        layers = 0
+        for layer, (h, prob, conf) in enumerate(model.iter_layers(tokens), start=1):
+            ref = model._block(ref, layer, None)
+            assert isinstance(h, np.ndarray) and np.array_equal(h, ref.array.reshape((t, d)))
+            expected = make(model._exit_probs(ref, layer).array[0])
+            assert np.array_equal(prob.probs, expected.probs)
+            assert conf == float(model._confidence(ref, layer).array[0])
+            layers += 1
         assert layers == model.config.n_layers
 
 

@@ -14,6 +14,7 @@ from exitlab.policies import (
     PATIENCE_REACHED,
     EntropyThreshold,
     ExitDecision,
+    ExitPolicy,
     ExitTrace,
     FixedExit,
     FPabee,
@@ -22,6 +23,7 @@ from exitlab.policies import (
     Pabee,
     TraceEntry,
     prediction_match_scorer,
+    run_exit,
 )
 from exitlab.similarity import ProbDist
 
@@ -296,3 +298,52 @@ class TestExitTrace:
     def test_exit_layer_must_match_last_entry(self):
         with pytest.raises(ValueError, match="exit_layer"):
             ExitTrace((self._entry(1, True, FIXED_LAYER),), 2, FIXED_LAYER)
+
+
+class ScriptedPolicy(ExitPolicy):
+    """Test double: halts where its script says; score and counter encode the layer."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = script
+        self.resets = 0
+
+    def reset(self):
+        self.resets += 1
+        self.pat = 0
+
+    def step(self, layer, probs, confidence=None):
+        self.last_score = float(layer) + confidence
+        self.pat += 1
+        halt = self.script[layer - 1]
+        return ExitDecision(halt, CONFIDENCE if halt else None)
+
+
+class TestRunExit:
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.booleans(), min_size=n, max_size=n))))
+    def test_matches_step_by_step_reference(self, n_and_script):
+        n, script = n_and_script
+        requested = []
+
+        def layers():
+            for j in range(1, n + 1):
+                requested.append(j)
+                yield DUMMY, j / 10
+
+        policy = ScriptedPolicy(script)
+        steps = run_exit(policy, layers(), n)
+        # reference: the first scripted halt, else the final layer by fallback
+        halted = [j for j in range(1, n + 1) if script[j - 1]]
+        exit_layer = halted[0] if halted else n
+        reason = CONFIDENCE if halted else FINAL_FALLBACK
+        layers_run, probs, decisions, scores, pats = zip(*steps)
+        assert policy.resets == 1
+        assert list(layers_run) == list(range(1, exit_layer + 1))
+        assert decisions[-1] == ExitDecision(True, reason)
+        assert (decisions[-1].reason == FINAL_FALLBACK) == (not any(script))
+        assert not any(d.halt for d in decisions[:-1])
+        assert list(zip(scores, pats)) == [(j + j / 10, j) for j in layers_run]
+        assert all(p is DUMMY for p in probs)
+        assert requested == list(layers_run)
