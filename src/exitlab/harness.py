@@ -3,10 +3,10 @@
 Cost model: compute is proportional to the number of executed
 transformer layers, so a sample exiting at layer j of n saves 1 - j/n of
 the flops and the reported speedup is the per-sample average of that
-ratio. Accuracy columns hold argmax accuracy for single-label tasks and
-exact-set (subset) accuracy for multi-label; ``micro_f1`` is the
-multi-label micro-averaged F1 and coincides with accuracy on
-single-label tasks.
+ratio. Accuracy counts exits whose ``ProbDist.prediction()`` equals the
+gold label (slc) or label set (mlc); ``micro_f1`` is the multi-label
+micro-averaged F1 over those sets and equals accuracy on single-label
+tasks. ``MultiExitModel.check_dataset`` rejects a mismatched dataset first.
 
 Record once, replay many: each :func:`evaluate`, :func:`sweep` and
 :func:`compare_policies` call runs each sample's layers at most once.
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, Vocab, binarize_mlc
+from .data import Dataset, Vocab
 from .errors import ConfigError
 from .model import MultiExitModel
 from .policies import (
@@ -157,12 +157,6 @@ class CompareResult:
     attained: bool
 
 
-def _predictions_match(task: str, prob, example) -> bool:
-    if task == SLC:
-        return prob.argmax() == example.label
-    return prob.label_set() == frozenset(example.labels)
-
-
 class _LayerCache:
     """Per-sample layer outputs of one model over one dataset, for one call.
 
@@ -173,8 +167,7 @@ class _LayerCache:
     """
 
     def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab):
-        if dataset.task != model.config.task:
-            raise ConfigError(f"dataset task {dataset.task!r} does not match model task {model.config.task!r}")
+        model.check_dataset(dataset)
         self.dataset = dataset
         self.n_layers = model.config.n_layers
         max_len = model.config.max_seq_len
@@ -215,24 +208,20 @@ def _evaluate(cache: _LayerCache, policy: ExitPolicy | PolicySpec) -> EvalResult
     else:
         spec, built = PolicySpec(policy.name), policy
     exits, probs = _replay(cache, built)
-    hits = 0
-    tp = fp = fn = 0
+    mlc = dataset.task == MLC
+    hits = tp = fp = fn = 0
     for prob, ex in zip(probs, dataset.examples):
-        if _predictions_match(dataset.task, prob, ex):
-            hits += 1
-        if dataset.task == MLC:
-            predicted = binarize_mlc(sorted(prob.label_set()), dataset.n_classes)
-            actual = binarize_mlc(ex.labels, dataset.n_classes)
-            tp += int(((predicted == 1) & (actual == 1)).sum())
-            fp += int(((predicted == 1) & (actual == 0)).sum())
-            fn += int(((predicted == 0) & (actual == 1)).sum())
+        pred = prob.prediction()
+        gold = frozenset(ex.labels) if mlc else ex.label
+        hits += int(pred == gold)
+        if mlc:
+            tp += len(pred & gold)
+            fp += len(pred - gold)
+            fn += len(gold - pred)
     count = len(dataset)
     accuracy = hits / max(1, count)
-    if dataset.task == SLC:
-        micro_f1 = accuracy
-    else:
-        denom = 2 * tp + fp + fn
-        micro_f1 = (2 * tp / denom) if denom else 1.0
+    denom = 2 * tp + fp + fn
+    micro_f1 = (2 * tp / denom if denom else 1.0) if mlc else accuracy
     mean_exit = float(exits.mean()) if count else float(n)
     return EvalResult(
         spec=spec,
@@ -285,18 +274,19 @@ def sweep(
 
 
 def pareto_curve(result: SweepResult | list[EvalResult]) -> list[tuple[float, float]]:
-    """Non-dominated (speedup, score) points, speedup ascending."""
+    """Non-dominated (speedup, score) points, speedup ascending.
+
+    One sweep over the distinct points from fastest to slowest (higher
+    score first on a tie): a point is kept when its score beats every
+    score seen so far, i.e. every point at least as fast.
+    """
     rows = result.rows if isinstance(result, SweepResult) else result
-    points = [(r.speedup, r.score) for r in rows]
-    frontier = []
-    for p in points:
-        dominated = any(
-            q[0] >= p[0] and q[1] >= p[1] and (q[0] > p[0] or q[1] > p[1]) for q in points
-        )
-        if not dominated and p not in frontier:
+    frontier, best = [], -math.inf
+    for p in sorted({(r.speedup, r.score) for r in rows}, reverse=True):
+        if p[1] > best:
             frontier.append(p)
-    frontier.sort()
-    return frontier
+            best = p[1]
+    return frontier[::-1]
 
 
 # -- emitters -----------------------------------------------------------------

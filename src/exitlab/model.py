@@ -16,7 +16,8 @@ recorded, and gives the same bits as the taped ops.
 Inference is per sample (batch size 1); prefix equivalence holds by
 construction, i.e. stopping at layer j reproduces the first j entries of
 a full pass bit for bit. Early exit is :func:`exitlab.policies.run_exit`
-over the lazy layers of :meth:`MultiExitModel.iter_layers`.
+over the lazy layers of :meth:`MultiExitModel.iter_layers`; each trace
+entry records the layer's :meth:`~exitlab.similarity.ProbDist.prediction`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import Dataset
 from .errors import ConfigError, DataError
 from .policies import ExitPolicy, ExitTrace, TraceEntry, run_exit
 from .similarity import MLC, SLC, ProbDist
@@ -151,6 +153,18 @@ class MultiExitModel:
             h.update(name.encode())
             h.update(self.params[name].array.tobytes())
         return h.hexdigest()[:16]
+
+    def check_dataset(self, dataset: Dataset) -> None:
+        """ConfigError on another task or class count; DataError on a label outside [0, n_classes)."""
+        cfg = self.config
+        if dataset.task != cfg.task:
+            raise ConfigError(f"dataset task {dataset.task!r} does not match model task {cfg.task!r}")
+        if dataset.n_classes != cfg.n_classes:
+            raise ConfigError(f"dataset has {dataset.n_classes} classes, model expects {cfg.n_classes}")
+        for i, ex in enumerate(dataset.examples):
+            for j in (ex.label,) if cfg.task == SLC else ex.labels:
+                if not 0 <= j < cfg.n_classes:
+                    raise DataError(f"example {i} has label {j} outside [0, {cfg.n_classes})")
 
     def _block_prefix(self, layer_index: int) -> str:
         return "block0" if self.config.share_layer_params else f"block{layer_index - 1}"
@@ -307,14 +321,10 @@ class MultiExitModel:
         """
         layers = ((prob, conf) for _, prob, conf in self.iter_layers(tokens))
         steps = run_exit(policy, layers, self.config.n_layers)
-        entries = tuple(TraceEntry(layer, _pred_summary(prob), score, pat, decision)
+        entries = tuple(TraceEntry(layer, prob.prediction(), score, pat, decision)
                         for layer, prob, decision, score, pat in steps)
         layer, prob, decision, _, _ = steps[-1]
         return prob, layer, ExitTrace(entries, layer, decision.reason)
-
-
-def _pred_summary(p: ProbDist) -> int | frozenset[int]:
-    return p.argmax() if p.kind == SLC else p.label_set()
 
 
 # -- checkpointing --------------------------------------------------------
@@ -373,4 +383,7 @@ def load_checkpoint(path) -> tuple[MultiExitModel, list[str] | None]:
             if not np.isfinite(arr).all():
                 raise DataError(f"{path}: parameter {name!r} holds non-finite values")
             t.array[...] = arr
-    return model, meta.get("vocab")
+    vocab = meta.get("vocab")
+    if vocab is not None and not (isinstance(vocab, list) and all(isinstance(tok, str) for tok in vocab)):
+        raise DataError(f"{path}: checkpoint vocabulary must be a list of strings")
+    return model, vocab

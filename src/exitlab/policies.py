@@ -9,9 +9,9 @@ The flexible patience policy (:class:`FPabee`) is the one implementation
 of the counter recurrence: it counts consecutive cross-layer scores
 strictly below a threshold, resets the counter on a score >= the
 threshold, and halts once the counter reaches the patience value. The
-classic patience policy (:class:`Pabee`) is the same recurrence with the
-exact-prediction-match scorer. Confidence baselines (entropy, max-prob,
-learned head) and a fixed-layer policy round out the set.
+classic patience policy (:class:`Pabee`) is the same recurrence scoring
+whether ``ProbDist.prediction()`` changed. Confidence baselines (entropy,
+max-prob, learned head) and a fixed-layer policy round out the set.
 
 All policies are deterministic functions of the prediction stream and
 their parameters.
@@ -59,7 +59,7 @@ class ExitDecision:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One executed layer: prediction summary plus the policy's view of it."""
+    """One executed layer: the exit's ``ProbDist.prediction()`` plus the policy's view of it."""
 
     layer: int
     prediction: int | frozenset[int]
@@ -91,16 +91,12 @@ ExitStep = tuple[int, ProbDist, ExitDecision, float | None, int | None]
 
 
 def prediction_match_scorer(prev: ProbDist, cur: ProbDist) -> float:
-    """0.0 when predictions match (argmax, or 0.5-threshold label set), else 1.0.
+    """0.0 when ``prev.prediction() == cur.prediction()``, else 1.0.
 
     Plugged into the flexible recurrence with any thre in (0, 1] it
     reproduces classic patience exiting decision-for-decision.
     """
-    if prev.kind == SLC:
-        same = prev.argmax() == cur.argmax()
-    else:
-        same = prev.label_set() == cur.label_set()
-    return 0.0 if same else 1.0
+    return 0.0 if prev.prediction() == cur.prediction() else 1.0
 
 
 class ExitPolicy:
@@ -181,7 +177,7 @@ class FPabee(ExitPolicy):
 
 
 class Pabee(FPabee):
-    """Classic patience: increment on an unchanged argmax (or unchanged
+    """Classic patience: increment on an unchanged prediction (argmax, or
     0.5-threshold label set), reset on any change."""
 
     name = "pabee"

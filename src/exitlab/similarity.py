@@ -95,6 +95,10 @@ class ProbDist:
             raise ValueError("label_set is defined for mlc distributions")
         return frozenset(np.flatnonzero(self.probs[:, 0] > threshold).tolist())
 
+    def prediction(self) -> int | frozenset[int]:
+        """What this exit predicts: the argmax (slc) or the 0.5-threshold label set (mlc)."""
+        return self.argmax() if self.kind == SLC else self.label_set()
+
     def flat(self) -> np.ndarray:
         """Probability mass as a flat vector (pairs unrolled for mlc)."""
         return self.probs.reshape(-1)

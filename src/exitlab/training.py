@@ -246,12 +246,7 @@ def train(
 
     Returns one report per epoch; the model is updated in place.
     """
-    if dataset.task != model.config.task:
-        raise ConfigError(f"dataset task {dataset.task!r} does not match model task {model.config.task!r}")
-    if dataset.n_classes != model.config.n_classes:
-        raise ConfigError(
-            f"dataset has {dataset.n_classes} classes, model expects {model.config.n_classes}"
-        )
+    model.check_dataset(dataset)
     encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
     optimizer = AdamW(model.parameters(), config)
     wrt = list(model.parameters().values())

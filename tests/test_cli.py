@@ -206,13 +206,15 @@ def _meta_json(**fields):
     return json.dumps({"format": "exitlab-checkpoint", "version": CHECKPOINT_VERSION, **fields})
 
 
-def _nan_checkpoint_bytes():
-    """A well-formed checkpoint with a NaN in one head bias."""
+def _checkpoint_bytes(vocab, nan_bias=False):
+    """A well-formed checkpoint with the given metadata vocab, and a NaN in
+    one head bias if ``nan_bias``."""
     model = MultiExitModel(ModelConfig(vocab_size=9, n_classes=3, n_layers=2, d_model=4,
                                        n_heads=2, d_ff=4, max_seq_len=24))
     arrays = {name: t.array.copy() for name, t in model.params.items()}
-    arrays["head1.b"][0] = np.nan
-    return _npz_bytes(_meta_json(config=asdict(model.config), vocab=["a"]), **arrays)
+    if nan_bias:
+        arrays["head1.b"][0] = np.nan
+    return _npz_bytes(_meta_json(config=asdict(model.config), vocab=vocab), **arrays)
 
 
 class TestBadInputs:
@@ -252,8 +254,12 @@ class TestBadInputs:
                      id="non-json-metadata"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _npz_bytes("[1, 2]"), 2,
                      id="metadata-not-an-object"),
-        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _nan_checkpoint_bytes(), 2,
-                     id="nan-parameter-checkpoint"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"],
+                     _checkpoint_bytes(["a"], nan_bias=True), 2, id="nan-parameter-checkpoint"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _checkpoint_bytes(5), 2,
+                     id="int-vocab-checkpoint"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _checkpoint_bytes({"a": 1}), 2,
+                     id="dict-vocab-checkpoint"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "4"], None, 1,
                      id="fixed-layer-above-n"),
         pytest.param(["sweep", "--policy", "fixed", "--layer-grid", "1,4", "--out", os.devnull], None, 1,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_synthetic
-from exitlab.errors import ConfigError
+from exitlab.errors import ConfigError, DataError
 from exitlab.harness import (
     EvalResult,
     _LayerCache,
@@ -113,12 +113,77 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="task"):
             evaluate(model, other, PolicySpec("fixed", fixed_layer=1), vocab)
 
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda m, d, v: evaluate(m, d, PolicySpec("fixed", fixed_layer=4), v), id="evaluate"),
+        pytest.param(lambda m, d, v: sweep(m, d, [PolicySpec("fixed", fixed_layer=4)], v), id="sweep"),
+        pytest.param(lambda m, d, v: compare_policies(m, d, 0.5, [PolicySpec("fixed")], v), id="compare"),
+    ])
+    def test_class_count_mismatch_rejected(self, run):
+        model, data, vocab = make_setup(n_classes=3)
+        with pytest.raises(ConfigError, match="7 classes, model expects 3"):
+            run(model, Dataset("slc", 7, data.examples), vocab)
+
+    @pytest.mark.parametrize("task, bad", [
+        pytest.param("slc", Example("a", label=3), id="slc"),
+        pytest.param("mlc", Example("a", labels=(0, 3)), id="mlc"),
+    ])
+    def test_label_outside_class_range_names_the_example(self, task, bad):
+        model, data, vocab = make_setup(task=task, n_classes=3)
+        examples = list(data.examples)
+        examples[5] = bad
+        with pytest.raises(DataError, match=r"example 5 has label 3 outside \[0, 3\)"):
+            evaluate(model, Dataset(task, 3, examples), PolicySpec("fixed", fixed_layer=4), vocab)
+
     def test_mlc_metrics(self):
         model, data, vocab = make_setup(task="mlc", n_classes=4)
         r = evaluate(model, data, PolicySpec("fixed", fixed_layer=4), vocab)
         assert 0.0 <= r.micro_f1 <= 1.0
         assert 0.0 <= r.accuracy <= 1.0
         assert r.score == r.micro_f1
+
+
+def constant_exits(model, logits):
+    """Make exit ``i`` give the same output on every input: zero head
+    weights, head bias ``logits[i]``."""
+    for i, row in enumerate(logits):
+        model.params[f"head{i}.w"].array[...] = 0.0
+        model.params[f"head{i}.b"].array[...] = row
+
+
+class TestMetricOracle:
+    """Accuracy and micro-F1 against hand counts, with scripted exits and
+    exits whose predictions do not depend on the input."""
+
+    def test_mlc_micro_f1_from_hand_counts(self):
+        model, data, vocab = make_setup(task="mlc", n_classes=3, n_examples=5)
+        # layer 1 predicts {}, layer 2 {0}, layer 3 {0, 1}, layer 4 {0, 1, 2}
+        constant_exits(model, [[-5, -5, -5], [5, -5, -5], [5, 5, -5], [5, 5, 5]])
+        gold = [(1,), (0,), (), (1, 2), ()]
+        exits = [1, 2, 3, 4, 1]
+        # per sample (tp, fp, fn): (0,0,1) (1,0,0) (0,2,0) (2,1,0) (0,0,0)
+        # and hits on samples 2 and 5 only; empty predicted set on 1 and 5, empty gold on 3 and 5
+        dataset = Dataset("mlc", 3, [Example(ex.text, labels=g) for ex, g in zip(data.examples, gold)])
+        r = evaluate(model, dataset, ScriptedExits(exits), vocab)
+        tp, fp, fn = 3, 3, 1
+        assert r.micro_f1 == 2 * tp / (2 * tp + fp + fn) == 0.6
+        assert r.accuracy == 2 / 5
+        assert r.score == r.micro_f1
+
+    def test_mlc_empty_prediction_and_empty_gold_is_perfect(self):
+        model, data, vocab = make_setup(task="mlc", n_classes=3, n_examples=2)
+        constant_exits(model, [[-5, -5, -5]] * 4)
+        dataset = Dataset("mlc", 3, [Example(ex.text, labels=()) for ex in data.examples])
+        r = evaluate(model, dataset, ScriptedExits([1, 3]), vocab)
+        assert r.micro_f1 == 1.0 and r.accuracy == 1.0
+
+    def test_slc_micro_f1_is_accuracy(self):
+        model, data, vocab = make_setup(task="slc", n_classes=3, n_examples=4)
+        # layer i predicts class (i - 1) % 3
+        constant_exits(model, [[5, 0, 0], [0, 5, 0], [0, 0, 5], [5, 0, 0]])
+        dataset = Dataset("slc", 3, [Example(ex.text, label=g) for ex, g in zip(data.examples, [0, 2, 2, 1])])
+        r = evaluate(model, dataset, ScriptedExits([1, 2, 3, 4]), vocab)
+        assert r.accuracy == 2 / 4
+        assert r.micro_f1 == r.accuracy == r.score
 
 
 class TestSweep:

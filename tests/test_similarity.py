@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from exitlab.similarity import ProbDist, SimilarityMeasure, entropy, score
 
@@ -237,6 +239,21 @@ class TestProbDist:
     def test_argmax_and_label_set(self):
         assert ProbDist.slc([0.2, 0.5, 0.3]).argmax() == 1
         assert ProbDist.mlc([0.9, 0.4, 0.6]).label_set() == frozenset({0, 2})
+
+    @given(st.data())
+    def test_prediction_is_argmax_for_slc_and_label_set_for_mlc(self, data):
+        k = data.draw(st.integers(2, 8))
+        # repeated weights make argmax ties, 0.5 makes a label sit on the threshold
+        weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 1.0),
+                                     min_size=k, max_size=k).filter(lambda w: sum(w) > 0))
+        slc = ProbDist.slc(np.asarray(weights) / sum(weights))
+        assert slc.prediction() == slc.argmax()
+        assert type(slc.prediction()) is int
+        positives = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                                       min_size=1, max_size=8))
+        mlc = ProbDist.mlc(positives)
+        assert mlc.prediction() == mlc.label_set()
+        assert mlc.prediction() == frozenset(j for j, p in enumerate(positives) if p > 0.5)
 
     def test_entropy_slc_and_mlc(self):
         assert entropy(ProbDist.slc([0.5, 0.5])) == pytest.approx(LN2, abs=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from exitlab import tensor as T
 from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_synthetic
-from exitlab.errors import ConfigError
+from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel
 from exitlab.training import (
     AdamW,
@@ -174,6 +174,14 @@ class TestTrainLoop:
         bad = Dataset("mlc", 3, [Example("a", labels=(0,))])
         with pytest.raises(ConfigError, match="task"):
             train(model, bad, TrainConfig(epochs=1), vocab)
+
+    def test_label_outside_class_range_names_the_example(self):
+        splits, vocab, cfg = toy_setup()
+        examples = list(splits.train.examples)
+        examples[2] = Example(examples[2].text, label=cfg.n_classes)
+        bad = Dataset("slc", cfg.n_classes, examples)
+        with pytest.raises(DataError, match=f"example 2 has label {cfg.n_classes} outside"):
+            train(MultiExitModel(cfg), bad, TrainConfig(epochs=1), vocab)
 
     def test_mlc_training_runs_and_improves(self):
         splits, vocab, cfg = toy_setup(task="mlc", n_classes=3, n_train=100)
