@@ -105,10 +105,12 @@ class Vocab:
 
 def build_vocab(dataset: Dataset, max_size: int) -> Vocab:
     """Most frequent tokens first; frequency ties break lexicographically."""
+    if max_size <= len(RESERVED):
+        raise ConfigError(f"vocabulary size must exceed the {len(RESERVED)} reserved tokens, got {max_size}")
     counts = Counter()
     for ex in dataset.examples:
         counts.update(tokenize(ex.text))
-    budget = max(0, max_size - len(RESERVED))
+    budget = max_size - len(RESERVED)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:budget]
     return Vocab(list(RESERVED) + [tok for tok, _ in ranked])
 
@@ -232,6 +234,8 @@ class SyntheticSpec:
             raise ConfigError("noise must lie in [0, 1]")
         if min(self.n_train, self.n_dev, self.n_test) < 0:
             raise ConfigError("split sizes must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _filler_words(rng: np.random.Generator, count: int) -> list[str]:

@@ -12,14 +12,16 @@ Record once, replay many: each :func:`evaluate`, :func:`sweep` and
 :func:`compare_policies` call runs each sample's layers at most once.
 Policies are deterministic functions of the per-layer prediction stream,
 and stopping at layer j reproduces the first j layers of a full pass bit
-for bit, so every grid point and every compare probe of one call is
+for bit, so every grid point and every compared knob of one call is
 replayed over the layer outputs the call has already computed. Replay and
 the live ``forward_early_exit`` run the one exit loop,
 :func:`exitlab.policies.run_exit`, over a lazy per-sample layer stream; a
 sample's layers are computed up to the deepest layer any configuration of
 the call needs, so a single ``evaluate`` runs exactly the layers of the
 live early-exit path. The reported speedup is still the layer-count cost
-model above, not the wall time of the replay.
+model above, not the wall time of the replay. A compare reports the knob
+whose speedup is closest to the target; among equally close knobs the
+highest score wins, then the first in knob order.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset, Vocab
 from .errors import ConfigError
@@ -447,30 +450,42 @@ def emit_svg(curves: list[tuple[str, list[tuple[float, float]]]], path,
 # -- matched-speedup comparison ------------------------------------------------
 
 
-def _knob_candidates(cache: _LayerCache, spec: PolicySpec) -> list[PolicySpec]:
-    """``spec`` at every knob value with its own exit pattern, speedup monotone.
+def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[list[PolicySpec], np.ndarray]:
+    """``spec`` at every knob value with its own exit pattern, and each one's speedup.
 
-    fixed and pabee take layers / patience 1..n. A threshold changes an
-    exit only where it crosses a sample's own score (``last_score``), so
-    the sorted distinct scores, plus one value below and one above them,
-    cover ``<`` and ``>`` comparisons alike. Midpoints are avoided: they
-    can round onto a neighbour.
+    fixed and pabee take layers / patience 1..n, each replayed. A threshold
+    policy halts at the first layer whose key is below its threshold t: the
+    max of the last ``patience`` scores (``last_score``) for fpabee, the
+    score for entropy, the negated score (t = -thre) for maxprob and learned.
+    So a sample runs layer j+1 exactly when the prefix minimum of its keys
+    at layer j is at least t. The knobs are the distinct finite prefix
+    minima and the next float above them; speedup is monotone along them.
     """
-    n = cache.n_layers
-    if spec.policy == "fixed":
-        return [replace(spec, fixed_layer=j) for j in range(1, n + 1)]
-    if spec.policy == "pabee":
-        return [replace(spec, patience=p) for p in range(1, n + 1)]
+    n, count = cache.n_layers, len(cache.dataset)
+    if spec.policy in ("fixed", "pabee"):
+        knob = "fixed_layer" if spec.policy == "fixed" else "patience"
+        knobs = [replace(spec, **{knob: j}) for j in range(1, n + 1)]
+        return knobs, np.array([_evaluate(cache, k).speedup for k in knobs])
     policy = replace(spec, thre=0.0).build()
-    scores = set()
-    for i in range(len(cache.dataset)):
+    sign = -1.0 if spec.policy in ("maxprob", "learned") else 1.0
+    keys = np.full((count, n), np.inf)
+    for i in range(count):
         policy.reset()
-        for layer, (prob, conf) in enumerate(cache.stream(i), start=1):
-            policy.step(layer, prob, conf)
+        for j, (prob, conf) in enumerate(cache.stream(i)):
+            policy.step(j + 1, prob, conf)
             if policy.last_score is not None:
-                scores.add(policy.last_score)
-    c = sorted(scores) or [0.0]
-    return [replace(spec, thre=t) for t in (c[0] - 1.0, *c, c[-1] + 1.0)]
+                keys[i, j] = sign * policy.last_score
+    window = min(spec.patience, n) if spec.policy == "fpabee" else 1
+    # inf padding: a layer with fewer than `window` scores up to it never halts
+    padded = np.concatenate([np.full((count, window - 1), np.inf), keys], axis=1)
+    keys = sliding_window_view(padded, window, axis=1).max(axis=-1)
+    ranked = np.sort(np.minimum.accumulate(keys[:, :-1], axis=1), axis=None)
+    ts = np.unique(ranked[np.isfinite(ranked)])
+    ts = np.append(ts, np.nextafter(ts[-1], np.inf) if ts.size else 0.0)
+    # each sample runs 1 + (its prefix minima >= t) layers; the division is _evaluate's mean
+    layers_run = count + ranked.size - np.searchsorted(ranked, ts)
+    mean_exit = layers_run / count if count else np.full(ts.size, float(n))
+    return [replace(spec, thre=float(sign * t)) for t in ts], 1.0 - mean_exit / n
 
 
 def compare_policies(
@@ -481,46 +496,23 @@ def compare_policies(
     vocab: Vocab,
     tolerance: float = 0.02,
 ) -> list[CompareResult]:
-    """Tune each policy's scalar knob to land within ``tolerance`` of the
-    target speedup and report its score there.
+    """Report each policy at the knob whose speedup is closest to the target.
 
-    One search serves every policy: over the candidates of
-    :func:`_knob_candidates`, probe the first, then the last, then bisect
-    on the list index while the target lies between them, stopping at the
-    first probe within ``tolerance``. Speedup is monotone along the list,
-    so otherwise the closest probe is the closest point any knob reaches;
-    it is reported with ``attained=False``. Every probe is replayed over
-    one layer cache, so each sample's layers run at most once.
+    :func:`_knob_curve` gives every knob's speedup; only the equally close
+    knobs are evaluated, and the highest score wins, then the first in knob
+    order. ``attained`` says whether that speedup lies within ``tolerance``
+    of the target. One layer cache serves every policy.
     """
     if not 0.0 <= target_speedup < 1.0:
         raise ConfigError(f"target speedup must lie in [0, 1), got {target_speedup}")
-
-    def gap(res: EvalResult) -> float:
-        return abs(res.speedup - target_speedup)
-
     cache = _LayerCache(model, dataset, vocab)
     out: list[CompareResult] = []
     for spec in specs:
-        candidates = _knob_candidates(cache, spec)
-        best = None
-
-        def below(index: int) -> bool:
-            """Probe one candidate; True when its speedup is below the target."""
-            nonlocal best
-            res = _evaluate(cache, candidates[index])
-            if best is None or gap(res) < gap(best):
-                best = res
-            return res.speedup < target_speedup
-
-        lo, hi = 0, len(candidates) - 1
-        first_below = below(lo)
-        if gap(best) > tolerance and below(hi) != first_below:
-            while gap(best) > tolerance and hi - lo > 1:
-                mid = (lo + hi) // 2
-                if below(mid) == first_below:
-                    lo = mid
-                else:
-                    hi = mid
+        knobs, speedups = _knob_curve(cache, spec)
+        gaps = np.abs(speedups - target_speedup)
+        closest = gaps.min()
+        best = max((_evaluate(cache, knobs[k]) for k in np.flatnonzero(gaps == closest)),
+                   key=lambda r: r.score)
         out.append(CompareResult(spec=best.spec, target_speedup=target_speedup, result=best,
-                                 attained=gap(best) <= tolerance))
+                                 attained=bool(closest <= tolerance)))
     return out

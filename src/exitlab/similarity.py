@@ -89,11 +89,11 @@ class ProbDist:
             raise ValueError("argmax is defined for slc distributions")
         return int(np.argmax(self.probs))
 
-    def label_set(self, threshold: float = 0.5) -> frozenset[int]:
-        """Labels whose positive probability exceeds ``threshold`` (strict)."""
+    def label_set(self) -> frozenset[int]:
+        """Labels whose positive probability exceeds 0.5 (strict)."""
         if self.kind != MLC:
             raise ValueError("label_set is defined for mlc distributions")
-        return frozenset(np.flatnonzero(self.probs[:, 0] > threshold).tolist())
+        return frozenset(np.flatnonzero(self.probs[:, 0] > 0.5).tolist())
 
     def prediction(self) -> int | frozenset[int]:
         """What this exit predicts: the argmax (slc) or the 0.5-threshold label set (mlc)."""

@@ -38,16 +38,6 @@ def untrained_setup(n_layers, n_examples=5, task="slc", n_classes=3):
     return MultiExitModel(config), splits.train, vocab
 
 
-def exits_per_sample(model, dataset, vocab, spec):
-    policy = spec.build()
-    out = np.zeros(len(dataset), dtype=np.int64)
-    for i, ex in enumerate(dataset.examples):
-        ids = vocab.encode(ex.text, max_len=model.config.max_seq_len)
-        _, exit_layer, _ = model.forward_early_exit(ids, policy)
-        out[i] = exit_layer
-    return out
-
-
 def test_criterion_1_fixed_exit_speedup_arithmetic():
     model, data, vocab = untrained_setup(n_layers=12)
     r3 = evaluate(model, data, PolicySpec("fixed", fixed_layer=3), vocab)
@@ -128,10 +118,10 @@ def test_criterion_4_monotonicity_on_trained_model(slc_workbench):
     test = splits.test
     assert len(test) == 500
 
+    cache = _LayerCache(model, test, vocab)
     thre_grid = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0]
     exits_by_thre = [
-        exits_per_sample(model, test, vocab,
-                         PolicySpec("fpabee", measure="jskd", thre=t, patience=2))
+        _replay(cache, PolicySpec("fpabee", measure="jskd", thre=t, patience=2).build())[0]
         for t in thre_grid
     ]
     thre_ok = all(
@@ -140,8 +130,7 @@ def test_criterion_4_monotonicity_on_trained_model(slc_workbench):
     )
 
     exits_by_patience = [
-        exits_per_sample(model, test, vocab,
-                         PolicySpec("fpabee", measure="jskd", thre=0.05, patience=p))
+        _replay(cache, PolicySpec("fpabee", measure="jskd", thre=0.05, patience=p).build())[0]
         for p in range(1, 6)
     ]
     patience_ok = all(
@@ -301,18 +290,17 @@ def test_criterion_9_multi_label_path(mlc_workbench):
     learned_row = next(r for r in ran if r.spec.policy == "learned")
     policies_ok = policies_ok and learned_row.mean_exit_layer < model.config.n_layers
 
+    cache = _LayerCache(model, test, vocab)
     thre_grid = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]
     exits_by_thre = [
-        exits_per_sample(model, test, vocab,
-                         PolicySpec("fpabee", measure="jskd", thre=t, patience=2))
+        _replay(cache, PolicySpec("fpabee", measure="jskd", thre=t, patience=2).build())[0]
         for t in thre_grid
     ]
     thre_ok = all(
         (exits_by_thre[i + 1] <= exits_by_thre[i]).all() for i in range(len(thre_grid) - 1)
     )
     exits_by_patience = [
-        exits_per_sample(model, test, vocab,
-                         PolicySpec("fpabee", measure="jskd", thre=0.4, patience=p))
+        _replay(cache, PolicySpec("fpabee", measure="jskd", thre=0.4, patience=p).build())[0]
         for p in range(1, 6)
     ]
     patience_ok = all((exits_by_patience[i + 1] >= exits_by_patience[i]).all() for i in range(4))
@@ -348,8 +336,8 @@ def criteria_specs(task, model, test, vocab):
 
 @pytest.mark.parametrize("workbench", ["slc_workbench", "mlc_workbench"])
 def test_replay_equals_live_on_trained_fixtures(workbench, request):
-    """Criteria 4 and 9 read exits from the live path, criteria 8 and 9 from
-    replay; on every spec they use, both give the same exits and bytes."""
+    """Criteria 4, 8 and 9 read exits from replay; on every spec they use,
+    the live ``forward_early_exit`` gives the same exits and bytes."""
     model, splits, vocab = request.getfixturevalue(workbench)
     test = splits.test
     cache = _LayerCache(model, test, vocab)

@@ -297,6 +297,8 @@ class TestBadInputs:
         pytest.param(["--seed", "-1"], None, id="seed-negative"),
         pytest.param(["--heads", "0"], None, id="heads-zero"),
         pytest.param(["--d-ff", "-4"], None, id="d-ff-negative"),
+        pytest.param(["--max-vocab", "-5"], None, id="max-vocab-negative"),
+        pytest.param(["--max-vocab", "3"], None, id="max-vocab-reserved-only"),
     ])
     def test_train_knob_exit_code_and_one_line_message(self, workspace, tmp_path, capsys, flags, config):
         root, data_dir, ckpt = workspace
@@ -312,6 +314,22 @@ class TestBadInputs:
         assert rc == 1
         assert err.startswith("exitlab: ") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--seed", "-1"], id="seed-negative"),
+        pytest.param(["--classes", "1"], id="one-class"),
+        pytest.param(["--easy-fraction", "1.5"], id="easy-fraction-above-one"),
+        pytest.param(["--noise", "nan"], id="noise-nan"),
+        pytest.param(["--n-test", "-1"], id="n-test-negative"),
+    ])
+    def test_gen_data_exit_code_and_one_line_message(self, tmp_path, capsys, flags):
+        out_dir = tmp_path / "data"
+        rc = main(["gen-data", "--task", "slc", "--classes", "3", "--n-train", "10",
+                   "--out-dir", str(out_dir)] + flags)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("exitlab: ") and err.count("\n") == 1, err
+        assert not out_dir.exists()
 
 
 class TestTrainConfigFile:

@@ -13,7 +13,7 @@ from exitlab.harness import (
     EvalResult,
     _LayerCache,
     _evaluate,
-    _knob_candidates,
+    _knob_curve,
     _replay,
     PolicySpec,
     SweepResult,
@@ -401,36 +401,38 @@ COMPARED_SPECS = THRESHOLD_SPECS + [PolicySpec("pabee"), PolicySpec("fixed")]
 
 @pytest.fixture(scope="module", params=[("slc", 3), ("mlc", 4)], ids=["slc", "mlc"])
 def knob_frontier(request):
-    """(model, data, vocab, cache, {policy: [speedup of each candidate knob]})."""
+    """(model, data, vocab, {policy: [(knob, result)] for every knob of _knob_curve})."""
     task, n_classes = request.param
     model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
     cache = _LayerCache(model, data, vocab)
-    frontier = {spec.policy: [_evaluate(cache, c).speedup for c in _knob_candidates(cache, spec)]
+    frontier = {spec.policy: [(k, _evaluate(cache, k)) for k in _knob_curve(cache, spec)[0]]
                 for spec in COMPARED_SPECS}
-    return model, data, vocab, cache, frontier
+    return model, data, vocab, frontier
 
 
 class TestExactKnobSearch:
-    """compare_policies against every candidate knob of all six policies."""
+    """compare_policies against a brute-force oracle: every knob of all six policies."""
 
     def check(self, knob_frontier, target, tolerance):
-        model, data, vocab, _, frontier = knob_frontier
+        model, data, vocab, frontier = knob_frontier
         results = compare_policies(model, data, target, COMPARED_SPECS, vocab, tolerance=tolerance)
         for spec, res in zip(COMPARED_SPECS, results):
-            gap = abs(res.result.speedup - target)
-            closest = min(abs(s - target) for s in frontier[spec.policy])
+            closest = min(abs(r.speedup - target) for _, r in frontier[spec.policy])
+            tied = [(k, r) for k, r in frontier[spec.policy] if abs(r.speedup - target) == closest]
+            best = max(r.score for _, r in tied)
+            assert abs(res.result.speedup - target) == closest, (spec, target)
             assert res.attained == (closest <= tolerance), (spec, target)
-            if res.attained:
-                assert gap <= tolerance
-            else:
-                assert gap == closest, (spec, target)
+            assert res.spec == next(k for k, r in tied if r.score == best), (spec, target)
+            assert res.result == _evaluate(_LayerCache(model, data, vocab), res.spec)
 
     def test_candidates_cover_every_exit_pattern(self, knob_frontier):
-        _, _, _, cache, frontier = knob_frontier
-        for speedups in frontier.values():
+        model, data, vocab, frontier = knob_frontier
+        cache = _LayerCache(model, data, vocab)
+        for pairs in frontier.values():
+            speedups = [r.speedup for _, r in pairs]
             assert speedups in (sorted(speedups), sorted(speedups, reverse=True))
         for spec in THRESHOLD_SPECS:
-            knobs = [c.thre for c in _knob_candidates(cache, spec)]
+            knobs = [k.thre for k, _ in frontier[spec.policy]]
             patterns = {tuple(_replay(cache, replace(spec, thre=t).build())[0]) for t in knobs}
             assert len(patterns) > 2, spec
             between = [(a + b) / 2 for a, b in zip(knobs, knobs[1:])] + [-1e6, 1e6]
@@ -442,10 +444,60 @@ class TestExactKnobSearch:
         for target in (0.0, 0.1, 0.25, 0.37, 0.5, 0.6, 0.75, 0.79, 0.95):
             self.check(knob_frontier, target, tolerance)
 
+    def test_ties_go_to_the_higher_score_then_the_first_knob(self):
+        model, data, vocab = make_setup(n_layers=4)
+        # fixed layers 2 and 3 of 4 give speedups 0.5 and 0.25, both 0.125 from 0.375
+        layers = [evaluate(model, data, PolicySpec("fixed", fixed_layer=j), vocab) for j in (2, 3)]
+        res, = compare_policies(model, data, 0.375, [PolicySpec("fixed")], vocab)
+        assert res.result == max(layers, key=lambda r: r.score)
+        # pabee's patience 3 and 4 both run every sample to layer 4
+        res, = compare_policies(model, data, 0.0, [PolicySpec("pabee")], vocab)
+        first = next(p for p in range(1, 5)
+                     if evaluate(model, data, PolicySpec("pabee", patience=p), vocab).speedup == 0.0)
+        assert res.spec.patience == first <= 3
+
     @settings(max_examples=30)  # each example builds a fresh layer cache
     @given(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.005, 0.02, 0.1]))
     def test_random_targets(self, knob_frontier, target, tolerance):
         self.check(knob_frontier, target, tolerance)
+
+
+def six_policies(measure, kl_mode, patience):
+    return [PolicySpec("fpabee", measure=measure, patience=patience, kl_mode=kl_mode),
+            PolicySpec("pabee"), PolicySpec("entropy"), PolicySpec("maxprob"),
+            PolicySpec("learned"), PolicySpec("fixed")]
+
+
+class TestKnobCurve:
+    """The closed-form speedups of _knob_curve against replaying every knob."""
+
+    @settings(max_examples=25)
+    @given(task=st.sampled_from(["slc", "mlc"]), seed=st.integers(0, 1000),
+           n_layers=st.integers(2, 6), measure=st.sampled_from(["kd", "rekd", "symkd", "jskd"]),
+           kl_mode=st.booleans(), patience=st.integers(1, 3))
+    def test_speedups_equal_replay(self, task, seed, n_layers, measure, kl_mode, patience):
+        model, data, vocab = make_setup(n_layers=n_layers, task=task, n_classes=3, seed=seed)
+        cache = _LayerCache(model, data, vocab)
+        for spec in six_policies(measure, kl_mode, patience):
+            knobs, speedups = _knob_curve(cache, spec)
+            assert speedups.tolist() == [_evaluate(cache, k).speedup for k in knobs], spec
+            assert speedups.tolist() in (sorted(speedups.tolist()),
+                                         sorted(speedups.tolist(), reverse=True)), spec
+            if spec.policy in ("fixed", "pabee"):
+                continue
+            thres = [k.thre for k in knobs]
+            patterns = {tuple(_replay(cache, k.build())[0]) for k in knobs}
+            assert len(patterns) == len(knobs), spec
+            others = [(a + b) / 2 for a, b in zip(thres, thres[1:])] + [min(thres) - 1, max(thres) + 1]
+            for t in others:
+                assert tuple(_replay(cache, replace(spec, thre=t).build())[0]) in patterns, (spec, t)
+
+    def test_empty_split_gives_zero_speedup(self):
+        model, data, vocab = make_setup()
+        cache = _LayerCache(model, Dataset(data.task, data.n_classes, []), vocab)
+        for spec in six_policies("jskd", False, 2):
+            knobs, speedups = _knob_curve(cache, spec)
+            assert speedups.tolist() == [_evaluate(cache, k).speedup for k in knobs] == [0.0] * len(knobs)
 
 
 # Knobs under which the six policies exit at different layers of make_setup(n_layers=5),

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from exitlab import tensor as T
 from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_synthetic
 from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel
+from exitlab.similarity import ProbDist
 from exitlab.training import (
     AdamW,
     TrainConfig,
@@ -74,6 +77,43 @@ class TestPerLayerLoss:
             probs = rng.uniform(0.05, 0.95, size=3)
             targets = rng.integers(0, 2, size=3).astype(float)
             assert one_row_loss("mlc", probs, targets) == pytest.approx(bce_oracle(probs, targets), rel=1e-9)
+
+
+@st.composite
+def scored_batch(draw):
+    """(task, [layers][b, k] probabilities, targets) with argmax ties and p = 0.5 likely."""
+    task = draw(st.sampled_from(["slc", "mlc"]))
+    k, b, layers = draw(st.integers(2, 4)), draw(st.integers(1, 5)), draw(st.integers(2, 3))
+    if task == "slc":
+        # small integer weights make exactly equal maxima common
+        w = np.array(draw(st.lists(st.integers(1, 3), min_size=layers * b * k, max_size=layers * b * k)),
+                     dtype=float).reshape(layers, b, k)
+        probs = w / w.sum(axis=-1, keepdims=True)
+        targets = np.array(draw(st.lists(st.integers(0, k - 1), min_size=b, max_size=b)))
+    else:
+        grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+        probs = np.array(draw(st.lists(grid, min_size=layers * b * k, max_size=layers * b * k)))
+        probs = probs.reshape(layers, b, k)
+        targets = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=b * k,
+                                         max_size=b * k))).reshape(b, k)
+    return task, probs, targets
+
+
+@given(scored_batch())
+def test_correctness_matrix_is_the_prediction_rule(batch):
+    """``_batch_losses``' batched correctness equals ``ProbDist.prediction() == gold``."""
+    task, probs, targets = batch
+    k = probs.shape[-1]
+    cfg = ModelConfig(vocab_size=1, n_classes=k, task=task, n_layers=len(probs),
+                      d_model=2, n_heads=1, d_ff=2, max_seq_len=1)
+    _, correct = _batch_losses(MultiExitModel(cfg), [T.Tensor(p) for p in probs], targets)
+    for layer, rows in enumerate(probs):
+        for i, row in enumerate(rows):
+            if task == "slc":
+                pred, gold = ProbDist.slc(row).prediction(), int(targets[i])
+            else:
+                pred, gold = ProbDist.mlc(row).prediction(), frozenset(np.flatnonzero(targets[i]).tolist())
+            assert correct[layer, i] == (pred == gold), (layer, i)
 
 
 class TestTotalLoss:
