@@ -259,12 +259,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _grid_or_default(grid: list | None, default: list, flag: str) -> list:
+    """An omitted grid takes its default; a given but empty one (``--flag ,``) is an error."""
+    if grid is None:
+        return default
+    if not grid:
+        raise ConfigError(f"{flag} is empty")
+    return grid
+
+
 def _build_sweep_specs(args, n_layers: int) -> list[PolicySpec]:
     if args.policy == "fixed":
-        layers = args.layer_grid or list(range(1, n_layers + 1))
+        layers = _grid_or_default(args.layer_grid, list(range(1, n_layers + 1)), "--layer-grid")
         return [PolicySpec("fixed", fixed_layer=j) for j in layers]
     if args.policy == "pabee":
-        patience = args.patience_grid or [1, 2, 3]
+        patience = _grid_or_default(args.patience_grid, [1, 2, 3], "--patience-grid")
         return [PolicySpec("pabee", patience=p) for p in patience]
     if args.policy == "fpabee":
         if not args.thre_grid or not args.patience_grid:

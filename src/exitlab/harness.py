@@ -15,13 +15,18 @@ and stopping at layer j reproduces the first j layers of a full pass bit
 for bit, so every grid point and every compared knob of one call is
 replayed over the layer outputs the call has already computed. Replay and
 the live ``forward_early_exit`` run the one exit loop,
-:func:`exitlab.policies.run_exit`, over a lazy per-sample layer stream; a
-sample's layers are computed up to the deepest layer any configuration of
-the call needs, so a single ``evaluate`` runs exactly the layers of the
-live early-exit path. The reported speedup is still the layer-count cost
-model above, not the wall time of the replay. A compare reports the knob
-whose speedup is closest to the target; among equally close knobs the
-highest score wins, then the first in knob order.
+:func:`exitlab.policies.run_exit`, over a lazy per-sample layer stream.
+Layers run by group: ``sweep`` and ``compare_policies`` group samples by
+encoded length, and a group runs layer j once, as one unpadded [b, t]
+batch whose rows keep their batch-1 bits, when the first of its samples
+needs it; ``evaluate`` keeps one sample per group, so it runs exactly the
+layers of the live early-exit path. Within a call, the fpabee / pabee
+scorer of every policy the harness builds is memoized per pair of
+recorded predictions, so each pair is scored once for all knobs. The
+reported speedup is still the layer-count cost model above, not the wall
+time of the replay. A compare reports the knob whose speedup is closest
+to the target; among equally close knobs the highest score wins, then
+the first in knob order.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .policies import (
     LearnedConfidence,
     MaxProb,
     Pabee,
+    Scorer,
     run_exit,
 )
 from .similarity import MLC, SLC, ProbDist, SimilarityMeasure
@@ -161,34 +167,74 @@ class CompareResult:
 
 
 class _LayerCache:
-    """Per-sample layer outputs of one model over one dataset, for one call.
+    """Layer outputs of one model over one dataset, for one call.
 
-    Each example is encoded once and gets one :meth:`MultiExitModel.iter_layers`
-    generator; a sample is extended only when a stream asks for a layer
-    deeper than any earlier stream did. The cache lives as long as the
-    call that built it, so nothing needs invalidating when parameters change.
+    Samples run their layers in groups, one lazy
+    :meth:`MultiExitModel.iter_layers` generator per group: with
+    ``by_length``, one group per encoded length, whose [b, t] batch gives
+    every member its batch-1 bits; otherwise one group per sample. A group
+    runs layer j once, for all its members, the first time a stream of any
+    member asks for it, so each sample-layer runs at most once, and with
+    one-sample groups exactly the layers some stream reached.
+
+    :meth:`build` gives a policy whose scorer is memoized over the recorded
+    predictions, so replays of many knobs score each layer pair once. The
+    cache lives as long as the call that built it, so nothing needs
+    invalidating when parameters change.
     """
 
-    def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab):
+    def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab, by_length: bool = True):
         model.check_dataset(dataset)
         self.dataset = dataset
         self.n_layers = model.config.n_layers
         max_len = model.config.max_seq_len
-        self._layers = [model.iter_layers(vocab.encode(ex.text, max_len=max_len))
-                        for ex in dataset.examples]
-        self._seen: list[list[tuple[ProbDist, float]]] = [[] for _ in dataset.examples]
+        encoded = [vocab.encode(ex.text, max_len=max_len) for ex in dataset.examples]
+        groups: dict[int, list[int]] = {}
+        for i, ids in enumerate(encoded):
+            groups.setdefault(len(ids) if by_length else i, []).append(i)
+        self._where = [(0, 0)] * len(encoded)  # sample -> (group, row in group)
+        self._layers, self._seen = [], []
+        for g, members in enumerate(groups.values()):
+            self._layers.append(model.iter_layers(np.stack([encoded[i] for i in members])))
+            self._seen.append([])
+            for row, i in enumerate(members):
+                self._where[i] = (g, row)
+        self._scores: dict[Scorer, dict[tuple[ProbDist, ProbDist], float]] = {}
 
     def stream(self, sample: int) -> Iterator[tuple[ProbDist, float]]:
         """``(prob, confidence)`` of ``sample`` at layers 1..n, lazily.
 
-        A layer is computed the first time any stream of the sample reaches it.
+        A layer is computed the first time any stream of the sample's group reaches it.
         """
-        seen, layers = self._seen[sample], self._layers[sample]
+        group, row = self._where[sample]
+        seen, layers = self._seen[group], self._layers[group]
         for j in range(self.n_layers):
             if j == len(seen):
-                _, prob, conf = next(layers)
-                seen.append((prob, conf))
-            yield seen[j]
+                _, probs, confs = next(layers)
+                seen.append(list(zip(probs, confs)))
+            yield seen[j][row]
+
+    def build(self, spec: PolicySpec) -> ExitPolicy:
+        """``spec.build()``, with an fpabee / pabee scorer memoized per pair of
+        recorded predictions.
+
+        The memo keys on the ``ProbDist`` objects, which hash by identity
+        and which it keeps alive, so a key never names another pair. Only
+        policies built here get the memo; a caller's policy object is left
+        as it is.
+        """
+        policy = spec.build()
+        if isinstance(policy, FPabee):
+            scorer, memo = policy.scorer, self._scores.setdefault(policy.scorer, {})
+
+            def memoized(prev: ProbDist, cur: ProbDist) -> float:
+                s = memo.get((prev, cur))
+                if s is None:
+                    s = memo[prev, cur] = scorer(prev, cur)
+                return s
+
+            policy.scorer = memoized
+        return policy
 
 
 def _replay(cache: _LayerCache, policy: ExitPolicy) -> tuple[np.ndarray, list[ProbDist]]:
@@ -207,7 +253,7 @@ def _evaluate(cache: _LayerCache, policy: ExitPolicy | PolicySpec) -> EvalResult
     if isinstance(policy, PolicySpec):
         if policy.policy == "fixed" and policy.fixed_layer is not None and policy.fixed_layer > n:
             raise ConfigError(f"fixed exit layer {policy.fixed_layer} exceeds the model's {n} layers")
-        spec, built = policy, policy.build()
+        spec, built = policy, cache.build(policy)
     else:
         spec, built = PolicySpec(policy.name), policy
     exits, probs = _replay(cache, built)
@@ -249,7 +295,7 @@ def evaluate(
     Runs exactly the layers that ``forward_early_exit`` would run on each
     sample, and gives the same exit layers and predictions.
     """
-    return _evaluate(_LayerCache(model, dataset, vocab), policy)
+    return _evaluate(_LayerCache(model, dataset, vocab, by_length=False), policy)
 
 
 def sweep(
@@ -261,8 +307,8 @@ def sweep(
 ) -> SweepResult:
     """One evaluation per grid point, rows sorted by ascending speedup.
 
-    All grid points are replayed over one layer cache, so each sample's
-    layers run at most once.
+    All grid points are replayed over one layer cache that records the
+    samples in length groups, so each sample's layers run at most once.
     """
     cache = _LayerCache(model, dataset, vocab)
     rows = [_evaluate(cache, spec) for spec in specs]
@@ -466,7 +512,7 @@ def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[list[PolicySpec],
         knob = "fixed_layer" if spec.policy == "fixed" else "patience"
         knobs = [replace(spec, **{knob: j}) for j in range(1, n + 1)]
         return knobs, np.array([_evaluate(cache, k).speedup for k in knobs])
-    policy = replace(spec, thre=0.0).build()
+    policy = cache.build(replace(spec, thre=0.0))
     sign = -1.0 if spec.policy in ("maxprob", "learned") else 1.0
     keys = np.full((count, n), np.inf)
     for i in range(count):
@@ -501,10 +547,12 @@ def compare_policies(
     :func:`_knob_curve` gives every knob's speedup; only the equally close
     knobs are evaluated, and the highest score wins, then the first in knob
     order. ``attained`` says whether that speedup lies within ``tolerance``
-    of the target. One layer cache serves every policy.
+    (a number >= 0) of the target. One layer cache serves every policy.
     """
     if not 0.0 <= target_speedup < 1.0:
         raise ConfigError(f"target speedup must lie in [0, 1), got {target_speedup}")
+    if not tolerance >= 0.0:
+        raise ConfigError(f"tolerance must be a number >= 0, got {tolerance}")
     cache = _LayerCache(model, dataset, vocab)
     out: list[CompareResult] = []
     for spec in specs:

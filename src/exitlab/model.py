@@ -13,9 +13,10 @@ inference runs the same code on plain float64 ndarrays through
 :data:`exitlab.tensor.arrays`, the same forward kernels with nothing
 recorded, and gives the same bits as the taped ops.
 
-Inference is per sample (batch size 1); prefix equivalence holds by
-construction, i.e. stopping at layer j reproduces the first j entries of
-a full pass bit for bit. Early exit is :func:`exitlab.policies.run_exit`
+Inference runs one input, or a batch of equal-length inputs with no
+padding that gives each row its batch-1 bits; prefix equivalence holds
+by construction, i.e. stopping at layer j reproduces the first j entries
+of a full pass bit for bit. Early exit is :func:`exitlab.policies.run_exit`
 over the lazy layers of :meth:`MultiExitModel.iter_layers`; each trace
 entry records the layer's :meth:`~exitlab.similarity.ProbDist.prediction`.
 """
@@ -234,20 +235,30 @@ class MultiExitModel:
         ff = ops.matmul(ff, p[f"{pre}.w2"]) + p[f"{pre}.b2"]
         return ops.layer_norm(h + ff, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
 
+    def _pooled_head(self, h, name: str):
+        """Head ``name``'s logits [b, k] from the first-token rows of a [b, t, d_model] state.
+
+        Taped, the head is one [b, d] @ [d, k] gemm. Untaped, it runs as
+        [b, 1, d] @ [d, k], one product per row, so every row gets the bits
+        it gets at batch 1: a 2-D gemm over b > 1 rows may round differently.
+        """
+        ops, p = self._ops(isinstance(h, T.Tensor))
+        w, bias = p[f"{name}.w"], p[f"{name}.b"]
+        if ops is T:
+            return ops.matmul(ops.select(h, axis=1, index=0), w) + bias
+        return (ops.matmul(h[:, :1], w) + bias)[:, 0]
+
     def _exit_probs(self, h, layer_index: int):
         """Exit ``layer_index``'s class probabilities [b, k] from a [b, t, d_model]
         state: softmax for slc, per-label sigmoid for mlc."""
-        ops, p = self._ops(isinstance(h, T.Tensor))
-        i = layer_index - 1
-        logits = ops.matmul(ops.select(h, axis=1, index=0), p[f"head{i}.w"]) + p[f"head{i}.b"]
+        ops = self._ops(isinstance(h, T.Tensor))[0]
+        logits = self._pooled_head(h, f"head{layer_index - 1}")
         return ops.softmax(logits, axis=-1) if self.config.task == SLC else ops.sigmoid(logits)
 
     def _confidence(self, h, layer_index: int):
         """Exit ``layer_index``'s confidence values [b] in (0, 1)."""
-        ops, p = self._ops(isinstance(h, T.Tensor))
-        i = layer_index - 1
-        logits = ops.matmul(ops.select(h, axis=1, index=0), p[f"conf{i}.w"]) + p[f"conf{i}.b"]
-        return ops.sigmoid(logits.reshape((h.shape[0],)))
+        ops = self._ops(isinstance(h, T.Tensor))[0]
+        return ops.sigmoid(self._pooled_head(h, f"conf{layer_index - 1}").reshape((h.shape[0],)))
 
     def _to_probdist(self, prob_row: np.ndarray) -> ProbDist:
         if self.config.task == SLC:
@@ -273,31 +284,40 @@ class MultiExitModel:
 
     # -- inference-side forward ---------------------------------------
 
-    def forward_layer(self, h_prev: np.ndarray, layer_index: int) -> tuple[np.ndarray, ProbDist]:
-        """Run one block on a [t, d_model] array state; return new state + prediction.
+    def forward_layer(self, h_prev: np.ndarray,
+                      layer_index: int) -> tuple[np.ndarray, ProbDist | list[ProbDist]]:
+        """Run one block on an array state; return the new state and the exit's prediction.
 
-        The block and exit head run the shared kernels on plain arrays:
-        nothing is taped.
+        ``h_prev`` is [t, d_model] for one input, which gives one
+        :class:`ProbDist`, or [b, t, d_model] for b equal-length inputs, which
+        gives a list of b; each row's bits equal its batch-1 bits. The block
+        and exit head run the shared kernels on plain arrays: nothing is taped.
         """
         if not 1 <= layer_index <= self.config.n_layers:
             raise ValueError(f"layer_index {layer_index} outside [1, {self.config.n_layers}]")
-        t, d = h_prev.shape
-        h = self._block(h_prev.reshape((1, t, d)), layer_index, None)
-        return h.reshape((t, d)), self._to_probdist(self._exit_probs(h, layer_index)[0])
+        h = self._block(h_prev if h_prev.ndim == 3 else h_prev[None], layer_index, None)
+        probs = self._exit_probs(h, layer_index)
+        if h_prev.ndim == 2:
+            return h[0], self._to_probdist(probs[0])
+        return h, [self._to_probdist(row) for row in probs]
 
-    def layer_confidence(self, h: np.ndarray, layer_index: int) -> float:
-        """Confidence-head output in (0, 1) for a [t, d_model] array state."""
-        t, d = h.shape
-        return float(self._confidence(h.reshape((1, t, d)), layer_index)[0])
+    def layer_confidence(self, h: np.ndarray, layer_index: int) -> float | list[float]:
+        """Confidence-head output in (0, 1): a float for a [t, d_model] array
+        state, a list of b for a [b, t, d_model] one."""
+        conf = self._confidence(h if h.ndim == 3 else h[None], layer_index).tolist()
+        return conf if h.ndim == 3 else conf[0]
 
-    def iter_layers(self, tokens) -> Iterator[tuple[np.ndarray, ProbDist, float]]:
-        """Yield ``(h, prob, confidence)`` for layers 1..n of one input, lazily.
+    def iter_layers(self, tokens) -> Iterator[tuple[np.ndarray, ProbDist | list[ProbDist],
+                                                    float | list[float]]]:
+        """Yield ``(h, prob, confidence)`` for layers 1..n, lazily.
 
-        Each layer runs only when the next item is requested, so a consumer
-        that stops after layer j has computed exactly j layers. The states
-        are plain [t, d_model] arrays and every layer runs the shared
-        kernels untaped, so a suspended generator holds no tape and leaves
-        taped training untouched.
+        ``tokens`` is one input (1-D), or b inputs of one length ([b, t]),
+        which gives each layer's predictions and confidences as lists of b,
+        bit-identical row by row to b batch-1 passes. Each layer runs only
+        when the next item is requested, so a consumer that stops after
+        layer j has computed exactly j layers. The states are plain arrays
+        and every layer runs the shared kernels untaped, so a suspended
+        generator holds no tape and leaves taped training untouched.
         """
         h = self.embed(tokens)
         for layer in range(1, self.config.n_layers + 1):

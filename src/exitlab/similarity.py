@@ -96,8 +96,16 @@ class ProbDist:
         return frozenset(np.flatnonzero(self.probs[:, 0] > 0.5).tolist())
 
     def prediction(self) -> int | frozenset[int]:
-        """What this exit predicts: the argmax (slc) or the 0.5-threshold label set (mlc)."""
-        return self.argmax() if self.kind == SLC else self.label_set()
+        """What this exit predicts: the argmax (slc) or the 0.5-threshold label set (mlc).
+
+        Computed on the first call and kept: ``probs`` is read-only, so the
+        answer cannot change.
+        """
+        pred = self.__dict__.get("_prediction")
+        if pred is None:
+            pred = self.argmax() if self.kind == SLC else self.label_set()
+            object.__setattr__(self, "_prediction", pred)
+        return pred
 
     def flat(self) -> np.ndarray:
         """Probability mass as a flat vector (pairs unrolled for mlc)."""

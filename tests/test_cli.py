@@ -264,6 +264,12 @@ class TestBadInputs:
                      id="fixed-layer-above-n"),
         pytest.param(["sweep", "--policy", "fixed", "--layer-grid", "1,4", "--out", os.devnull], None, 1,
                      id="layer-grid-above-n"),
+        pytest.param(["sweep", "--policy", "fixed", "--layer-grid", ",", "--out", os.devnull], None, 1,
+                     id="empty-layer-grid"),
+        pytest.param(["sweep", "--policy", "pabee", "--patience-grid", ",", "--out", os.devnull], None, 1,
+                     id="empty-patience-grid"),
+        pytest.param(["sweep", "--policy", "entropy", "--thre-grid", ",", "--out", os.devnull], None, 1,
+                     id="empty-thre-grid"),
     ])
     def test_exit_code_and_one_line_message(self, workspace, tmp_path, capsys, argv, checkpoint, code):
         root, data_dir, ckpt = workspace

@@ -1,5 +1,6 @@
 """Harness: speedup accounting, sweeps, pareto filtering, emitters, compare."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,8 @@ from exitlab.harness import (
     sweep,
 )
 from exitlab.model import ModelConfig, MultiExitModel
-from exitlab.policies import ExitPolicy, ExitDecision, FIXED_LAYER
+from exitlab.policies import FIXED_LAYER, ExitDecision, ExitPolicy, FPabee, Pabee
+from exitlab.similarity import SimilarityMeasure
 
 
 def make_setup(n_layers=4, task="slc", n_classes=3, n_examples=12, seed=0):
@@ -376,6 +378,12 @@ class TestComparePolicies:
             assert res.attained, res.spec
             assert abs(res.result.speedup - 0.5) <= 0.02
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -np.inf, np.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tolerance):
+        model, data, vocab = make_setup()
+        with pytest.raises(ConfigError, match="tolerance"):
+            compare_policies(model, data, 0.3, [PolicySpec("fixed")], vocab, tolerance=tolerance)
+
     @pytest.mark.parametrize("patience", [1, 2])
     def test_always_halt_end_reached_beyond_80_nats(self, patience):
         model, data, vocab = make_setup(n_layers=5, task="mlc", n_classes=4)
@@ -523,12 +531,13 @@ SIX_POLICIES = {
 
 
 def count_layer_calls(model, monkeypatch):
-    """Wrap ``model.forward_layer``; the returned list grows by one per call."""
+    """Wrap ``model.forward_layer``; the returned list grows by one per sample-layer:
+    by the number of rows of each call's state ([b, t, d] or one [t, d] input)."""
     calls = []
     original = model.forward_layer
 
     def counted(h, layer_index):
-        calls.append(layer_index)
+        calls.extend([layer_index] * (h.shape[0] if h.ndim == 3 else 1))
         return original(h, layer_index)
 
     monkeypatch.setattr(model, "forward_layer", counted)
@@ -576,8 +585,40 @@ class TestReplay:
         separate = {spec: evaluate(model, data, spec, vocab) for spec in specs}
         calls = count_layer_calls(model, monkeypatch)
         result = sweep(model, data, specs, vocab)
-        assert len(calls) <= len(data) * 5
+        assert max(Counter(calls).values()) <= len(data)
         assert {row.spec: row for row in result.rows} == separate
         calls.clear()
         compare_policies(model, data, 0.5, [replace(s, thre=None) for s in specs[:5]], vocab)
-        assert len(calls) <= len(data) * 5
+        assert max(Counter(calls).values()) <= len(data)
+
+    def test_sweep_records_each_length_group_in_one_call_per_layer(self, task, n_classes, monkeypatch):
+        model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
+        lengths = {len(vocab.encode(ex.text, max_len=24)) for ex in data.examples}
+        assert len(lengths) < len(data)
+        rows = []
+        original = model.forward_layer
+        monkeypatch.setattr(model, "forward_layer",
+                            lambda h, j: rows.append(h.shape[0]) or original(h, j))
+        sweep(model, data, [PolicySpec("fixed", fixed_layer=5)], vocab)
+        assert len(rows) == len(lengths) * 5 and sum(rows) == len(data) * 5
+
+    def test_memo_leaves_the_callers_policy_alone(self, task, n_classes):
+        model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
+        _, other, _ = make_setup(n_layers=5, task=task, n_classes=n_classes, seed=7)
+        fpabee, pabee = SIX_POLICIES[task][:2]
+        measure = SimilarityMeasure("jskd")
+        policies = [FPabee(measure, fpabee.thre, 1), Pabee(1)]
+        scorers = [p.scorer for p in policies]
+        first = [evaluate(model, data, p, vocab) for p in policies]
+        swept = sweep(model, other, SIX_POLICIES[task], vocab)
+        compared = compare_policies(model, other, 0.4, [replace(s, thre=None) for s in SIX_POLICIES[task]],
+                                    vocab)
+        assert [p.scorer for p in policies] == scorers and policies[0].scorer is measure
+        # every result equals a fresh call on a fresh cache
+        assert [evaluate(model, data, p, vocab) for p in policies] == first
+        assert ([replace(r, spec=spec) for r, spec in zip(first, (fpabee, pabee))]
+                == [evaluate(model, data, spec, vocab) for spec in (fpabee, pabee)])
+        for row in swept.rows:
+            assert row == _evaluate(_LayerCache(model, other, vocab, by_length=False), row.spec)
+        for res in compared:
+            assert res.result == _evaluate(_LayerCache(model, other, vocab, by_length=False), res.spec)

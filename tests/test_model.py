@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitlab import tensor as T
+from exitlab.data import Vocab
 from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
 from exitlab.policies import (CONFIDENCE, FINAL_FALLBACK, EntropyThreshold, FixedExit, FPabee,
@@ -180,6 +181,49 @@ class TestArrayInference:
             expected = make(model._exit_probs(ref, layer).array[0])
             assert np.array_equal(prob.probs, expected.probs)
             assert conf == float(model._confidence(ref, layer).array[0])
+            layers += 1
+        assert layers == model.config.n_layers
+
+
+@st.composite
+def tiny_models_and_batches(draw, task, share_layer_params):
+    """A randomized tiny model and b >= 1 texts encoded to one length.
+
+    The texts run through ``Vocab.encode`` with ``max_len=max_seq_len``, as
+    the harness encodes them; a text longer than that is cut there.
+    """
+    max_seq_len = draw(st.integers(1, 12))
+    n_heads = draw(st.sampled_from([1, 2, 4]))
+    vocab = Vocab([f"w{i}" for i in range(17)])
+    config = tiny_config(task=task, share_layer_params=share_layer_params, vocab_size=len(vocab),
+                         n_classes=draw(st.integers(2, 5)), n_layers=draw(st.integers(2, 4)),
+                         d_model=n_heads * draw(st.sampled_from([2, 4, 8, 16])), n_heads=n_heads,
+                         d_ff=draw(st.integers(4, 24)), max_seq_len=max_seq_len)
+    model = randomize(MultiExitModel(config), seed=draw(st.integers(0, 2**16)),
+                      scale=draw(st.sampled_from([0.1, 0.5, 2.0])))
+    words = draw(st.integers(0, max_seq_len + 3))
+    texts = draw(st.lists(st.lists(st.sampled_from(vocab.tokens[3:]), min_size=words, max_size=words),
+                          min_size=1, max_size=6))
+    return model, [vocab.encode(" ".join(text), max_len=max_seq_len) for text in texts]
+
+
+class TestBatchedInference:
+    @pytest.mark.parametrize("share_layer_params", [False, True], ids=["bert", "albert"])
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_each_row_of_a_batch_has_its_batch_1_bytes(self, task, share_layer_params, data):
+        model, encoded = data.draw(tiny_models_and_batches(task, share_layer_params))
+        b, t = len(encoded), len(encoded[0])
+        singles = [list(model.iter_layers(ids)) for ids in encoded]
+        layers = 0
+        for j, (h, probs, confs) in enumerate(model.iter_layers(np.stack(encoded))):
+            assert h.shape == (b, t, model.config.d_model) and len(probs) == len(confs) == b
+            for row, single in enumerate(singles):
+                h1, prob1, conf1 = single[j]
+                assert h[row].tobytes() == h1.tobytes()
+                assert probs[row].probs.tobytes() == prob1.probs.tobytes()
+                assert np.float64(confs[row]).tobytes() == np.float64(conf1).tobytes()
             layers += 1
         assert layers == model.config.n_layers
 
