@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,9 @@ __all__ = [
     "CLS_ID",
     "load_jsonl",
     "save_jsonl",
+    "text_lines",
     "build_vocab",
+    "encode_dataset",
     "save_vocab",
     "load_vocab",
     "SyntheticSpec",
@@ -115,6 +118,12 @@ def build_vocab(dataset: Dataset, max_size: int) -> Vocab:
     return Vocab(list(RESERVED) + [tok for tok, _ in ranked])
 
 
+def encode_dataset(dataset: Dataset, vocab: Vocab, max_len: int) -> list[np.ndarray]:
+    """Every example's ids, CLS first, cut to ``max_len``: the one encoding
+    that training and evaluation share."""
+    return [vocab.encode(ex.text, max_len=max_len) for ex in dataset.examples]
+
+
 def save_vocab(vocab: Vocab, path) -> None:
     """One non-reserved token per line; a token's id is its line number
     plus the size of the reserved block."""
@@ -133,6 +142,23 @@ def load_vocab(path) -> Vocab:
 
 
 # -- JSONL ------------------------------------------------------------------
+
+
+def text_lines(path, kind: str, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` of a UTF-8 text file, numbered from 1.
+
+    A missing file, or bytes that are not UTF-8, raise ``error`` with a
+    one-line message naming the file as a ``kind`` file.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError as e:
+        raise error(f"{path}: no such {kind} file") from e
+    with fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as e:
+            raise error(f"{path}: {kind} file is not UTF-8 text") from e
 
 
 def _record_line(task: str, ex: Example) -> str:
@@ -158,36 +184,31 @@ def load_jsonl(path, task: str, n_classes: int | None = None) -> Dataset:
     if task not in (SLC, MLC):
         raise ConfigError(f"task must be {SLC!r} or {MLC!r}, got {task!r}")
     examples: list[Example] = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError as e:
-        raise DataError(f"{path}: no such data file") from e
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
-                raise DataError(f"{path}:{lineno}: record must be an object with a string 'text'")
-            if task == SLC:
-                if "labels" in rec:
-                    raise DataError(f"{path}:{lineno}: 'labels' array not valid for an slc dataset")
-                label = rec.get("label")
-                if not isinstance(label, int) or isinstance(label, bool) or label < 0:
-                    raise DataError(f"{path}:{lineno}: 'label' must be a nonnegative integer")
-                examples.append(Example(rec["text"], label=label))
-            else:
-                if "label" in rec:
-                    raise DataError(f"{path}:{lineno}: scalar 'label' not valid for an mlc dataset")
-                labels = rec.get("labels")
-                if not isinstance(labels, list) or any(
-                    not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in labels
-                ):
-                    raise DataError(f"{path}:{lineno}: 'labels' must be a list of nonnegative integers")
-                examples.append(Example(rec["text"], labels=tuple(sorted(set(labels)))))
+    for lineno, line in text_lines(path, "data", DataError):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+        if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
+            raise DataError(f"{path}:{lineno}: record must be an object with a string 'text'")
+        if task == SLC:
+            if "labels" in rec:
+                raise DataError(f"{path}:{lineno}: 'labels' array not valid for an slc dataset")
+            label = rec.get("label")
+            if not isinstance(label, int) or isinstance(label, bool) or label < 0:
+                raise DataError(f"{path}:{lineno}: 'label' must be a nonnegative integer")
+            examples.append(Example(rec["text"], label=label))
+        else:
+            if "label" in rec:
+                raise DataError(f"{path}:{lineno}: scalar 'label' not valid for an mlc dataset")
+            labels = rec.get("labels")
+            if not isinstance(labels, list) or any(
+                not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in labels
+            ):
+                raise DataError(f"{path}:{lineno}: 'labels' must be a list of nonnegative integers")
+            examples.append(Example(rec["text"], labels=tuple(sorted(set(labels)))))
     if not examples:
         raise DataError(f"{path}: no records")
 

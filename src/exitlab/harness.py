@@ -20,7 +20,9 @@ Layers run by group: ``sweep`` and ``compare_policies`` group samples by
 encoded length, and a group runs layer j once, as one unpadded [b, t]
 batch whose rows keep their batch-1 bits, when the first of its samples
 needs it; ``evaluate`` keeps one sample per group, so it runs exactly the
-layers of the live early-exit path. Within a call, the fpabee / pabee
+layers of the live early-exit path. As on that path, the confidence head
+runs only when read: only if the call's policy, or one of its specs, is
+``learned``. Within a call, the fpabee / pabee
 scorer of every policy the harness builds is memoized per pair of
 recorded predictions, so each pair is scored once for all knobs. The
 reported speedup is still the layer-count cost model above, not the wall
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Dataset, Vocab
+from .data import Dataset, Vocab, encode_dataset
 from .errors import ConfigError
 from .model import MultiExitModel
 from .policies import (
@@ -70,7 +72,9 @@ __all__ = [
     "compare_policies",
 ]
 
-POLICY_NAMES = ("fpabee", "pabee", "entropy", "maxprob", "learned", "fixed")
+_POLICY_CLASSES = {cls.name: cls for cls in
+                   (FPabee, Pabee, EntropyThreshold, MaxProb, LearnedConfidence, FixedExit)}
+POLICY_NAMES = tuple(_POLICY_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,19 @@ class PolicySpec:
         if self.policy == "maxprob":
             return MaxProb(self.thre)
         return LearnedConfidence(self.thre)
+
+    @property
+    def reads_confidence(self) -> bool:
+        """Whether the built policy reads the confidence head, as its class says."""
+        return _POLICY_CLASSES[self.policy].reads_confidence
+
+    def with_knob(self, knob) -> PolicySpec:
+        """This spec with its knob (see :meth:`knob_value`) set to ``knob``."""
+        if self.policy == "fixed":
+            return replace(self, fixed_layer=int(knob))
+        if self.policy == "pabee":
+            return replace(self, patience=int(knob))
+        return replace(self, thre=float(knob))
 
     def knob_value(self) -> float | None:
         if self.policy == "fixed":
@@ -175,7 +192,9 @@ class _LayerCache:
     every member its batch-1 bits; otherwise one group per sample. A group
     runs layer j once, for all its members, the first time a stream of any
     member asks for it, so each sample-layer runs at most once, and with
-    one-sample groups exactly the layers some stream reached.
+    one-sample groups exactly the layers some stream reached. The
+    confidence head runs only with ``confidence``; without it every
+    stream yields ``None`` as its confidence.
 
     :meth:`build` gives a policy whose scorer is memoized over the recorded
     predictions, so replays of many knobs score each layer pair once. The
@@ -183,19 +202,20 @@ class _LayerCache:
     invalidating when parameters change.
     """
 
-    def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab, by_length: bool = True):
+    def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab,
+                 by_length: bool = True, confidence: bool = True):
         model.check_dataset(dataset)
         self.dataset = dataset
         self.n_layers = model.config.n_layers
-        max_len = model.config.max_seq_len
-        encoded = [vocab.encode(ex.text, max_len=max_len) for ex in dataset.examples]
+        encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
         groups: dict[int, list[int]] = {}
         for i, ids in enumerate(encoded):
             groups.setdefault(len(ids) if by_length else i, []).append(i)
         self._where = [(0, 0)] * len(encoded)  # sample -> (group, row in group)
         self._layers, self._seen = [], []
         for g, members in enumerate(groups.values()):
-            self._layers.append(model.iter_layers(np.stack([encoded[i] for i in members])))
+            self._layers.append(model.iter_layers(np.stack([encoded[i] for i in members]),
+                                                  confidence=confidence))
             self._seen.append([])
             for row, i in enumerate(members):
                 self._where[i] = (g, row)
@@ -211,7 +231,7 @@ class _LayerCache:
         for j in range(self.n_layers):
             if j == len(seen):
                 _, probs, confs = next(layers)
-                seen.append(list(zip(probs, confs)))
+                seen.append(list(zip(probs, confs or [None] * len(probs))))
             yield seen[j][row]
 
     def build(self, spec: PolicySpec) -> ExitPolicy:
@@ -293,9 +313,11 @@ def evaluate(
     """Early-exit evaluation sample by sample (batch size 1).
 
     Runs exactly the layers that ``forward_early_exit`` would run on each
-    sample, and gives the same exit layers and predictions.
+    sample, confidence heads included only if the policy reads them, and
+    gives the same exit layers and predictions.
     """
-    return _evaluate(_LayerCache(model, dataset, vocab, by_length=False), policy)
+    cache = _LayerCache(model, dataset, vocab, by_length=False, confidence=policy.reads_confidence)
+    return _evaluate(cache, policy)
 
 
 def sweep(
@@ -310,7 +332,7 @@ def sweep(
     All grid points are replayed over one layer cache that records the
     samples in length groups, so each sample's layers run at most once.
     """
-    cache = _LayerCache(model, dataset, vocab)
+    cache = _LayerCache(model, dataset, vocab, confidence=any(s.reads_confidence for s in specs))
     rows = [_evaluate(cache, spec) for spec in specs]
     rows.sort(key=lambda r: r.speedup)
     return SweepResult(
@@ -496,8 +518,11 @@ def emit_svg(curves: list[tuple[str, list[tuple[float, float]]]], path,
 # -- matched-speedup comparison ------------------------------------------------
 
 
-def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[list[PolicySpec], np.ndarray]:
-    """``spec`` at every knob value with its own exit pattern, and each one's speedup.
+def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every knob value of ``spec`` with its own exit pattern, and each one's speedup.
+
+    A knob value is what :meth:`PolicySpec.with_knob` takes, so a caller
+    builds specs only for the knobs it evaluates.
 
     fixed and pabee take layers / patience 1..n, each replayed. A threshold
     policy halts at the first layer whose key is below its threshold t: the
@@ -509,9 +534,8 @@ def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[list[PolicySpec],
     """
     n, count = cache.n_layers, len(cache.dataset)
     if spec.policy in ("fixed", "pabee"):
-        knob = "fixed_layer" if spec.policy == "fixed" else "patience"
-        knobs = [replace(spec, **{knob: j}) for j in range(1, n + 1)]
-        return knobs, np.array([_evaluate(cache, k).speedup for k in knobs])
+        knobs = np.arange(1, n + 1)
+        return knobs, np.array([_evaluate(cache, spec.with_knob(j)).speedup for j in knobs])
     policy = cache.build(replace(spec, thre=0.0))
     sign = -1.0 if spec.policy in ("maxprob", "learned") else 1.0
     keys = np.full((count, n), np.inf)
@@ -531,7 +555,7 @@ def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[list[PolicySpec],
     # each sample runs 1 + (its prefix minima >= t) layers; the division is _evaluate's mean
     layers_run = count + ranked.size - np.searchsorted(ranked, ts)
     mean_exit = layers_run / count if count else np.full(ts.size, float(n))
-    return [replace(spec, thre=float(sign * t)) for t in ts], 1.0 - mean_exit / n
+    return sign * ts, 1.0 - mean_exit / n
 
 
 def compare_policies(
@@ -553,13 +577,13 @@ def compare_policies(
         raise ConfigError(f"target speedup must lie in [0, 1), got {target_speedup}")
     if not tolerance >= 0.0:
         raise ConfigError(f"tolerance must be a number >= 0, got {tolerance}")
-    cache = _LayerCache(model, dataset, vocab)
+    cache = _LayerCache(model, dataset, vocab, confidence=any(s.reads_confidence for s in specs))
     out: list[CompareResult] = []
     for spec in specs:
         knobs, speedups = _knob_curve(cache, spec)
         gaps = np.abs(speedups - target_speedup)
         closest = gaps.min()
-        best = max((_evaluate(cache, knobs[k]) for k in np.flatnonzero(gaps == closest)),
+        best = max((_evaluate(cache, spec.with_knob(knobs[k])) for k in np.flatnonzero(gaps == closest)),
                    key=lambda r: r.score)
         out.append(CompareResult(spec=best.spec, target_speedup=target_speedup, result=best,
                                  attained=bool(closest <= tolerance)))

@@ -5,7 +5,10 @@ post-norm transformer blocks, and after every block a linear head over
 the first-token (CLS) pooled state produces a prediction: a softmax
 distribution for single-label tasks, per-label sigmoids for multi-label.
 A second scalar head per layer produces the confidence value used by the
-learned-confidence baseline.
+learned-confidence baseline. Training always runs it; inference runs it
+only when the exit policy reads it (``ExitPolicy.reads_confidence``,
+which only the learned baseline sets), so every other policy's layers
+skip the head.
 
 One definition serves training and inference. Training runs
 ``_block`` and the heads on taped :class:`~exitlab.tensor.Tensor` values;
@@ -307,25 +310,28 @@ class MultiExitModel:
         conf = self._confidence(h if h.ndim == 3 else h[None], layer_index).tolist()
         return conf if h.ndim == 3 else conf[0]
 
-    def iter_layers(self, tokens) -> Iterator[tuple[np.ndarray, ProbDist | list[ProbDist],
-                                                    float | list[float]]]:
+    def iter_layers(self, tokens, confidence: bool = True) -> Iterator[
+            tuple[np.ndarray, ProbDist | list[ProbDist], float | list[float] | None]]:
         """Yield ``(h, prob, confidence)`` for layers 1..n, lazily.
 
         ``tokens`` is one input (1-D), or b inputs of one length ([b, t]),
         which gives each layer's predictions and confidences as lists of b,
         bit-identical row by row to b batch-1 passes. Each layer runs only
         when the next item is requested, so a consumer that stops after
-        layer j has computed exactly j layers. The states are plain arrays
-        and every layer runs the shared kernels untaped, so a suspended
-        generator holds no tape and leaves taped training untouched.
+        layer j has computed exactly j layers. The confidence head runs only
+        when read: with ``confidence=False`` it never runs and every layer
+        yields ``None`` in its place, with the same states and predictions.
+        The states are plain arrays and every layer runs the shared kernels
+        untaped, so a suspended generator holds no tape and leaves taped
+        training untouched.
         """
         h = self.embed(tokens)
         for layer in range(1, self.config.n_layers + 1):
             h, prob = self.forward_layer(h, layer)
-            yield h, prob, self.layer_confidence(h, layer)
+            yield h, prob, self.layer_confidence(h, layer) if confidence else None
 
     def forward_full(self, tokens) -> PredictionStream:
-        """All n layers; the stream used for training targets and oracles."""
+        """All n layers, confidences included; the stream used for oracles."""
         stream = PredictionStream([], [])
         for _, prob, conf in self.iter_layers(tokens):
             stream.probs.append(prob)
@@ -336,10 +342,12 @@ class MultiExitModel:
         """Run layers until ``policy`` halts; fall back to the final classifier.
 
         :func:`~exitlab.policies.run_exit` drives the layers, which run only
-        up to the exit. The returned prediction is bit-identical to the same
-        layer's entry in :meth:`forward_full`.
+        up to the exit, and the confidence head runs only if
+        ``policy.reads_confidence``. The returned prediction is bit-identical
+        to the same layer's entry in :meth:`forward_full`.
         """
-        layers = ((prob, conf) for _, prob, conf in self.iter_layers(tokens))
+        layers = ((prob, conf) for _, prob, conf
+                  in self.iter_layers(tokens, confidence=policy.reads_confidence))
         steps = run_exit(policy, layers, self.config.n_layers)
         entries = tuple(TraceEntry(layer, prob.prediction(), score, pat, decision)
                         for layer, prob, decision, score, pat in steps)

@@ -105,9 +105,13 @@ class ExitPolicy:
     ``last_score`` is the value the latest ``step`` compared with the
     threshold (``None`` before any comparison, and always for fixed);
     ``pat`` is the patience counter. :func:`run_exit` records both per step.
+    ``reads_confidence`` says whether ``step`` reads the confidence-head
+    value; a policy that does not is stepped with ``confidence=None``, so
+    the model never computes the head for it.
     """
 
     name = "base"
+    reads_confidence = False
     last_score: float | None = None
     pat: int | None = None
 
@@ -224,6 +228,7 @@ class LearnedConfidence(ExitPolicy):
     """Halt when a trained per-layer confidence head exceeds ``threshold``."""
 
     name = "learned"
+    reads_confidence = True
 
     def __init__(self, threshold: float):
         self.threshold = float(threshold)

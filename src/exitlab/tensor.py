@@ -422,10 +422,15 @@ def gelu(a: Tensor) -> Tensor:
 
 def _layer_norm_fwd(x, gain, bias, eps=1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of ``x`` plus the normalized input and the inverse
-    deviation, which its backward reuses."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
+    deviation, which its backward reuses.
+
+    Each mean is an add-reduce and a divide by the last-axis size, which
+    is what ``ndarray.mean`` computes, bit for bit, minus its Python
+    wrapper; ``xc * xc`` is the same square as ``xc**2``.
+    """
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return gain * xhat + bias, xhat, inv
@@ -446,8 +451,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def back(g):
         gx_hat = g * gain.array
-        gmean = gx_hat.mean(axis=-1, keepdims=True)
-        gdot = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        gmean = np.add.reduce(gx_hat, axis=-1, keepdims=True) / d
+        gdot = np.add.reduce(gx_hat * xhat, axis=-1, keepdims=True) / d
         gx = inv * (gx_hat - gmean - xhat * gdot)
         ggain = (g * xhat).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)

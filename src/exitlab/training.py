@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, DataSplits, Vocab, binarize_mlc
+from .data import Dataset, DataSplits, Vocab, binarize_mlc, encode_dataset, text_lines
 from .errors import ConfigError
 from .harness import evaluate
 from .model import MultiExitModel
@@ -101,25 +101,20 @@ def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
     from ``base`` (or the defaults).
     """
     values = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError as e:
-        raise ConfigError(f"{path}: no such config file") from e
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown training option {key!r}")
-            caster = int if key in ("batch_size", "epochs", "seed") else float
-            try:
-                values[key] = caster(raw)
-            except ValueError as e:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from e
+    for lineno, line in text_lines(path, "config", ConfigError):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_FIELDS:
+            raise ConfigError(f"{path}:{lineno}: unknown training option {key!r}")
+        caster = int if key in ("batch_size", "epochs", "seed") else float
+        try:
+            values[key] = caster(raw)
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from e
     return replace(base or TrainConfig(), **values)
 
 
@@ -163,10 +158,6 @@ class AdamW:
 
 
 # -- batching ----------------------------------------------------------------
-
-
-def encode_dataset(dataset: Dataset, vocab: Vocab, max_seq_len: int) -> list[np.ndarray]:
-    return [vocab.encode(ex.text, max_len=max_seq_len) for ex in dataset.examples]
 
 
 def _pad_batch(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

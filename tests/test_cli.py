@@ -321,6 +321,35 @@ class TestBadInputs:
         assert err.startswith("exitlab: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag, code", [
+        pytest.param(["train", "--task", "slc", "--layers", "2", "--d-model", "8", "--d-ff", "8"],
+                     "--data", 2, id="train-data"),
+        pytest.param(["train", "--task", "slc", "--layers", "2", "--d-model", "8", "--d-ff", "8"],
+                     "--config", 1, id="train-config"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], "--data", 2, id="eval-data"),
+        pytest.param(["sweep", "--policy", "fixed", "--layer-grid", "1"], "--data", 2, id="sweep-data"),
+        pytest.param(["compare", "--target-speedup", "0.3"], "--data", 2, id="compare-data"),
+    ])
+    def test_non_utf8_file_exit_code_and_one_line_message(self, workspace, tmp_path, capsys,
+                                                          argv, flag, code):
+        root, data_dir, ckpt = workspace
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00\x81")
+        out = tmp_path / "out"
+        if argv[0] == "train":
+            argv = argv + ["--data", str(data_dir / "train.jsonl"), "--out", str(out)]
+        else:
+            argv = argv[:1] + ["--model", str(ckpt), "--data", str(data_dir / "test.jsonl"),
+                               "--task", "slc"] + argv[1:]
+            if argv[0] == "sweep":
+                argv += ["--out", str(out)]
+        rc = main(argv + [flag, str(bad)])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith("exitlab: ") and err.count("\n") == 1, err
+        assert "not UTF-8" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         pytest.param(["--seed", "-1"], id="seed-negative"),
         pytest.param(["--classes", "1"], id="one-class"),

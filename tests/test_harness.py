@@ -28,7 +28,8 @@ from exitlab.harness import (
     sweep,
 )
 from exitlab.model import ModelConfig, MultiExitModel
-from exitlab.policies import FIXED_LAYER, ExitDecision, ExitPolicy, FPabee, Pabee
+from exitlab.policies import (FIXED_LAYER, ExitDecision, ExitPolicy, ExitTrace, FPabee, Pabee,
+                              TraceEntry, run_exit)
 from exitlab.similarity import SimilarityMeasure
 
 
@@ -413,7 +414,8 @@ def knob_frontier(request):
     task, n_classes = request.param
     model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
     cache = _LayerCache(model, data, vocab)
-    frontier = {spec.policy: [(k, _evaluate(cache, k)) for k in _knob_curve(cache, spec)[0]]
+    frontier = {spec.policy: [(k, _evaluate(cache, k))
+                              for k in map(spec.with_knob, _knob_curve(cache, spec)[0])]
                 for spec in COMPARED_SPECS}
     return model, data, vocab, frontier
 
@@ -487,7 +489,9 @@ class TestKnobCurve:
         model, data, vocab = make_setup(n_layers=n_layers, task=task, n_classes=3, seed=seed)
         cache = _LayerCache(model, data, vocab)
         for spec in six_policies(measure, kl_mode, patience):
-            knobs, speedups = _knob_curve(cache, spec)
+            values, speedups = _knob_curve(cache, spec)
+            knobs = [spec.with_knob(v) for v in values]
+            assert [k.knob_value() for k in knobs] == values.tolist(), spec
             assert speedups.tolist() == [_evaluate(cache, k).speedup for k in knobs], spec
             assert speedups.tolist() in (sorted(speedups.tolist()),
                                          sorted(speedups.tolist(), reverse=True)), spec
@@ -504,7 +508,8 @@ class TestKnobCurve:
         model, data, vocab = make_setup()
         cache = _LayerCache(model, Dataset(data.task, data.n_classes, []), vocab)
         for spec in six_policies("jskd", False, 2):
-            knobs, speedups = _knob_curve(cache, spec)
+            values, speedups = _knob_curve(cache, spec)
+            knobs = [spec.with_knob(v) for v in values]
             assert speedups.tolist() == [_evaluate(cache, k).speedup for k in knobs] == [0.0] * len(knobs)
 
 
@@ -622,3 +627,90 @@ class TestReplay:
             assert row == _evaluate(_LayerCache(model, other, vocab, by_length=False), row.spec)
         for res in compared:
             assert res.result == _evaluate(_LayerCache(model, other, vocab, by_length=False), res.spec)
+
+
+N_CLASSES = {"slc": 3, "mlc": 4}
+
+
+@st.composite
+def six_policy_specs(draw, task):
+    """One of the six policies at a knob near the ones in SIX_POLICIES[task]."""
+    spec = draw(st.sampled_from(SIX_POLICIES[task]))
+    if spec.policy in ("fixed", "pabee"):
+        return spec.with_knob(draw(st.integers(1, 5)))
+    spec = spec.with_knob(spec.thre * draw(st.floats(0.8, 1.2)))
+    return replace(spec, patience=draw(st.integers(1, 3))) if spec.policy == "fpabee" else spec
+
+
+def count_confidence_rows(monkeypatch):
+    """Wrap ``MultiExitModel._confidence``; the returned list grows by one layer
+    index per sample-layer whose confidence was computed."""
+    calls = []
+    original = MultiExitModel._confidence
+
+    def counted(model, h, layer_index):
+        calls.extend([layer_index] * h.shape[0])
+        return original(model, h, layer_index)
+
+    monkeypatch.setattr(MultiExitModel, "_confidence", counted)
+    return calls
+
+
+class TestConfidenceOnDemand:
+    """The confidence head runs exactly when the policy reads it, with the same results."""
+
+    @settings(max_examples=40)
+    @given(data=st.data(), task=st.sampled_from(["slc", "mlc"]))
+    def test_early_exit_equals_run_exit_over_forward_full(self, data, task):
+        model, dataset, vocab = make_setup(n_layers=5, task=task, n_classes=N_CLASSES[task])
+        spec = data.draw(six_policy_specs(task))
+        policy = spec.build()
+        for ex in dataset.examples:
+            ids = vocab.encode(ex.text, max_len=24)
+            prob, layer, trace = model.forward_early_exit(ids, policy)
+            stream = model.forward_full(ids)
+            assert all(isinstance(c, float) for c in stream.confidences)
+            steps = run_exit(policy, zip(stream.probs, stream.confidences), 5)
+            ref_layer, ref_prob, decision, _, _ = steps[-1]
+            assert layer == ref_layer, spec
+            assert prob.probs.tobytes() == ref_prob.probs.tobytes(), spec
+            assert trace == ExitTrace(tuple(TraceEntry(j, p.prediction(), score, pat, d)
+                                            for j, p, d, score, pat in steps),
+                                      ref_layer, decision.reason), spec
+
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    def test_head_runs_once_per_sample_layer_only_for_learned(self, task, monkeypatch):
+        model, data, vocab = make_setup(n_layers=5, task=task, n_classes=N_CLASSES[task])
+        specs = SIX_POLICIES[task]
+        learned = next(s for s in specs if s.policy == "learned")
+        fpabee_grid = [replace(specs[0], thre=t, patience=p) for t in (0.5, 1.0, 3.0) for p in (1, 2)]
+        layers = count_layer_calls(model, monkeypatch)
+        confs = count_confidence_rows(monkeypatch)
+
+        def run(call):
+            layers.clear()
+            confs.clear()
+            call()
+            assert layers, "nothing ran"
+            return Counter(confs), Counter(layers)
+
+        def serve(policy):
+            for ex in data.examples:
+                model.forward_early_exit(vocab.encode(ex.text, max_len=24), policy)
+
+        for spec in specs:
+            served, served_layers = run(lambda: serve(spec.build()))
+            by_spec, _ = run(lambda: evaluate(model, data, spec, vocab))
+            by_object, _ = run(lambda: evaluate(model, data, spec.build(), vocab))
+            expected = served_layers if spec.policy == "learned" else Counter()
+            assert served == by_spec == by_object == expected, spec
+        swept, _ = run(lambda: sweep(model, data, fpabee_grid, vocab))
+        assert swept == Counter()
+        compared, _ = run(lambda: compare_policies(model, data, 0.4, [replace(s, thre=None) for s in specs
+                                                                    if s is not learned], vocab))
+        assert compared == Counter()
+        swept, swept_layers = run(lambda: sweep(model, data, fpabee_grid + [learned], vocab))
+        assert swept == swept_layers
+        compared, compared_layers = run(lambda: compare_policies(
+            model, data, 0.4, [replace(s, thre=None) for s in specs], vocab))
+        assert compared == compared_layers

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitlab import tensor as T
 
@@ -300,3 +302,39 @@ class TestInvariants:
             return T.softmax(T.gelu(T.matmul(x, w)), axis=-1).array
 
         np.testing.assert_array_equal(run(), run())
+
+
+def mean_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Layer norm forward and backward written with ``ndarray.mean`` and ``**2``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    gx_hat = g * gain
+    gmean = gx_hat.mean(axis=-1, keepdims=True)
+    gdot = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    grads = (inv * (gx_hat - gmean - xhat * gdot), (g * xhat).reshape(-1, d).sum(axis=0),
+             g.reshape(-1, d).sum(axis=0))
+    return gain * xhat + bias, grads
+
+
+class TestLayerNormKernel:
+    @settings(max_examples=200)
+    @given(lead=st.lists(st.integers(1, 5), max_size=3), d=st.integers(1, 80),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e3, 1e8, 1e150]),
+           offset=st.sampled_from([0.0, 1.0, -1e4, 1e12]))
+    def test_forward_and_backward_bit_equal_to_mean_formulas(self, lead, d, seed, scale, offset):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, d)
+        x = rng.normal(size=shape) * scale + offset * rng.normal()
+        gain, bias = rng.normal(size=d), rng.normal(size=d)
+        g = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e6])
+        want, want_grads = mean_layer_norm(x, gain, bias, g)
+        a = T.Tensor(x, requires_grad=True)
+        out = T.layer_norm(a, T.Tensor(gain, requires_grad=True), T.Tensor(bias, requires_grad=True))
+        assert out.array.tobytes() == want.tobytes()
+        assert T.arrays.layer_norm(x, gain, bias).tobytes() == want.tobytes()
+        for got, ref in zip(out.node.backward(g), want_grads):
+            assert got.tobytes() == ref.tobytes()
