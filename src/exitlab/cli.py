@@ -18,7 +18,6 @@ from .data import (
     generate_synthetic,
     load_jsonl,
     save_jsonl,
-    save_vocab,
 )
 from .errors import ConfigError, DataError
 from .harness import (
@@ -115,7 +114,6 @@ def build_parser() -> _Parser:
     t.add_argument("--grid-lrs", type=_float_list, default=None)
     t.add_argument("--config", default=None,
                    help="key = value training-config file; overrides the training flags")
-    t.add_argument("--vocab-out", default=None, help="also write the vocabulary, token per line")
 
     e = sub.add_parser("eval", parents=shared, help="evaluate one policy configuration")
     _add_policy_flags(e)
@@ -231,9 +229,6 @@ def _cmd_train(args) -> int:
             print(f"epoch {report.epoch}: loss {report.total:.4f} acc/layer [{accs}]")
     save_checkpoint(model, args.out, vocab=vocab.tokens)
     print(f"saved {args.out} (model hash {model.param_hash()})")
-    if args.vocab_out:
-        save_vocab(vocab, args.vocab_out)
-        print(f"wrote {args.vocab_out}")
     return 0
 
 

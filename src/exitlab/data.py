@@ -33,8 +33,6 @@ __all__ = [
     "text_lines",
     "build_vocab",
     "encode_dataset",
-    "save_vocab",
-    "load_vocab",
     "SyntheticSpec",
     "generate_synthetic",
     "binarize_mlc",
@@ -102,9 +100,6 @@ class Vocab:
             ids = ids[:max_len]
         return np.asarray(ids, dtype=np.int64)
 
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[int(i)] for i in ids]
-
 
 def build_vocab(dataset: Dataset, max_size: int) -> Vocab:
     """Most frequent tokens first; frequency ties break lexicographically."""
@@ -122,23 +117,6 @@ def encode_dataset(dataset: Dataset, vocab: Vocab, max_len: int) -> list[np.ndar
     """Every example's ids, CLS first, cut to ``max_len``: the one encoding
     that training and evaluation share."""
     return [vocab.encode(ex.text, max_len=max_len) for ex in dataset.examples]
-
-
-def save_vocab(vocab: Vocab, path) -> None:
-    """One non-reserved token per line; a token's id is its line number
-    plus the size of the reserved block."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for tok in vocab.tokens[len(RESERVED):]:
-            fh.write(tok + "\n")
-
-
-def load_vocab(path) -> Vocab:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.strip()]
-    except FileNotFoundError as e:
-        raise DataError(f"{path}: no such vocab file") from e
-    return Vocab(list(RESERVED) + tokens)
 
 
 # -- JSONL ------------------------------------------------------------------
@@ -179,10 +157,13 @@ def load_jsonl(path, task: str, n_classes: int | None = None) -> Dataset:
     """Read one record per line; validates schema and label ranges.
 
     With ``n_classes`` unset the class count is inferred as max label + 1
-    (at least 2). A file without any record is a :class:`DataError`.
+    (at least 2); a given one below 2 is a :class:`ConfigError`. A file
+    without any record is a :class:`DataError`.
     """
     if task not in (SLC, MLC):
         raise ConfigError(f"task must be {SLC!r} or {MLC!r}, got {task!r}")
+    if n_classes is not None and n_classes < 2:
+        raise ConfigError(f"n_classes must be >= 2, got {n_classes}")
     examples: list[Example] = []
     for lineno, line in text_lines(path, "data", DataError):
         if not line.strip():

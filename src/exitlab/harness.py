@@ -8,27 +8,26 @@ gold label (slc) or label set (mlc); ``micro_f1`` is the multi-label
 micro-averaged F1 over those sets and equals accuracy on single-label
 tasks. ``MultiExitModel.check_dataset`` rejects a mismatched dataset first.
 
-Record once, replay many: each :func:`evaluate`, :func:`sweep` and
-:func:`compare_policies` call runs each sample's layers at most once.
+Record once, replay many: each :func:`sweep` and :func:`compare_policies`
+call runs each sample's layers at most once.
 Policies are deterministic functions of the per-layer prediction stream,
 and stopping at layer j reproduces the first j layers of a full pass bit
 for bit, so every grid point and every compared knob of one call is
 replayed over the layer outputs the call has already computed. Replay and
 the live ``forward_early_exit`` run the one exit loop,
 :func:`exitlab.policies.run_exit`, over a lazy per-sample layer stream.
-Layers run by group: ``sweep`` and ``compare_policies`` group samples by
+``evaluate`` runs ``forward_early_exit`` on each sample. ``sweep`` and
+``compare_policies`` record layers by group: samples are grouped by
 encoded length, and a group runs layer j once, as one unpadded [b, t]
 batch whose rows keep their batch-1 bits, when the first of its samples
-needs it; ``evaluate`` keeps one sample per group, so it runs exactly the
-layers of the live early-exit path. As on that path, the confidence head
-runs only when read: only if the call's policy, or one of its specs, is
-``learned``. Within a call, the fpabee / pabee
-scorer of every policy the harness builds is memoized per pair of
-recorded predictions, so each pair is scored once for all knobs. The
-reported speedup is still the layer-count cost model above, not the wall
-time of the replay. A compare reports the knob whose speedup is closest
-to the target; among equally close knobs the highest score wins, then
-the first in knob order.
+needs it. As on the live path, the confidence head runs only when read:
+only if one of the call's specs is ``learned``. Within a call, the
+fpabee / pabee scorer of every policy the harness builds is memoized per
+pair of recorded predictions, so each pair is scored once for all knobs.
+The reported speedup is still the layer-count cost model above, not the
+wall time of the replay. A compare reports the knob whose speedup is
+closest to the target; among equally close knobs the highest score wins,
+then the first in knob order.
 """
 
 from __future__ import annotations
@@ -184,17 +183,15 @@ class CompareResult:
 
 
 class _LayerCache:
-    """Layer outputs of one model over one dataset, for one call.
+    """Layer outputs of one model over one dataset, for one sweep or compare call.
 
     Samples run their layers in groups, one lazy
-    :meth:`MultiExitModel.iter_layers` generator per group: with
-    ``by_length``, one group per encoded length, whose [b, t] batch gives
-    every member its batch-1 bits; otherwise one group per sample. A group
-    runs layer j once, for all its members, the first time a stream of any
-    member asks for it, so each sample-layer runs at most once, and with
-    one-sample groups exactly the layers some stream reached. The
-    confidence head runs only with ``confidence``; without it every
-    stream yields ``None`` as its confidence.
+    :meth:`MultiExitModel.iter_layers` generator per encoded length, whose
+    [b, t] batch gives every member its batch-1 bits. A group runs layer j
+    once, for all its members, the first time a stream of any member asks
+    for it, so each sample-layer runs at most once. The confidence head
+    runs only with ``confidence``; without it every stream yields ``None``
+    as its confidence.
 
     :meth:`build` gives a policy whose scorer is memoized over the recorded
     predictions, so replays of many knobs score each layer pair once. The
@@ -203,14 +200,14 @@ class _LayerCache:
     """
 
     def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab,
-                 by_length: bool = True, confidence: bool = True):
+                 confidence: bool = True):
         model.check_dataset(dataset)
         self.dataset = dataset
         self.n_layers = model.config.n_layers
         encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
         groups: dict[int, list[int]] = {}
         for i, ids in enumerate(encoded):
-            groups.setdefault(len(ids) if by_length else i, []).append(i)
+            groups.setdefault(len(ids), []).append(i)
         self._where = [(0, 0)] * len(encoded)  # sample -> (group, row in group)
         self._layers, self._seen = [], []
         for g, members in enumerate(groups.values()):
@@ -268,15 +265,14 @@ def _replay(cache: _LayerCache, policy: ExitPolicy) -> tuple[np.ndarray, list[Pr
     return exits, probs
 
 
-def _evaluate(cache: _LayerCache, policy: ExitPolicy | PolicySpec) -> EvalResult:
-    dataset, n = cache.dataset, cache.n_layers
-    if isinstance(policy, PolicySpec):
-        if policy.policy == "fixed" and policy.fixed_layer is not None and policy.fixed_layer > n:
-            raise ConfigError(f"fixed exit layer {policy.fixed_layer} exceeds the model's {n} layers")
-        spec, built = policy, cache.build(policy)
-    else:
-        spec, built = PolicySpec(policy.name), policy
-    exits, probs = _replay(cache, built)
+def _check_fixed_layer(spec: PolicySpec, n: int) -> None:
+    if spec.policy == "fixed" and spec.fixed_layer is not None and spec.fixed_layer > n:
+        raise ConfigError(f"fixed exit layer {spec.fixed_layer} exceeds the model's {n} layers")
+
+
+def _result(spec: PolicySpec, dataset: Dataset, n: int, exits: np.ndarray,
+            probs: list[ProbDist]) -> EvalResult:
+    """Score per-sample exit layers and predictions against ``dataset``."""
     mlc = dataset.task == MLC
     hits = tp = fp = fn = 0
     for prob, ex in zip(probs, dataset.examples):
@@ -304,6 +300,13 @@ def _evaluate(cache: _LayerCache, policy: ExitPolicy | PolicySpec) -> EvalResult
     )
 
 
+def _evaluate(cache: _LayerCache, spec: PolicySpec) -> EvalResult:
+    """``spec`` replayed over the recorded layers."""
+    _check_fixed_layer(spec, cache.n_layers)
+    exits, probs = _replay(cache, cache.build(spec))
+    return _result(spec, cache.dataset, cache.n_layers, exits, probs)
+
+
 def evaluate(
     model: MultiExitModel,
     dataset: Dataset,
@@ -312,12 +315,23 @@ def evaluate(
 ) -> EvalResult:
     """Early-exit evaluation sample by sample (batch size 1).
 
-    Runs exactly the layers that ``forward_early_exit`` would run on each
-    sample, confidence heads included only if the policy reads them, and
-    gives the same exit layers and predictions.
+    Runs ``forward_early_exit`` on each encoded sample, with ``spec.build()``
+    for a spec and a policy object as given, and scores its exit layers
+    and predictions.
     """
-    cache = _LayerCache(model, dataset, vocab, by_length=False, confidence=policy.reads_confidence)
-    return _evaluate(cache, policy)
+    model.check_dataset(dataset)
+    n = model.config.n_layers
+    if isinstance(policy, PolicySpec):
+        _check_fixed_layer(policy, n)
+        spec, built = policy, policy.build()
+    else:
+        spec, built = PolicySpec(policy.name), policy
+    exits = np.zeros(len(dataset), dtype=np.int64)
+    probs = []
+    for i, ids in enumerate(encode_dataset(dataset, vocab, model.config.max_seq_len)):
+        prob, exits[i], _ = model.forward_early_exit(ids, built)
+        probs.append(prob)
+    return _result(spec, dataset, n, exits, probs)
 
 
 def sweep(

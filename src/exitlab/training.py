@@ -30,7 +30,6 @@ __all__ = [
     "TrainConfig",
     "LossReport",
     "load_train_config",
-    "save_train_config",
     "total_loss",
     "AdamW",
     "train",
@@ -41,6 +40,7 @@ __all__ = [
 
 _LOG_FLOOR = 1e-12
 CONFIDENCE_LOSS_WEIGHT = 0.1
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,6 @@ class TrainConfig:
     epochs: int = 10
     weight_decay: float = 0.01
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    confidence_loss_weight: float = CONFIDENCE_LOSS_WEIGHT
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -62,16 +58,10 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("learning_rate", "weight_decay", "confidence_loss_weight"):
+        for name in ("learning_rate", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be a finite number >= 0, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ConfigError(f"{name} must lie in [0, 1), got {value}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise ConfigError(f"adam_eps must be a finite number > 0, got {self.adam_eps}")
 
 
 @dataclass
@@ -84,14 +74,7 @@ class LossReport:
     per_layer_accuracy: list[float]
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
-
-
-def save_train_config(config: TrainConfig, path) -> None:
-    """Write ``key = value`` lines, one per TrainConfig field."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in _CONFIG_FIELDS:
-            fh.write(f"{name} = {getattr(config, name)}\n")
+_CONFIG_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
 def load_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
@@ -132,7 +115,11 @@ def total_loss(per_layer: list[float], n: int) -> float:
 
 
 class AdamW:
-    """Adam with decoupled weight decay; state keyed by parameter name."""
+    """Adam with decoupled weight decay; state keyed by parameter name.
+
+    The moment decays and epsilon are the constants ``BETA1``, ``BETA2``
+    and ``ADAM_EPS``; the config gives the learning rate and weight decay.
+    """
 
     def __init__(self, params: dict[str, T.Tensor], config: TrainConfig):
         self.params = dict(params)
@@ -144,16 +131,16 @@ class AdamW:
     def step(self, grads: dict[T.Tensor, np.ndarray]) -> None:
         c = self.cfg
         self.step_count += 1
-        bc1 = 1.0 - c.beta1**self.step_count
-        bc2 = 1.0 - c.beta2**self.step_count
+        bc1 = 1.0 - BETA1**self.step_count
+        bc2 = 1.0 - BETA2**self.step_count
         for name in sorted(self.params):
             p = self.params[name]
             g = grads.get(p)
             if g is None:
                 continue
-            self.m[name] = c.beta1 * self.m[name] + (1.0 - c.beta1) * g
-            self.v[name] = c.beta2 * self.v[name] + (1.0 - c.beta2) * g * g
-            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + c.adam_eps)
+            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * g * g
+            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + ADAM_EPS)
             p.array[...] -= c.learning_rate * (update + c.weight_decay * p.array)
 
 
@@ -255,9 +242,8 @@ def train(
             targets = _slc_targets(dataset, idx) if dataset.task == SLC else _mlc_targets(dataset, idx)
             probs, confs = model.forward_batch(ids, mask)
             losses, correct = _batch_losses(model, probs, targets)
-            objective = _weighted_total(losses)
-            if config.confidence_loss_weight > 0:
-                objective = objective + _confidence_loss(confs, correct) * config.confidence_loss_weight
+            objective = (_weighted_total(losses)
+                         + _confidence_loss(confs, correct) * CONFIDENCE_LOSS_WEIGHT)
             grads = T.backward(objective, wrt=wrt)
             optimizer.step(grads)
             sum_losses += [loss.item() * len(idx) for loss in losses]

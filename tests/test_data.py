@@ -16,9 +16,7 @@ from exitlab.data import (
     build_vocab,
     generate_synthetic,
     load_jsonl,
-    load_vocab,
     save_jsonl,
-    save_vocab,
     tokenize,
 )
 from exitlab.errors import ConfigError, DataError
@@ -78,6 +76,15 @@ class TestJsonl:
         with pytest.raises(ConfigError):
             load_jsonl(tmp_path / "x.jsonl", "multiclass")
 
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    @pytest.mark.parametrize("n_classes", [1, 0, -3])
+    def test_class_count_below_two_is_config_error(self, tmp_path, task, n_classes):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "a", "label": 0}\n' if task == "slc"
+                        else '{"text": "a", "labels": [0]}\n')
+        with pytest.raises(ConfigError, match="n_classes"):
+            load_jsonl(path, task, n_classes=n_classes)
+
 
 class TestVocab:
     def test_build_keeps_most_frequent(self):
@@ -114,22 +121,7 @@ class TestVocab:
         ds = Dataset("slc", 2, [Example(text, label=0)])
         vocab = build_vocab(ds, 100)
         ids = vocab.encode(text)
-        assert vocab.decode(ids[1:]) == tokenize(text)
-
-    def test_vocab_file_round_trip(self, tmp_path):
-        ds = Dataset("slc", 2, [Example("gamma beta beta alpha", label=0)])
-        vocab = build_vocab(ds, 100)
-        path = tmp_path / "vocab.txt"
-        save_vocab(vocab, path)
-        # token per line, ids resume after the reserved block
-        assert path.read_text().splitlines()[0] == vocab.tokens[len(RESERVED)]
-        loaded = load_vocab(path)
-        assert loaded.tokens == vocab.tokens
-        assert loaded.token_to_id == vocab.token_to_id
-
-    def test_missing_vocab_file_is_data_error(self, tmp_path):
-        with pytest.raises(DataError, match="vocab"):
-            load_vocab(tmp_path / "none.txt")
+        assert ids[1:].tolist() == [vocab.token_to_id[tok] for tok in tokenize(text)]
 
 
 class TestSynthetic:

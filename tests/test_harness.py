@@ -624,9 +624,9 @@ class TestReplay:
         assert ([replace(r, spec=spec) for r, spec in zip(first, (fpabee, pabee))]
                 == [evaluate(model, data, spec, vocab) for spec in (fpabee, pabee)])
         for row in swept.rows:
-            assert row == _evaluate(_LayerCache(model, other, vocab, by_length=False), row.spec)
+            assert row == _evaluate(_LayerCache(model, other, vocab), row.spec)
         for res in compared:
-            assert res.result == _evaluate(_LayerCache(model, other, vocab, by_length=False), res.spec)
+            assert res.result == _evaluate(_LayerCache(model, other, vocab), res.spec)
 
 
 N_CLASSES = {"slc": 3, "mlc": 4}

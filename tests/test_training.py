@@ -17,7 +17,6 @@ from exitlab.training import (
     AdamW,
     TrainConfig,
     load_train_config,
-    save_train_config,
     dev_accuracy,
     grid_search,
     layer_weights,
@@ -231,12 +230,6 @@ class TestTrainLoop:
 
 
 class TestConfigFile:
-    def test_round_trip(self, tmp_path):
-        config = TrainConfig(batch_size=16, learning_rate=5e-4, epochs=7, seed=9)
-        path = tmp_path / "train.cfg"
-        save_train_config(config, path)
-        assert load_train_config(path) == config
-
     def test_partial_file_keeps_base_values(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("epochs = 3\nlearning_rate = 0.01  # toy-scale rate\n")
