@@ -297,14 +297,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    names = [p for p in args.policies.split(",") if p]
+    if not names:
+        raise ConfigError("--policies is empty")
+    if args.patience < 1:
+        raise ConfigError(f"--patience must be at least 1, got {args.patience}")
+    specs = [PolicySpec("fpabee", measure=args.measure, patience=args.patience, kl_mode=args.kl_mode)
+             if name == "fpabee" else PolicySpec(name) for name in names]
     model, dataset, vocab = _load_model_and_data(args)
-    specs = []
-    for name in [p for p in args.policies.split(",") if p]:
-        if name == "fpabee":
-            specs.append(PolicySpec("fpabee", measure=args.measure,
-                                    patience=args.patience, kl_mode=args.kl_mode))
-        else:
-            specs.append(PolicySpec(name))
     results = compare_policies(model, dataset, args.target_speedup, specs, vocab)
     print("policy,knob,speedup,score,attained")
     for res in results:

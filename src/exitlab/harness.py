@@ -8,33 +8,27 @@ gold label (slc) or label set (mlc); ``micro_f1`` is the multi-label
 micro-averaged F1 over those sets and equals accuracy on single-label
 tasks. ``MultiExitModel.check_dataset`` rejects a mismatched dataset first.
 
-Record once, replay many: each :func:`sweep` and :func:`compare_policies`
-call runs each sample's layers at most once.
-Policies are deterministic functions of the per-layer prediction stream,
-and stopping at layer j reproduces the first j layers of a full pass bit
-for bit, so every grid point and every compared knob of one call is
-replayed over the layer outputs the call has already computed. Replay and
-the live ``forward_early_exit`` run the one exit loop,
-:func:`exitlab.policies.run_exit`, over a lazy per-sample layer stream.
-``evaluate`` runs ``forward_early_exit`` on each sample. ``sweep`` and
-``compare_policies`` record layers by group: samples are grouped by
-encoded length, and a group runs layer j once, as one unpadded [b, t]
-batch whose rows keep their batch-1 bits, when the first of its samples
-needs it. As on the live path, the confidence head runs only when read:
-only if one of the call's specs is ``learned``. Within a call, the
-fpabee / pabee scorer of every policy the harness builds is memoized per
-pair of recorded predictions, so each pair is scored once for all knobs.
-The reported speedup is still the layer-count cost model above, not the
-wall time of the replay. A compare reports the knob whose speedup is
-closest to the target; among equally close knobs the highest score wins,
-then the first in knob order.
+Record once, one halting rule: each :func:`sweep` and
+:func:`compare_policies` call runs every layer of every sample once, a
+length group at a time as one unpadded [b, t] batch whose rows keep their
+batch-1 bits; the confidence head runs only if a spec is ``learned``.
+Every policy but ``fixed`` halts at the first layer whose key, the max of
+its signed scores over the last ``patience`` layers (fpabee, pabee) or
+one layer (the others), is below its signed threshold. So one ``step``
+pass per policy family gives the exits of every grid point and knob of
+the call (:meth:`_LayerCache.keys`, :func:`_exits`). Stopping at layer j
+reproduces the first j layers of a full pass bit for bit, so these are
+the live exits and predictions. ``evaluate`` runs ``forward_early_exit``
+on each sample. The reported speedup is still the layer-count cost model
+above, not the wall time of the call. A compare reports the knob whose
+speedup is closest to the target; among equally close knobs the highest
+score wins, then the first in knob order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,8 +45,6 @@ from .policies import (
     LearnedConfidence,
     MaxProb,
     Pabee,
-    Scorer,
-    run_exit,
 )
 from .similarity import MLC, SLC, ProbDist, SimilarityMeasure
 
@@ -183,20 +175,18 @@ class CompareResult:
 
 
 class _LayerCache:
-    """Layer outputs of one model over one dataset, for one sweep or compare call.
+    """Every layer of one model over one dataset, for one sweep or compare call.
 
-    Samples run their layers in groups, one lazy
-    :meth:`MultiExitModel.iter_layers` generator per encoded length, whose
-    [b, t] batch gives every member its batch-1 bits. A group runs layer j
-    once, for all its members, the first time a stream of any member asks
-    for it, so each sample-layer runs at most once. The confidence head
-    runs only with ``confidence``; without it every stream yields ``None``
-    as its confidence.
+    Samples are grouped by encoded length, and each group runs
+    :meth:`MultiExitModel.iter_layers` once, as one unpadded [b, t] batch
+    whose rows keep their batch-1 bits, so each sample-layer runs exactly
+    once. ``layers[i]`` holds sample i's ``(prob, confidence)`` at layers
+    1..n. The confidence head runs only with ``confidence``; without it
+    every confidence is ``None``.
 
-    :meth:`build` gives a policy whose scorer is memoized over the recorded
-    predictions, so replays of many knobs score each layer pair once. The
-    cache lives as long as the call that built it, so nothing needs
-    invalidating when parameters change.
+    :meth:`keys` scores each policy family once. The cache lives as long
+    as the call that built it, so nothing needs invalidating when
+    parameters change.
     """
 
     def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab,
@@ -208,61 +198,57 @@ class _LayerCache:
         groups: dict[int, list[int]] = {}
         for i, ids in enumerate(encoded):
             groups.setdefault(len(ids), []).append(i)
-        self._where = [(0, 0)] * len(encoded)  # sample -> (group, row in group)
-        self._layers, self._seen = [], []
-        for g, members in enumerate(groups.values()):
-            self._layers.append(model.iter_layers(np.stack([encoded[i] for i in members]),
-                                                  confidence=confidence))
-            self._seen.append([])
-            for row, i in enumerate(members):
-                self._where[i] = (g, row)
-        self._scores: dict[Scorer, dict[tuple[ProbDist, ProbDist], float]] = {}
+        self.layers: list[list[tuple[ProbDist, float | None]]] = [[] for _ in encoded]
+        for members in groups.values():
+            batch = np.stack([encoded[i] for i in members])
+            for _, probs, confs in model.iter_layers(batch, confidence=confidence):
+                for i, prob, conf in zip(members, probs, confs or [None] * len(members)):
+                    self.layers[i].append((prob, conf))
+        self._scores: dict[tuple, np.ndarray] = {}
 
-    def stream(self, sample: int) -> Iterator[tuple[ProbDist, float]]:
-        """``(prob, confidence)`` of ``sample`` at layers 1..n, lazily.
+    def keys(self, spec: PolicySpec) -> tuple[np.ndarray, float]:
+        """``spec``'s halting keys, [samples, n], and the sign they carry.
 
-        A layer is computed the first time any stream of the sample's group reaches it.
+        A threshold policy halts at the first layer whose key is below
+        sign * its threshold. The key is the max of the signed scores at
+        the last ``patience`` layers for fpabee and pabee, and the signed
+        score at that layer otherwise; a layer with fewer scores up to it
+        never halts. maxprob and learned halt on a score above their
+        threshold, so their sign is -1.
+
+        The scores come from one pass of the built policy's ``step`` over
+        every recorded layer, reading ``last_score``, once per policy
+        family (policy, measure, ``kl_mode``); a layer where nothing is
+        compared (layer 1 of fpabee and pabee) scores ``inf``.
         """
-        group, row = self._where[sample]
-        seen, layers = self._seen[group], self._layers[group]
-        for j in range(self.n_layers):
-            if j == len(seen):
-                _, probs, confs = next(layers)
-                seen.append(list(zip(probs, confs or [None] * len(probs))))
-            yield seen[j][row]
-
-    def build(self, spec: PolicySpec) -> ExitPolicy:
-        """``spec.build()``, with an fpabee / pabee scorer memoized per pair of
-        recorded predictions.
-
-        The memo keys on the ``ProbDist`` objects, which hash by identity
-        and which it keeps alive, so a key never names another pair. Only
-        policies built here get the memo; a caller's policy object is left
-        as it is.
-        """
-        policy = spec.build()
-        if isinstance(policy, FPabee):
-            scorer, memo = policy.scorer, self._scores.setdefault(policy.scorer, {})
-
-            def memoized(prev: ProbDist, cur: ProbDist) -> float:
-                s = memo.get((prev, cur))
-                if s is None:
-                    s = memo[prev, cur] = scorer(prev, cur)
-                return s
-
-            policy.scorer = memoized
-        return policy
+        policy = replace(spec, thre=0.0).build()  # fpabee without patience raises here
+        sign = -1.0 if spec.policy in ("maxprob", "learned") else 1.0
+        family = (spec.policy, spec.measure, spec.kl_mode)
+        scores = self._scores.get(family)
+        if scores is None:
+            scores = self._scores[family] = np.full((len(self.layers), self.n_layers), np.inf)
+            for i, layers in enumerate(self.layers):
+                policy.reset()
+                for j, (prob, conf) in enumerate(layers):
+                    policy.step(j + 1, prob, conf)
+                    if policy.last_score is not None:
+                        scores[i, j] = sign * policy.last_score
+        window = min(spec.patience, self.n_layers) if spec.policy in ("fpabee", "pabee") else 1
+        padded = np.concatenate([np.full((len(scores), window - 1), np.inf), scores], axis=1)
+        return sliding_window_view(padded, window, axis=1).max(axis=-1), sign
 
 
-def _replay(cache: _LayerCache, policy: ExitPolicy) -> tuple[np.ndarray, list[ProbDist]]:
-    """Per-sample exit layer and prediction: the last :func:`run_exit` step
-    over each sample's stream, as ``forward_early_exit`` gives them."""
-    exits = np.zeros(len(cache.dataset), dtype=np.int64)
-    probs = []
-    for i in range(len(cache.dataset)):
-        exits[i], prob, *_ = run_exit(policy, cache.stream(i), cache.n_layers)[-1]
-        probs.append(prob)
-    return exits, probs
+def _exits(cache: _LayerCache, spec: PolicySpec) -> np.ndarray:
+    """Each sample's exit layer under ``spec``: the first layer whose key
+    (:meth:`_LayerCache.keys`) is below the signed threshold, 0.5 for
+    pabee, or else the final layer; ``fixed`` exits at its layer."""
+    policy = spec.build()  # an incomplete spec raises its ConfigError here
+    if spec.policy == "fixed":
+        return np.full(len(cache.layers), spec.fixed_layer, dtype=np.int64)
+    keys, sign = cache.keys(spec)
+    halts = keys < sign * (policy.thre if spec.policy == "pabee" else spec.thre)
+    halts[:, -1] = True
+    return halts.argmax(axis=1) + 1
 
 
 def _check_fixed_layer(spec: PolicySpec, n: int) -> None:
@@ -301,9 +287,10 @@ def _result(spec: PolicySpec, dataset: Dataset, n: int, exits: np.ndarray,
 
 
 def _evaluate(cache: _LayerCache, spec: PolicySpec) -> EvalResult:
-    """``spec`` replayed over the recorded layers."""
+    """``spec`` over the recorded layers: its exits and the predictions there."""
     _check_fixed_layer(spec, cache.n_layers)
-    exits, probs = _replay(cache, cache.build(spec))
+    exits = _exits(cache, spec)
+    probs = [layers[j - 1][0] for layers, j in zip(cache.layers, exits)]
     return _result(spec, cache.dataset, cache.n_layers, exits, probs)
 
 
@@ -343,8 +330,8 @@ def sweep(
 ) -> SweepResult:
     """One evaluation per grid point, rows sorted by ascending speedup.
 
-    All grid points are replayed over one layer cache that records the
-    samples in length groups, so each sample's layers run at most once.
+    All grid points read their exits from one layer cache that records
+    every layer of every sample once, in length groups.
     """
     cache = _LayerCache(model, dataset, vocab, confidence=any(s.reads_confidence for s in specs))
     rows = [_evaluate(cache, spec) for spec in specs]
@@ -538,31 +525,17 @@ def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[np.ndarray, np.nd
     A knob value is what :meth:`PolicySpec.with_knob` takes, so a caller
     builds specs only for the knobs it evaluates.
 
-    fixed and pabee take layers / patience 1..n, each replayed. A threshold
-    policy halts at the first layer whose key is below its threshold t: the
-    max of the last ``patience`` scores (``last_score``) for fpabee, the
-    score for entropy, the negated score (t = -thre) for maxprob and learned.
-    So a sample runs layer j+1 exactly when the prefix minimum of its keys
-    at layer j is at least t. The knobs are the distinct finite prefix
+    fixed and pabee take layers / patience 1..n, each evaluated. A threshold
+    policy halts at the first layer whose key (:meth:`_LayerCache.keys`) is
+    below its signed threshold t, so a sample runs layer j+1 exactly when
+    the prefix minimum of its keys at layer j is at least t. The knobs are the distinct finite prefix
     minima and the next float above them; speedup is monotone along them.
     """
     n, count = cache.n_layers, len(cache.dataset)
     if spec.policy in ("fixed", "pabee"):
         knobs = np.arange(1, n + 1)
         return knobs, np.array([_evaluate(cache, spec.with_knob(j)).speedup for j in knobs])
-    policy = cache.build(replace(spec, thre=0.0))
-    sign = -1.0 if spec.policy in ("maxprob", "learned") else 1.0
-    keys = np.full((count, n), np.inf)
-    for i in range(count):
-        policy.reset()
-        for j, (prob, conf) in enumerate(cache.stream(i)):
-            policy.step(j + 1, prob, conf)
-            if policy.last_score is not None:
-                keys[i, j] = sign * policy.last_score
-    window = min(spec.patience, n) if spec.policy == "fpabee" else 1
-    # inf padding: a layer with fewer than `window` scores up to it never halts
-    padded = np.concatenate([np.full((count, window - 1), np.inf), keys], axis=1)
-    keys = sliding_window_view(padded, window, axis=1).max(axis=-1)
+    keys, sign = cache.keys(spec)
     ranked = np.sort(np.minimum.accumulate(keys[:, :-1], axis=1), axis=None)
     ts = np.unique(ranked[np.isfinite(ranked)])
     ts = np.append(ts, np.nextafter(ts[-1], np.inf) if ts.size else 0.0)

@@ -3,7 +3,8 @@
 Every policy is one :class:`ExitPolicy` object holding its own per-sample
 state: call ``reset()`` before each new input, then ``step`` once per
 layer until it halts. :func:`run_exit` is the one loop that does so; the
-live early-exit path and the harness's replay both run it.
+live early-exit path runs it, and the harness reads the same exits from
+the policies' ``last_score`` on every recorded layer.
 
 The flexible patience policy (:class:`FPabee`) is the one implementation
 of the counter recurrence: it counts consecutive cross-layer scores
@@ -85,8 +86,8 @@ class ExitTrace:
 
 
 # One executed layer: (layer, prob, decision, last_score, pat). It is a
-# plain tuple because replay builds one per layer: a NamedTuple's
-# Python-level constructor made sweep replay about 10% slower (2-vCPU Xeon).
+# plain tuple because run_exit builds one per executed layer: a NamedTuple's
+# Python-level constructor made a sweep over run_exit about 10% slower (2-vCPU Xeon).
 ExitStep = tuple[int, ProbDist, ExitDecision, float | None, int | None]
 
 

@@ -5,11 +5,14 @@ models bit for bit. The two heavyweight fixtures are session-scoped; they
 cost a few minutes of CPU between them and are only built when requested.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from exitlab.data import SyntheticSpec, build_vocab, generate_synthetic
+from exitlab.harness import _result
 from exitlab.model import ModelConfig, MultiExitModel
+from exitlab.policies import run_exit
 from exitlab.training import TrainConfig, train
 
 # Property tests draw the same examples on every run and keep no example
@@ -24,6 +27,23 @@ SLC_TRAIN = TrainConfig(batch_size=32, learning_rate=1.5e-3, epochs=18, seed=5)
 MLC_DATA = SyntheticSpec(task="mlc", n_classes=5, n_train=2000, n_dev=200, n_test=400,
                          easy_fraction=0.7, noise=0.0, seed=21)
 MLC_TRAIN = TrainConfig(batch_size=32, learning_rate=1.5e-3, epochs=10, seed=6)
+
+
+def replay(cache, policy):
+    """Reference exits for the harness's closed form: per-sample exit layer and
+    prediction from :func:`run_exit` over each sample's recorded layers, the
+    loop ``forward_early_exit`` runs."""
+    exits = np.zeros(len(cache.layers), dtype=np.int64)
+    probs = []
+    for i, layers in enumerate(cache.layers):
+        exits[i], prob, *_ = run_exit(policy, layers, cache.n_layers)[-1]
+        probs.append(prob)
+    return exits, probs
+
+
+def replay_result(cache, spec):
+    """``spec``'s EvalResult scored from :func:`replay`."""
+    return _result(spec, cache.dataset, cache.n_layers, *replay(cache, spec.build()))
 
 
 @pytest.fixture(scope="session")

@@ -13,11 +13,13 @@ import pytest
 from exitlab import tensor as T
 from exitlab.cli import main as cli_main
 from exitlab.data import SyntheticSpec, build_vocab, generate_synthetic
-from exitlab.harness import PolicySpec, _LayerCache, _replay, compare_policies, evaluate, sweep
+from exitlab.harness import PolicySpec, _LayerCache, _exits, compare_policies, evaluate, sweep
 from exitlab.model import ModelConfig, MultiExitModel
 from exitlab.policies import FPabee, Pabee
 from exitlab.similarity import ProbDist, SimilarityMeasure
 from exitlab.training import TrainConfig, layer_weights, train, _batch_losses, _weighted_total
+
+from conftest import replay
 
 LN2 = math.log(2.0)
 
@@ -121,7 +123,7 @@ def test_criterion_4_monotonicity_on_trained_model(slc_workbench):
     cache = _LayerCache(model, test, vocab)
     thre_grid = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0]
     exits_by_thre = [
-        _replay(cache, PolicySpec("fpabee", measure="jskd", thre=t, patience=2).build())[0]
+        replay(cache, PolicySpec("fpabee", measure="jskd", thre=t, patience=2).build())[0]
         for t in thre_grid
     ]
     thre_ok = all(
@@ -130,7 +132,7 @@ def test_criterion_4_monotonicity_on_trained_model(slc_workbench):
     )
 
     exits_by_patience = [
-        _replay(cache, PolicySpec("fpabee", measure="jskd", thre=0.05, patience=p).build())[0]
+        replay(cache, PolicySpec("fpabee", measure="jskd", thre=0.05, patience=p).build())[0]
         for p in range(1, 6)
     ]
     patience_ok = all(
@@ -293,14 +295,14 @@ def test_criterion_9_multi_label_path(mlc_workbench):
     cache = _LayerCache(model, test, vocab)
     thre_grid = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]
     exits_by_thre = [
-        _replay(cache, PolicySpec("fpabee", measure="jskd", thre=t, patience=2).build())[0]
+        replay(cache, PolicySpec("fpabee", measure="jskd", thre=t, patience=2).build())[0]
         for t in thre_grid
     ]
     thre_ok = all(
         (exits_by_thre[i + 1] <= exits_by_thre[i]).all() for i in range(len(thre_grid) - 1)
     )
     exits_by_patience = [
-        _replay(cache, PolicySpec("fpabee", measure="jskd", thre=0.4, patience=p).build())[0]
+        replay(cache, PolicySpec("fpabee", measure="jskd", thre=0.4, patience=p).build())[0]
         for p in range(1, 6)
     ]
     patience_ok = all((exits_by_patience[i + 1] >= exits_by_patience[i]).all() for i in range(4))
@@ -336,15 +338,16 @@ def criteria_specs(task, model, test, vocab):
 
 @pytest.mark.parametrize("workbench", ["slc_workbench", "mlc_workbench"])
 def test_replay_equals_live_on_trained_fixtures(workbench, request):
-    """Criteria 4, 8 and 9 read exits from replay; on every spec they use,
-    the live ``forward_early_exit`` gives the same exits and bytes."""
+    """On every spec criteria 4, 8 and 9 use, the harness's closed-form
+    exits and their predictions equal the live ``forward_early_exit``."""
     model, splits, vocab = request.getfixturevalue(workbench)
     test = splits.test
     cache = _LayerCache(model, test, vocab)
     specs = criteria_specs(model.config.task, model, test, vocab)
     mismatches = []
     for spec in specs:
-        exits, probs = _replay(cache, spec.build())
+        exits = _exits(cache, spec)
+        probs = [layers[j - 1][0] for layers, j in zip(cache.layers, exits)]
         policy = spec.build()
         for i, ex in enumerate(test.examples):
             ids = vocab.encode(ex.text, max_len=model.config.max_seq_len)

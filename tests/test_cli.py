@@ -239,6 +239,15 @@ class TestBadInputs:
         pytest.param(["compare", "--target-speedup", "1.5"], None, 1, id="target-above-one"),
         pytest.param(["compare", "--target-speedup", "-0.1"], None, 1, id="target-negative"),
         pytest.param(["compare", "--target-speedup", "nan"], None, 1, id="target-nan"),
+        pytest.param(["compare", "--target-speedup", "0.3", "--policies", ","], None, 1,
+                     id="comma-only-policies"),
+        pytest.param(["compare", "--target-speedup", "0.3", "--policies", ""], None, 1, id="empty-policies"),
+        pytest.param(["compare", "--target-speedup", "0.3", "--policies", "pabee", "--patience", "0"], None, 1,
+                     id="compare-patience-0-without-fpabee"),
+        pytest.param(["compare", "--target-speedup", "0.3", "--policies", "fixed,entropy", "--patience", "-1"],
+                     None, 1, id="compare-patience-negative-without-fpabee"),
+        pytest.param(["compare", "--target-speedup", "0.3", "--patience", "0"], None, 1,
+                     id="compare-patience-0"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1", "--data", os.devnull], None, 2,
                      id="empty-data"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], b"garbage", 2,

@@ -1,5 +1,7 @@
 """Harness: speedup accounting, sweeps, pareto filtering, emitters, compare."""
 
+import functools
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -11,11 +13,12 @@ from hypothesis import strategies as st
 from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_synthetic
 from exitlab.errors import ConfigError, DataError
 from exitlab.harness import (
+    POLICY_NAMES,
     EvalResult,
     _LayerCache,
     _evaluate,
+    _exits,
     _knob_curve,
-    _replay,
     PolicySpec,
     SweepResult,
     compare_policies,
@@ -30,7 +33,9 @@ from exitlab.harness import (
 from exitlab.model import ModelConfig, MultiExitModel
 from exitlab.policies import (FIXED_LAYER, ExitDecision, ExitPolicy, ExitTrace, FPabee, Pabee,
                               TraceEntry, run_exit)
-from exitlab.similarity import SimilarityMeasure
+from exitlab.similarity import VARIANTS, SimilarityMeasure
+
+from conftest import replay, replay_result
 
 
 def make_setup(n_layers=4, task="slc", n_classes=3, n_examples=12, seed=0):
@@ -414,7 +419,7 @@ def knob_frontier(request):
     task, n_classes = request.param
     model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
     cache = _LayerCache(model, data, vocab)
-    frontier = {spec.policy: [(k, _evaluate(cache, k))
+    frontier = {spec.policy: [(k, replay_result(cache, k))
                               for k in map(spec.with_knob, _knob_curve(cache, spec)[0])]
                 for spec in COMPARED_SPECS}
     return model, data, vocab, frontier
@@ -433,7 +438,7 @@ class TestExactKnobSearch:
             assert abs(res.result.speedup - target) == closest, (spec, target)
             assert res.attained == (closest <= tolerance), (spec, target)
             assert res.spec == next(k for k, r in tied if r.score == best), (spec, target)
-            assert res.result == _evaluate(_LayerCache(model, data, vocab), res.spec)
+            assert res.result == replay_result(_LayerCache(model, data, vocab), res.spec)
 
     def test_candidates_cover_every_exit_pattern(self, knob_frontier):
         model, data, vocab, frontier = knob_frontier
@@ -443,11 +448,11 @@ class TestExactKnobSearch:
             assert speedups in (sorted(speedups), sorted(speedups, reverse=True))
         for spec in THRESHOLD_SPECS:
             knobs = [k.thre for k, _ in frontier[spec.policy]]
-            patterns = {tuple(_replay(cache, replace(spec, thre=t).build())[0]) for t in knobs}
+            patterns = {tuple(replay(cache, replace(spec, thre=t).build())[0]) for t in knobs}
             assert len(patterns) > 2, spec
             between = [(a + b) / 2 for a, b in zip(knobs, knobs[1:])] + [-1e6, 1e6]
             for t in between:
-                assert tuple(_replay(cache, replace(spec, thre=t).build())[0]) in patterns, (spec, t)
+                assert tuple(replay(cache, replace(spec, thre=t).build())[0]) in patterns, (spec, t)
 
     @pytest.mark.parametrize("tolerance", [0.0, 0.01, 0.02])
     def test_attained_exactly_when_a_candidate_lands(self, knob_frontier, tolerance):
@@ -479,7 +484,7 @@ def six_policies(measure, kl_mode, patience):
 
 
 class TestKnobCurve:
-    """The closed-form speedups of _knob_curve against replaying every knob."""
+    """The closed-form speedups of _knob_curve against run_exit over every knob."""
 
     @settings(max_examples=25)
     @given(task=st.sampled_from(["slc", "mlc"]), seed=st.integers(0, 1000),
@@ -492,17 +497,17 @@ class TestKnobCurve:
             values, speedups = _knob_curve(cache, spec)
             knobs = [spec.with_knob(v) for v in values]
             assert [k.knob_value() for k in knobs] == values.tolist(), spec
-            assert speedups.tolist() == [_evaluate(cache, k).speedup for k in knobs], spec
+            assert speedups.tolist() == [replay_result(cache, k).speedup for k in knobs], spec
             assert speedups.tolist() in (sorted(speedups.tolist()),
                                          sorted(speedups.tolist(), reverse=True)), spec
             if spec.policy in ("fixed", "pabee"):
                 continue
             thres = [k.thre for k in knobs]
-            patterns = {tuple(_replay(cache, k.build())[0]) for k in knobs}
+            patterns = {tuple(replay(cache, k.build())[0]) for k in knobs}
             assert len(patterns) == len(knobs), spec
             others = [(a + b) / 2 for a, b in zip(thres, thres[1:])] + [min(thres) - 1, max(thres) + 1]
             for t in others:
-                assert tuple(_replay(cache, replace(spec, thre=t).build())[0]) in patterns, (spec, t)
+                assert tuple(replay(cache, replace(spec, thre=t).build())[0]) in patterns, (spec, t)
 
     def test_empty_split_gives_zero_speedup(self):
         model, data, vocab = make_setup()
@@ -564,7 +569,9 @@ class TestReplay:
         model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
         for spec in SIX_POLICIES[task]:
             live = self.live(model, data, spec, vocab)
-            exits, probs = _replay(_LayerCache(model, data, vocab), spec.build())
+            cache = _LayerCache(model, data, vocab)
+            exits = _exits(cache, spec)
+            probs = [layers[j - 1][0] for layers, j in zip(cache.layers, exits)]
             assert exits.tolist() == [layer for layer, _ in live], spec
             for prob, (_, live_prob) in zip(probs, live):
                 assert prob.probs.tobytes() == live_prob.probs.tobytes(), spec
@@ -714,3 +721,60 @@ class TestConfidenceOnDemand:
         compared, compared_layers = run(lambda: compare_policies(
             model, data, 0.4, [replace(s, thre=None) for s in specs], vocab))
         assert compared == compared_layers
+
+
+@functools.lru_cache(maxsize=None)
+def recorded(task, n_layers):
+    """(model, data, vocab, layer cache) of make_setup, built once per task and depth."""
+    model, data, vocab = make_setup(n_layers=n_layers, task=task, n_classes=N_CLASSES[task])
+    return model, data, vocab, _LayerCache(model, data, vocab)
+
+
+def observed_scores(cache, spec):
+    """Every finite ``last_score`` that ``spec``'s policy compares on the recorded layers."""
+    policy, scores = spec.build(), set()
+    for layers in cache.layers:
+        policy.reset()
+        for j, (prob, conf) in enumerate(layers, start=1):
+            policy.step(j, prob, conf)
+            if policy.last_score is not None and math.isfinite(policy.last_score):
+                scores.add(policy.last_score)
+    return sorted(scores)
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(task, n, spec): any of the six policies at any knob, with thresholds often
+    exactly at a score the policy compares, or one float either side of it."""
+    task, n = draw(st.sampled_from(["slc", "mlc"])), draw(st.integers(2, 5))
+    policy = draw(st.sampled_from(POLICY_NAMES))
+    if policy == "fixed":
+        return task, n, PolicySpec("fixed", fixed_layer=draw(st.integers(1, n)))
+    if policy == "pabee":
+        return task, n, PolicySpec("pabee", patience=draw(st.integers(1, n + 1)))
+    if policy == "fpabee":
+        spec = PolicySpec("fpabee", measure=draw(st.sampled_from(VARIANTS)), thre=0.0,
+                          patience=draw(st.integers(1, n + 1)), kl_mode=draw(st.booleans()))
+    else:
+        spec = PolicySpec(policy, thre=0.0)
+    scores = observed_scores(recorded(task, n)[3], spec)
+    at_score = st.sampled_from(scores).flatmap(
+        lambda s: st.sampled_from([s, s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)]))
+    thre = draw(st.one_of(at_score, st.floats(scores[0] - 1, scores[-1] + 1)))
+    return task, n, replace(spec, thre=float(thre))
+
+
+class TestClosedForm:
+    """The harness's one halting rule against the live loop, run_exit, for all six policies."""
+
+    @settings(max_examples=300)
+    @given(closed_form_cases())
+    def test_exits_and_results_equal_run_exit(self, case):
+        task, n, spec = case
+        model, data, vocab, cache = recorded(task, n)
+        exits = _exits(cache, spec)
+        ref_exits, ref_probs = replay(cache, spec.build())
+        assert exits.tolist() == ref_exits.tolist(), spec
+        assert all(layers[j - 1][0] is prob
+                   for layers, j, prob in zip(cache.layers, exits, ref_probs)), spec
+        assert _evaluate(cache, spec) == evaluate(model, data, spec, vocab), spec
