@@ -139,6 +139,10 @@ def build_parser() -> _Parser:
 
 
 def _spec_from_args(args) -> PolicySpec:
+    if args.patience is not None and args.policy not in ("fpabee", "pabee"):
+        raise ConfigError(f"--patience applies to fpabee and pabee only, not {args.policy}")
+    if args.fixed_layer is not None and args.policy != "fixed":
+        raise ConfigError(f"--fixed-layer applies to the fixed policy only, not {args.policy}")
     return PolicySpec(
         policy=args.policy,
         measure=args.measure,

@@ -11,18 +11,21 @@ tasks. ``MultiExitModel.check_dataset`` rejects a mismatched dataset first.
 Record once, one halting rule: each :func:`sweep` and
 :func:`compare_policies` call runs every layer of every sample once, a
 length group at a time as one unpadded [b, t] batch whose rows keep their
-batch-1 bits; the confidence head runs only if a spec is ``learned``.
-Every policy but ``fixed`` halts at the first layer whose key, the max of
-its signed scores over the last ``patience`` layers (fpabee, pabee) or
-one layer (the others), is below its signed threshold. So one ``step``
-pass per policy family gives the exits of every grid point and knob of
-the call (:meth:`_LayerCache.keys`, :func:`_exits`). Stopping at layer j
-reproduces the first j layers of a full pass bit for bit, so these are
-the live exits and predictions. ``evaluate`` runs ``forward_early_exit``
-on each sample. The reported speedup is still the layer-count cost model
-above, not the wall time of the call. A compare reports the knob whose
-speedup is closest to the target; among equally close knobs the highest
-score wins, then the first in knob order.
+batch-1 bits, into one [samples, n, ...] probability array; the
+confidence head runs only if a spec is ``learned``. Every policy but
+``fixed`` halts at the first layer whose key, the max of its signed
+scores over the last ``patience`` layers (fpabee, pabee) or one layer
+(the others), is below its signed threshold. The scores are the formulas
+each policy's ``step`` applies to one row, applied to the whole array in
+one call per policy family, so they give the exits of every grid point
+and knob of the call (:meth:`_LayerCache.scores`, :func:`_exits`).
+Stopping at layer j reproduces the first j layers of a full pass bit for
+bit, so these are the live exits and predictions. ``evaluate`` runs
+``forward_early_exit`` on each sample; both paths score their exits with
+the same array counts (:func:`_result`). The reported speedup is still
+the layer-count cost model above, not the wall time of the call. A
+compare reports the knob whose speedup is closest to the target; among
+equally close knobs the highest score wins, then the first in knob order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset, Vocab, encode_dataset
 from .errors import ConfigError
@@ -45,8 +47,10 @@ from .policies import (
     LearnedConfidence,
     MaxProb,
     Pabee,
+    max_probs,
+    prediction_changes,
 )
-from .similarity import MLC, SLC, ProbDist, SimilarityMeasure
+from .similarity import MLC, SLC, SimilarityMeasure, entropies, predictions
 
 __all__ = [
     "PolicySpec",
@@ -180,62 +184,90 @@ class _LayerCache:
     Samples are grouped by encoded length, and each group runs
     :meth:`MultiExitModel.iter_layers` once, as one unpadded [b, t] batch
     whose rows keep their batch-1 bits, so each sample-layer runs exactly
-    once. ``layers[i]`` holds sample i's ``(prob, confidence)`` at layers
-    1..n. The confidence head runs only with ``confidence``; without it
-    every confidence is ``None``.
+    once. Each layer's rows go straight into one float64 array: ``probs[i,
+    j - 1]`` is sample i's exit distribution at layer j in the
+    ``ProbDist.probs`` layout, so ``probs`` is [samples, n, k] (slc) or
+    [samples, n, k, 2] (mlc). ``confidences`` is [samples, n] when the
+    cache is built with ``confidence``, and ``None`` otherwise, so the
+    confidence head runs only for a ``learned`` spec. ``gold`` holds the
+    labels in the layout :func:`_result` scores against.
 
-    :meth:`keys` scores each policy family once. The cache lives as long
-    as the call that built it, so nothing needs invalidating when
-    parameters change.
+    :meth:`scores` scores each policy family once, with array ops. The
+    cache lives as long as the call that built it, so nothing needs
+    invalidating when parameters change.
     """
 
     def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab,
                  confidence: bool = True):
         model.check_dataset(dataset)
         self.dataset = dataset
-        self.n_layers = model.config.n_layers
+        self.n_layers = n = model.config.n_layers
         encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
         groups: dict[int, list[int]] = {}
         for i, ids in enumerate(encoded):
             groups.setdefault(len(ids), []).append(i)
-        self.layers: list[list[tuple[ProbDist, float | None]]] = [[] for _ in encoded]
+        self.probs = np.empty((len(encoded), n) + _row_shape(dataset))
+        self.confidences = np.empty((len(encoded), n)) if confidence else None
         for members in groups.values():
             batch = np.stack([encoded[i] for i in members])
-            for _, probs, confs in model.iter_layers(batch, confidence=confidence):
-                for i, prob, conf in zip(members, probs, confs or [None] * len(members)):
-                    self.layers[i].append((prob, conf))
+            for j, (_, probs, confs) in enumerate(model.iter_layers(batch, confidence=confidence)):
+                self.probs[members, j] = probs
+                if confidence:
+                    self.confidences[members, j] = confs
+        self.gold = _gold(dataset)
         self._scores: dict[tuple, np.ndarray] = {}
+
+    def scores(self, spec: PolicySpec) -> np.ndarray:
+        """The signed score ``spec``'s policy compares at every recorded layer, [samples, n].
+
+        The score is the policy's ``step`` ``last_score``, from the same
+        formula applied to every layer at once; a layer where nothing is
+        compared (layer 1 of fpabee and pabee) scores ``inf``. maxprob and
+        learned halt on a score above their threshold, so their scores are
+        negated (see :meth:`keys`). Computed once per policy family (policy,
+        measure, ``kl_mode``).
+        """
+        family = (spec.policy, spec.measure, spec.kl_mode)
+        scores = self._scores.get(family)
+        if scores is not None:
+            return scores
+        kind, probs = self.dataset.task, self.probs
+        if spec.policy in ("fpabee", "pabee"):
+            scores = np.full(probs.shape[:2], np.inf)
+            if spec.policy == "pabee":
+                scores[:, 1:] = prediction_changes(kind, probs[:, :-1], probs[:, 1:])
+            else:
+                # ProbDist.flat() of every row
+                flat = probs.reshape(probs.shape[:2] + (math.prod(probs.shape[2:]),))
+                measure = SimilarityMeasure(spec.measure, subtract_self_entropy=spec.kl_mode)
+                scores[:, 1:] = measure.scores(flat[:, :-1], flat[:, 1:])
+        elif spec.policy == "entropy":
+            scores = entropies(kind, probs)
+        elif spec.policy == "maxprob":
+            scores = -max_probs(kind, probs)
+        else:
+            scores = -self.confidences
+        self._scores[family] = scores
+        return scores
 
     def keys(self, spec: PolicySpec) -> tuple[np.ndarray, float]:
         """``spec``'s halting keys, [samples, n], and the sign they carry.
 
         A threshold policy halts at the first layer whose key is below
-        sign * its threshold. The key is the max of the signed scores at
-        the last ``patience`` layers for fpabee and pabee, and the signed
-        score at that layer otherwise; a layer with fewer scores up to it
-        never halts. maxprob and learned halt on a score above their
-        threshold, so their sign is -1.
-
-        The scores come from one pass of the built policy's ``step`` over
-        every recorded layer, reading ``last_score``, once per policy
-        family (policy, measure, ``kl_mode``); a layer where nothing is
-        compared (layer 1 of fpabee and pabee) scores ``inf``.
+        sign * its threshold. The key is the max of the signed
+        :meth:`scores` at the last ``patience`` layers for fpabee and pabee,
+        and the signed score at that layer otherwise; a layer with fewer
+        scores up to it never halts. maxprob and learned halt on a score
+        above their threshold, so their sign is -1.
         """
-        policy = replace(spec, thre=0.0).build()  # fpabee without patience raises here
         sign = -1.0 if spec.policy in ("maxprob", "learned") else 1.0
-        family = (spec.policy, spec.measure, spec.kl_mode)
-        scores = self._scores.get(family)
-        if scores is None:
-            scores = self._scores[family] = np.full((len(self.layers), self.n_layers), np.inf)
-            for i, layers in enumerate(self.layers):
-                policy.reset()
-                for j, (prob, conf) in enumerate(layers):
-                    policy.step(j + 1, prob, conf)
-                    if policy.last_score is not None:
-                        scores[i, j] = sign * policy.last_score
         window = min(spec.patience, self.n_layers) if spec.policy in ("fpabee", "pabee") else 1
-        padded = np.concatenate([np.full((len(scores), window - 1), np.inf), scores], axis=1)
-        return sliding_window_view(padded, window, axis=1).max(axis=-1), sign
+        scores = self.scores(spec)
+        keys = scores.copy()
+        for lag in range(1, window):
+            np.maximum(keys[:, lag:], scores[:, :-lag], out=keys[:, lag:])
+        keys[:, :window - 1] = np.inf
+        return keys, sign
 
 
 def _exits(cache: _LayerCache, spec: PolicySpec) -> np.ndarray:
@@ -244,7 +276,7 @@ def _exits(cache: _LayerCache, spec: PolicySpec) -> np.ndarray:
     pabee, or else the final layer; ``fixed`` exits at its layer."""
     policy = spec.build()  # an incomplete spec raises its ConfigError here
     if spec.policy == "fixed":
-        return np.full(len(cache.layers), spec.fixed_layer, dtype=np.int64)
+        return np.full(len(cache.probs), spec.fixed_layer, dtype=np.int64)
     keys, sign = cache.keys(spec)
     halts = keys < sign * (policy.thre if spec.policy == "pabee" else spec.thre)
     halts[:, -1] = True
@@ -256,24 +288,40 @@ def _check_fixed_layer(spec: PolicySpec, n: int) -> None:
         raise ConfigError(f"fixed exit layer {spec.fixed_layer} exceeds the model's {n} layers")
 
 
+def _row_shape(dataset: Dataset) -> tuple[int, ...]:
+    """The shape of one ``ProbDist.probs`` of ``dataset``'s task."""
+    return (dataset.n_classes, 2) if dataset.task == MLC else (dataset.n_classes,)
+
+
+def _gold(dataset: Dataset) -> np.ndarray:
+    """The gold answers: labels [samples] (slc), or label-set masks [samples, k] (mlc)."""
+    if dataset.task != MLC:
+        return np.array([ex.label for ex in dataset.examples], dtype=np.int64)
+    gold = np.zeros((len(dataset), dataset.n_classes), dtype=bool)
+    for row, ex in zip(gold, dataset.examples):
+        row[list(ex.labels)] = True
+    return gold
+
+
+def _mean_exit(exits: np.ndarray, n: int) -> float:
+    # the integer sum is exact, and int / int rounds once, as exits.mean() does
+    return int(exits.sum()) / len(exits) if len(exits) else float(n)
+
+
 def _result(spec: PolicySpec, dataset: Dataset, n: int, exits: np.ndarray,
-            probs: list[ProbDist]) -> EvalResult:
-    """Score per-sample exit layers and predictions against ``dataset``."""
-    mlc = dataset.task == MLC
-    hits = tp = fp = fn = 0
-    for prob, ex in zip(probs, dataset.examples):
-        pred = prob.prediction()
-        gold = frozenset(ex.labels) if mlc else ex.label
-        hits += int(pred == gold)
-        if mlc:
-            tp += len(pred & gold)
-            fp += len(pred - gold)
-            fn += len(gold - pred)
-    count = len(dataset)
-    accuracy = hits / max(1, count)
-    denom = 2 * tp + fp + fn
-    micro_f1 = (2 * tp / denom if denom else 1.0) if mlc else accuracy
-    mean_exit = float(exits.mean()) if count else float(n)
+            probs: np.ndarray, gold: np.ndarray) -> EvalResult:
+    """Score per-sample exit layers and the exits' distributions, [samples, k]
+    or [samples, k, 2], against ``gold`` (:func:`_gold` of ``dataset``)."""
+    pred, count = predictions(dataset.task, probs), len(dataset)
+    if dataset.task == MLC:
+        accuracy = int((pred == gold).all(axis=1).sum()) / max(1, count)
+        tp, fp, fn = (int((pred & gold).sum()), int((pred & ~gold).sum()),
+                      int((~pred & gold).sum()))
+        denom = 2 * tp + fp + fn
+        micro_f1 = 2 * tp / denom if denom else 1.0
+    else:
+        accuracy = micro_f1 = int((pred == gold).sum()) / max(1, count)
+    mean_exit = _mean_exit(exits, n)
     return EvalResult(
         spec=spec,
         task=dataset.task,
@@ -287,11 +335,11 @@ def _result(spec: PolicySpec, dataset: Dataset, n: int, exits: np.ndarray,
 
 
 def _evaluate(cache: _LayerCache, spec: PolicySpec) -> EvalResult:
-    """``spec`` over the recorded layers: its exits and the predictions there."""
+    """``spec`` over the recorded layers: its exits and the distributions there."""
     _check_fixed_layer(spec, cache.n_layers)
     exits = _exits(cache, spec)
-    probs = [layers[j - 1][0] for layers, j in zip(cache.layers, exits)]
-    return _result(spec, cache.dataset, cache.n_layers, exits, probs)
+    probs = cache.probs[np.arange(len(exits)), exits - 1]
+    return _result(spec, cache.dataset, cache.n_layers, exits, probs, cache.gold)
 
 
 def evaluate(
@@ -304,7 +352,7 @@ def evaluate(
 
     Runs ``forward_early_exit`` on each encoded sample, with ``spec.build()``
     for a spec and a policy object as given, and scores its exit layers
-    and predictions.
+    and predictions as :func:`sweep` does.
     """
     model.check_dataset(dataset)
     n = model.config.n_layers
@@ -314,11 +362,11 @@ def evaluate(
     else:
         spec, built = PolicySpec(policy.name), policy
     exits = np.zeros(len(dataset), dtype=np.int64)
-    probs = []
+    probs = np.empty((len(dataset),) + _row_shape(dataset))
     for i, ids in enumerate(encode_dataset(dataset, vocab, model.config.max_seq_len)):
         prob, exits[i], _ = model.forward_early_exit(ids, built)
-        probs.append(prob)
-    return _result(spec, dataset, n, exits, probs)
+        probs[i] = prob.probs
+    return _result(spec, dataset, n, exits, probs, _gold(dataset))
 
 
 def sweep(
@@ -525,7 +573,8 @@ def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[np.ndarray, np.nd
     A knob value is what :meth:`PolicySpec.with_knob` takes, so a caller
     builds specs only for the knobs it evaluates.
 
-    fixed and pabee take layers / patience 1..n, each evaluated. A threshold
+    fixed and pabee take layers / patience 1..n, the speedup of each read
+    from its :func:`_exits` as :func:`_result` reads it. A threshold
     policy halts at the first layer whose key (:meth:`_LayerCache.keys`) is
     below its signed threshold t, so a sample runs layer j+1 exactly when
     the prefix minimum of its keys at layer j is at least t. The knobs are the distinct finite prefix
@@ -534,7 +583,9 @@ def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[np.ndarray, np.nd
     n, count = cache.n_layers, len(cache.dataset)
     if spec.policy in ("fixed", "pabee"):
         knobs = np.arange(1, n + 1)
-        return knobs, np.array([_evaluate(cache, spec.with_knob(j)).speedup for j in knobs])
+        return knobs, np.array([1.0 - _mean_exit(_exits(cache, spec.with_knob(j)), n) / n
+                                for j in knobs])
+    replace(spec, thre=0.0).build()  # fpabee without patience raises here
     keys, sign = cache.keys(spec)
     ranked = np.sort(np.minimum.accumulate(keys[:, :-1], axis=1), axis=None)
     ts = np.unique(ranked[np.isfinite(ranked)])

@@ -38,7 +38,7 @@ from . import tensor as T
 from .data import Dataset
 from .errors import ConfigError, DataError
 from .policies import ExitPolicy, ExitTrace, TraceEntry, run_exit
-from .similarity import MLC, SLC, ProbDist
+from .similarity import MLC, SLC, ProbDist, check_probs
 
 __all__ = [
     "ModelConfig",
@@ -288,13 +288,15 @@ class MultiExitModel:
     # -- inference-side forward ---------------------------------------
 
     def forward_layer(self, h_prev: np.ndarray,
-                      layer_index: int) -> tuple[np.ndarray, ProbDist | list[ProbDist]]:
+                      layer_index: int) -> tuple[np.ndarray, ProbDist | np.ndarray]:
         """Run one block on an array state; return the new state and the exit's prediction.
 
         ``h_prev`` is [t, d_model] for one input, which gives one
         :class:`ProbDist`, or [b, t, d_model] for b equal-length inputs, which
-        gives a list of b; each row's bits equal its batch-1 bits. The block
-        and exit head run the shared kernels on plain arrays: nothing is taped.
+        gives one float64 array of b rows in the ``ProbDist.probs`` layout,
+        [b, k] (slc) or [b, k, 2] (mlc), checked once as :class:`ProbDist`
+        checks a row; each row's bits equal its batch-1 bits. The block and
+        exit head run the shared kernels on plain arrays: nothing is taped.
         """
         if not 1 <= layer_index <= self.config.n_layers:
             raise ValueError(f"layer_index {layer_index} outside [1, {self.config.n_layers}]")
@@ -302,20 +304,24 @@ class MultiExitModel:
         probs = self._exit_probs(h, layer_index)
         if h_prev.ndim == 2:
             return h[0], self._to_probdist(probs[0])
-        return h, [self._to_probdist(row) for row in probs]
+        if self.config.task == MLC:
+            probs = np.stack([probs, 1.0 - probs], axis=-1)  # ProbDist.mlc's pairs
+        check_probs(self.config.task, probs, lead=1)
+        return h, probs
 
-    def layer_confidence(self, h: np.ndarray, layer_index: int) -> float | list[float]:
+    def layer_confidence(self, h: np.ndarray, layer_index: int) -> float | np.ndarray:
         """Confidence-head output in (0, 1): a float for a [t, d_model] array
-        state, a list of b for a [b, t, d_model] one."""
-        conf = self._confidence(h if h.ndim == 3 else h[None], layer_index).tolist()
-        return conf if h.ndim == 3 else conf[0]
+        state, a [b] array for a [b, t, d_model] one."""
+        conf = self._confidence(h if h.ndim == 3 else h[None], layer_index)
+        return conf if h.ndim == 3 else float(conf[0])
 
     def iter_layers(self, tokens, confidence: bool = True) -> Iterator[
-            tuple[np.ndarray, ProbDist | list[ProbDist], float | list[float] | None]]:
+            tuple[np.ndarray, ProbDist | np.ndarray, float | np.ndarray | None]]:
         """Yield ``(h, prob, confidence)`` for layers 1..n, lazily.
 
         ``tokens`` is one input (1-D), or b inputs of one length ([b, t]),
-        which gives each layer's predictions and confidences as lists of b,
+        which gives each layer's predictions as one [b, k] / [b, k, 2] array
+        (see :meth:`forward_layer`) and its confidences as a [b] array,
         bit-identical row by row to b batch-1 passes. Each layer runs only
         when the next item is requested, so a consumer that stops after
         layer j has computed exactly j layers. The confidence head runs only

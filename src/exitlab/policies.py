@@ -3,8 +3,11 @@
 Every policy is one :class:`ExitPolicy` object holding its own per-sample
 state: call ``reset()`` before each new input, then ``step`` once per
 layer until it halts. :func:`run_exit` is the one loop that does so; the
-live early-exit path runs it, and the harness reads the same exits from
-the policies' ``last_score`` on every recorded layer.
+live early-exit path runs it. Each score a ``step`` compares is one row of
+an array formula (:meth:`~exitlab.similarity.SimilarityMeasure.scores`,
+:func:`prediction_changes`, :func:`~exitlab.similarity.entropies`,
+:func:`max_probs`), which the harness applies to every recorded layer at
+once to read the same exits.
 
 The flexible patience policy (:class:`FPabee`) is the one implementation
 of the counter recurrence: it counts consecutive cross-layer scores
@@ -24,7 +27,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable
 
-from .similarity import SLC, ProbDist, entropy
+import numpy as np
+
+from .similarity import SLC, ProbDist, entropy, predictions
 
 __all__ = [
     "ExitDecision",
@@ -32,7 +37,9 @@ __all__ = [
     "ExitTrace",
     "ExitStep",
     "run_exit",
+    "prediction_changes",
     "prediction_match_scorer",
+    "max_probs",
     "ExitPolicy",
     "FPabee",
     "Pabee",
@@ -91,13 +98,27 @@ class ExitTrace:
 ExitStep = tuple[int, ProbDist, ExitDecision, float | None, int | None]
 
 
+def prediction_changes(kind: str, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """1.0 where the prediction (:func:`~exitlab.similarity.predictions`) of a
+    ``cur`` row differs from its ``prev`` row's, else 0.0, over any leading shape."""
+    a, b = predictions(kind, prev), predictions(kind, cur)
+    return (a != b if kind == SLC else (a != b).any(axis=-1)).astype(np.float64)
+
+
 def prediction_match_scorer(prev: ProbDist, cur: ProbDist) -> float:
-    """0.0 when ``prev.prediction() == cur.prediction()``, else 1.0.
+    """0.0 when ``prev.prediction() == cur.prediction()``, else 1.0
+    (:func:`prediction_changes` of one row).
 
     Plugged into the flexible recurrence with any thre in (0, 1] it
     reproduces classic patience exiting decision-for-decision.
     """
-    return 0.0 if prev.prediction() == cur.prediction() else 1.0
+    return float(prediction_changes(prev.kind, prev.probs, cur.probs))
+
+
+def max_probs(kind: str, probs: np.ndarray) -> np.ndarray:
+    """The winning probability of every row, over any leading shape: the max of
+    [..., k] (slc), or the weakest label's max(p, 1-p) of [..., k, 2] (mlc)."""
+    return probs.max(axis=-1) if kind == SLC else probs.max(axis=-1).min(axis=-1)
 
 
 class ExitPolicy:
@@ -217,10 +238,7 @@ class MaxProb(ExitPolicy):
         self.threshold = float(threshold)
 
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
-        if probs.kind == SLC:
-            self.last_score = float(probs.probs.max())
-        else:
-            self.last_score = float(probs.probs.max(axis=1).min())
+        self.last_score = float(max_probs(probs.kind, probs.probs))
         halt = self.last_score > self.threshold
         return ExitDecision(halt, CONFIDENCE if halt else None)
 

@@ -1,7 +1,7 @@
 """Cross-layer similarity scores between successive classifier outputs.
 
 Four variants of one cross-entropy primitive, all computed by
-:func:`score`:
+:meth:`SimilarityMeasure.scores`:
 
     kd(p, q)    = -sum_j p_j * ln(q_j)            (forward distillation)
     rekd(p, q)  = kd(q, p)                        (reverse direction)
@@ -16,6 +16,12 @@ Set ``subtract_self_entropy`` on a measure to get the KL-style variant
 
 Multi-label distributions are treated as k independent binary problems
 and the per-label scores are summed.
+
+Every formula here (the prediction rule, the validity check, the four
+measures and :func:`entropies`) works on arrays of any leading shape in
+the :class:`ProbDist` layout and reduces over the last axis, so a batch of
+rows gets each row's own bits; :class:`ProbDist`, :func:`score` and
+:func:`entropy` apply them to one row.
 """
 
 from __future__ import annotations
@@ -28,8 +34,11 @@ __all__ = [
     "ProbDist",
     "SimilarityMeasure",
     "VARIANTS",
+    "check_probs",
+    "predictions",
     "score",
     "entropy",
+    "entropies",
 ]
 
 SLC = "slc"
@@ -38,6 +47,40 @@ VARIANTS = ("kd", "rekd", "symkd", "jskd")
 
 _SUM_TOL = 1e-9
 _LOG_FLOOR = 1e-12  # a zero probability costs about 27.6 nats, not inf
+
+
+def check_probs(kind: str, probs: np.ndarray, lead: int = 0) -> None:
+    """Raise ValueError unless ``probs`` holds ``kind`` distributions after
+    ``lead`` leading axes: [..., k] with k >= 2 (slc) or [..., k, 2] pairs
+    with k >= 1 (mlc), every entry nonnegative and every row summing to 1.
+    A batch fails with the message a :class:`ProbDist` of its bad row gives."""
+    if kind == SLC:
+        if probs.ndim != lead + 1 or probs.shape[-1] < 2:
+            raise ValueError(f"slc distribution needs a vector of k >= 2, got shape {probs.shape}")
+        message = "slc probabilities must be nonnegative and sum to 1"
+    elif kind == MLC:
+        if probs.ndim != lead + 2 or probs.shape[-1] != 2 or probs.shape[-2] < 1:
+            raise ValueError(f"mlc distribution needs (k, 2) pairs with k >= 1, got shape {probs.shape}")
+        message = "every mlc pair must be nonnegative and sum to 1"
+    else:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    if not probs.size:
+        return
+    # written so that NaN fails: every comparison with NaN is False. Rows are
+    # summed only once every entry is nonnegative, so inf + -inf cannot warn.
+    valid = probs.min() >= -_SUM_TOL
+    if valid:
+        gaps = abs(probs.sum(axis=-1) - 1.0)
+        valid = (gaps.max() if gaps.ndim else gaps) <= _SUM_TOL  # max() of one row's scalar only slows
+    if not valid:
+        raise ValueError(message)
+
+
+def predictions(kind: str, probs: np.ndarray) -> np.ndarray:
+    """The prediction rule over the last axis: the argmax of [..., k] (slc),
+    or the [..., k] mask of labels whose positive probability exceeds 0.5,
+    strictly, in [..., k, 2] pairs (mlc)."""
+    return probs.argmax(axis=-1) if kind == SLC else probs[..., 0] > 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,20 +98,7 @@ class ProbDist:
         arr = np.array(self.probs, dtype=np.float64, order="C")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-        # range checks are written so that NaN fails them: every comparison
-        # with NaN is False
-        if self.kind == SLC:
-            if arr.ndim != 1 or arr.shape[0] < 2:
-                raise ValueError(f"slc distribution needs a vector of k >= 2, got shape {arr.shape}")
-            if not (arr.min() >= -_SUM_TOL and abs(arr.sum() - 1.0) <= _SUM_TOL):
-                raise ValueError("slc probabilities must be nonnegative and sum to 1")
-        elif self.kind == MLC:
-            if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-                raise ValueError(f"mlc distribution needs (k, 2) pairs with k >= 1, got shape {arr.shape}")
-            if not (arr.min() >= -_SUM_TOL and np.abs(arr.sum(axis=1) - 1.0).max() <= _SUM_TOL):
-                raise ValueError("every mlc pair must be nonnegative and sum to 1")
-        else:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+        check_probs(self.kind, arr)
 
     @classmethod
     def slc(cls, probs) -> "ProbDist":
@@ -87,16 +117,17 @@ class ProbDist:
     def argmax(self) -> int:
         if self.kind != SLC:
             raise ValueError("argmax is defined for slc distributions")
-        return int(np.argmax(self.probs))
+        return int(predictions(SLC, self.probs))
 
     def label_set(self) -> frozenset[int]:
         """Labels whose positive probability exceeds 0.5 (strict)."""
         if self.kind != MLC:
             raise ValueError("label_set is defined for mlc distributions")
-        return frozenset(np.flatnonzero(self.probs[:, 0] > 0.5).tolist())
+        return frozenset(np.flatnonzero(predictions(MLC, self.probs)).tolist())
 
     def prediction(self) -> int | frozenset[int]:
-        """What this exit predicts: the argmax (slc) or the 0.5-threshold label set (mlc).
+        """What this exit predicts (:func:`predictions`): the argmax (slc) or the
+        0.5-threshold label set (mlc).
 
         Computed on the first call and kept: ``probs`` is read-only, so the
         answer cannot change.
@@ -130,6 +161,19 @@ class SimilarityMeasure:
     def __call__(self, prev: ProbDist, cur: ProbDist) -> float:
         return score(self, prev, cur)
 
+    def scores(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """This measure of every row pair of ``p`` and ``q``, flat probability
+        mass [..., m] (pairs unrolled for mlc), reduced over the last axis."""
+        kl = self.subtract_self_entropy
+        if self.variant == "kd":
+            return _cross_entropy(p, q, kl)
+        if self.variant == "rekd":
+            return _cross_entropy(q, p, kl)
+        if self.variant == "symkd":
+            return _cross_entropy(p, q, kl) + _cross_entropy(q, p, kl)
+        mid = (p + q) / 2.0
+        return 0.5 * _cross_entropy(p, mid, kl) + 0.5 * _cross_entropy(q, mid, kl)
+
 
 def _check_pair(prev: ProbDist, cur: ProbDist) -> None:
     if prev.kind != cur.kind:
@@ -138,33 +182,27 @@ def _check_pair(prev: ProbDist, cur: ProbDist) -> None:
         raise ValueError(f"class counts differ: {prev.k} vs {cur.k}")
 
 
-def _cross_entropy(w: np.ndarray, q: np.ndarray, subtract_self_entropy: bool) -> float:
-    """kd on flat arrays: -sum w ln q, less w's own cross-entropy in KL mode."""
-    s = float(-(w * np.log(np.maximum(q, _LOG_FLOOR))).sum())
+def _cross_entropy(w: np.ndarray, q: np.ndarray, subtract_self_entropy: bool) -> np.ndarray:
+    """kd over the last axis: -sum w ln q, less w's own cross-entropy in KL mode."""
+    s = -(w * np.log(np.maximum(q, _LOG_FLOOR))).sum(axis=-1)
     if subtract_self_entropy:
-        s -= _cross_entropy(w, w, False)
+        s = s - _cross_entropy(w, w, False)
     return s
 
 
 def score(measure: SimilarityMeasure, prev: ProbDist, cur: ProbDist) -> float:
     """Apply ``measure`` to a pair of same-kind, same-k distributions."""
     _check_pair(prev, cur)
-    p, q = prev.flat(), cur.flat()
-    kl = measure.subtract_self_entropy
-    if measure.variant == "kd":
-        return _cross_entropy(p, q, kl)
-    if measure.variant == "rekd":
-        return _cross_entropy(q, p, kl)
-    if measure.variant == "symkd":
-        return _cross_entropy(p, q, kl) + _cross_entropy(q, p, kl)
-    mid = (p + q) / 2.0
-    return 0.5 * _cross_entropy(p, mid, kl) + 0.5 * _cross_entropy(q, mid, kl)
+    return float(measure.scores(prev.flat(), cur.flat()))
+
+
+def entropies(kind: str, probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of every [..., k] row (slc); the mean per-label
+    binary entropy of every [..., k, 2] set of pairs (mlc)."""
+    per_row = -(probs * np.log(np.maximum(probs, _LOG_FLOOR))).sum(axis=-1)
+    return per_row if kind == SLC else per_row.mean(axis=-1)
 
 
 def entropy(dist: ProbDist) -> float:
     """Shannon entropy in nats; mean per-label binary entropy for mlc."""
-    if dist.kind == SLC:
-        p = dist.probs
-        return float(-(p * np.log(np.maximum(p, _LOG_FLOOR))).sum())
-    per_label = -(dist.probs * np.log(np.maximum(dist.probs, _LOG_FLOOR))).sum(axis=1)
-    return float(per_label.mean())
+    return float(entropies(dist.kind, dist.probs))

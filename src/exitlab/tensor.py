@@ -350,11 +350,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def _sigmoid_fwd(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # e = exp(-|x|) never overflows; min(x, -x) is -|x| that keeps a NaN's sign
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     # float64 saturates to exactly 0/1 beyond |x| ~ 37; keep the bound strict
     np.clip(out, _SIG_LO, _SIG_HI, out=out)
     return out

@@ -21,9 +21,8 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset, DataSplits, Vocab, binarize_mlc, encode_dataset, text_lines
 from .errors import ConfigError
-from .harness import evaluate
+from .harness import PolicySpec, _evaluate, _LayerCache
 from .model import MultiExitModel
-from .policies import FixedExit
 from .similarity import SLC
 
 __all__ = [
@@ -282,8 +281,10 @@ def make_grid(batch_sizes, learning_rates, base: TrainConfig | None = None) -> l
 
 
 def dev_accuracy(model: MultiExitModel, dataset: Dataset, vocab: Vocab) -> float:
-    """Final-layer accuracy (slc) or exact-set accuracy (mlc)."""
-    return evaluate(model, dataset, FixedExit(model.config.n_layers), vocab).accuracy
+    """Final-layer accuracy (slc) or exact-set accuracy (mlc), from one
+    length-grouped recording of the dataset (see ``harness._LayerCache``)."""
+    cache = _LayerCache(model, dataset, vocab, confidence=False)
+    return _evaluate(cache, PolicySpec("fixed", fixed_layer=model.config.n_layers)).accuracy
 
 
 def grid_search(

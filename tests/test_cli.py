@@ -236,6 +236,18 @@ class TestBadInputs:
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "0"], None, 1, id="fixed-layer-0"),
         pytest.param(["eval", "--policy", "entropy", "--thre", "nan"], None, 1, id="nan-thre"),
         pytest.param(["eval", "--policy", "maxprob", "--thre", "inf"], None, 1, id="inf-thre"),
+        pytest.param(["eval", "--policy", "entropy", "--thre", "0.5", "--patience", "3"], None, 1,
+                     id="entropy-with-patience"),
+        pytest.param(["eval", "--policy", "learned", "--thre", "0.5", "--patience", "1"], None, 1,
+                     id="learned-with-patience"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1", "--patience", "2"], None, 1,
+                     id="fixed-with-patience"),
+        pytest.param(["eval", "--policy", "maxprob", "--thre", "0.5", "--fixed-layer", "2"], None, 1,
+                     id="maxprob-with-fixed-layer"),
+        pytest.param(["eval", "--policy", "fpabee", "--thre", "0.2", "--patience", "1", "--fixed-layer", "1"],
+                     None, 1, id="fpabee-with-fixed-layer"),
+        pytest.param(["eval", "--policy", "pabee", "--patience", "1", "--fixed-layer", "2"], None, 1,
+                     id="pabee-with-fixed-layer"),
         pytest.param(["compare", "--target-speedup", "1.5"], None, 1, id="target-above-one"),
         pytest.param(["compare", "--target-speedup", "-0.1"], None, 1, id="target-negative"),
         pytest.param(["compare", "--target-speedup", "nan"], None, 1, id="target-nan"),

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exitlab.harness as harness
 from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_synthetic
 from exitlab.errors import ConfigError, DataError
 from exitlab.harness import (
@@ -35,7 +37,7 @@ from exitlab.policies import (FIXED_LAYER, ExitDecision, ExitPolicy, ExitTrace, 
                               TraceEntry, run_exit)
 from exitlab.similarity import VARIANTS, SimilarityMeasure
 
-from conftest import replay, replay_result
+from conftest import recorded_layers, replay, replay_result
 
 
 def make_setup(n_layers=4, task="slc", n_classes=3, n_examples=12, seed=0):
@@ -571,10 +573,10 @@ class TestReplay:
             live = self.live(model, data, spec, vocab)
             cache = _LayerCache(model, data, vocab)
             exits = _exits(cache, spec)
-            probs = [layers[j - 1][0] for layers, j in zip(cache.layers, exits)]
+            probs = cache.probs[np.arange(len(exits)), exits - 1]
             assert exits.tolist() == [layer for layer, _ in live], spec
             for prob, (_, live_prob) in zip(probs, live):
-                assert prob.probs.tobytes() == live_prob.probs.tobytes(), spec
+                assert prob.tobytes() == live_prob.probs.tobytes(), spec
             r = evaluate(model, data, spec, vocab)
             assert r.histogram == np.bincount(exits, minlength=6)[1:].tolist()
             hits = sum(p.argmax() == ex.label if task == "slc" else p.label_set() == set(ex.labels)
@@ -733,9 +735,9 @@ def recorded(task, n_layers):
 def observed_scores(cache, spec):
     """Every finite ``last_score`` that ``spec``'s policy compares on the recorded layers."""
     policy, scores = spec.build(), set()
-    for layers in cache.layers:
+    for i in range(len(cache.probs)):
         policy.reset()
-        for j, (prob, conf) in enumerate(layers, start=1):
+        for j, (prob, conf) in enumerate(recorded_layers(cache, i), start=1):
             policy.step(j, prob, conf)
             if policy.last_score is not None and math.isfinite(policy.last_score):
                 scores.add(policy.last_score)
@@ -775,6 +777,58 @@ class TestClosedForm:
         exits = _exits(cache, spec)
         ref_exits, ref_probs = replay(cache, spec.build())
         assert exits.tolist() == ref_exits.tolist(), spec
-        assert all(layers[j - 1][0] is prob
-                   for layers, j, prob in zip(cache.layers, exits, ref_probs)), spec
-        assert _evaluate(cache, spec) == evaluate(model, data, spec, vocab), spec
+        assert all(prob.probs.tobytes() == row.tobytes()
+                   for prob, row in zip(ref_probs, cache.probs[np.arange(len(exits)), exits - 1])), spec
+        assert _evaluate(cache, spec) == evaluate(model, data, spec, vocab) == replay_result(cache, spec), spec
+
+
+ARRAY_FAMILIES = ([PolicySpec("fpabee", measure=m, thre=0.0, patience=1, kl_mode=kl)
+                   for m in VARIANTS for kl in (False, True)]
+                  + [PolicySpec("pabee", patience=1)]
+                  + [PolicySpec(p, thre=0.0) for p in ("entropy", "maxprob", "learned")])
+
+
+class TestArrayScores:
+    """Each policy family's array scores against its live ``step``, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(task=st.sampled_from(["slc", "mlc"]), n_layers=st.integers(2, 5),
+           seed=st.integers(0, 2**16), scale=st.sampled_from([0.05, 0.5, 3.0]),
+           spec=st.sampled_from(ARRAY_FAMILIES))
+    def test_scores_equal_step_last_score(self, task, n_layers, seed, scale, spec):
+        model, data, vocab = make_setup(n_layers=n_layers, task=task, n_classes=N_CLASSES[task])
+        rng = np.random.default_rng(seed)
+        for p in model.params.values():  # large scales saturate the heads to exact 0 and 1
+            p.array[...] = rng.normal(0, scale, p.shape)
+        cache = _LayerCache(model, data, vocab)
+        scores, (_, sign) = cache.scores(spec), cache.keys(spec)
+        policy = spec.build()
+        for i in range(len(data)):
+            policy.reset()
+            for j, (prob, conf) in enumerate(recorded_layers(cache, i)):
+                policy.step(j + 1, prob, conf)
+                want = np.inf if policy.last_score is None else sign * policy.last_score
+                assert scores[i, j].tobytes() == np.float64(want).tobytes(), (spec, i, j)
+
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    def test_nan_head_weight_raises_the_live_error(self, task):
+        model, data, vocab = make_setup(n_layers=4, task=task, n_classes=N_CLASSES[task])
+        model.params["head2.w"].array[0, 0] = np.nan
+        spec = PolicySpec("fixed", fixed_layer=4)
+        with pytest.raises(ValueError) as live:
+            evaluate(model, data, spec, vocab)
+        assert str(live.value).endswith("must be nonnegative and sum to 1")
+        same = f"^{re.escape(str(live.value))}$"
+        with pytest.raises(ValueError, match=same):
+            sweep(model, data, [spec], vocab)
+        with pytest.raises(ValueError, match=same):
+            compare_policies(model, data, 0.3, [PolicySpec("entropy"), PolicySpec("pabee")], vocab)
+
+    def test_pabee_and_fixed_knob_curves_evaluate_nothing(self, monkeypatch):
+        model, data, vocab = make_setup(n_layers=5)
+        cache = _LayerCache(model, data, vocab)
+        monkeypatch.setattr(harness, "_evaluate", None)
+        monkeypatch.setattr(harness, "_result", None)
+        for spec in (PolicySpec("pabee"), PolicySpec("fixed")):
+            knobs, speedups = _knob_curve(cache, spec)
+            assert knobs.tolist() == [1, 2, 3, 4, 5] and len(speedups) == 5

@@ -219,10 +219,11 @@ class TestBatchedInference:
         layers = 0
         for j, (h, probs, confs) in enumerate(model.iter_layers(np.stack(encoded))):
             assert h.shape == (b, t, model.config.d_model) and len(probs) == len(confs) == b
+            assert probs.dtype == np.float64 and probs.shape == (b,) + singles[0][j][1].probs.shape
             for row, single in enumerate(singles):
                 h1, prob1, conf1 = single[j]
                 assert h[row].tobytes() == h1.tobytes()
-                assert probs[row].probs.tobytes() == prob1.probs.tobytes()
+                assert probs[row].tobytes() == prob1.probs.tobytes()
                 assert np.float64(confs[row]).tobytes() == np.float64(conf1).tobytes()
             layers += 1
         assert layers == model.config.n_layers

@@ -1,11 +1,17 @@
-"""The benchmark's tracer against the names it swaps in exitlab.
+"""The benchmark against the exitlab names and results it relies on.
 
 ``perfbench/spantrace.py`` wraps exitlab functions and methods by name. A
 rename or removal of one of them breaks ``perfbench/run.py --trace 1``;
-installing the tracer here makes it fail this suite instead. No model runs.
+installing the tracer here makes it fail this suite instead. The smoke runs
+run each workload's own correctness checks on a tiny model.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,3 +34,14 @@ def test_tracer_installs_and_restores_every_swapped_name(monkeypatch):
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original, (owner, attr)
     assert not tracer.installed
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", ["sweep_mlc", "eval_slc"])
+def test_smoke_run_passes_its_checks(workload, trace):
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--smoke", "--seconds", "1",
+         "--workload", workload, "--trace", str(trace)],
+        cwd=PERFBENCH.parent, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, check=False)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

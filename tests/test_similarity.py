@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exitlab.similarity import ProbDist, SimilarityMeasure, entropy, score
+from exitlab.policies import MaxProb, max_probs, prediction_changes, prediction_match_scorer
+from exitlab.similarity import (ProbDist, SimilarityMeasure, check_probs, entropies, entropy,
+                                predictions, score)
 
 LN2 = math.log(2.0)
 VARIANTS = ("kd", "rekd", "symkd", "jskd")
@@ -260,3 +262,63 @@ class TestProbDist:
         assert entropy(ProbDist.slc([1.0, 0.0])) == pytest.approx(0.0, abs=1e-9)
         # mlc: mean of per-label binary entropies
         assert entropy(ProbDist.mlc([0.5, 0.5])) == pytest.approx(LN2, abs=1e-12)
+
+
+@st.composite
+def probability_batches(draw):
+    """(kind, probs): distributions of one kind in the ProbDist layout under 1-3
+    leading axes, with weights spanning 1e-12 to 1e2 and exact zeros and ties."""
+    kind = draw(st.sampled_from(["slc", "mlc"]))
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    k = draw(st.integers(2, 40) if kind == "slc" else st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(lead + (k,)) * 10.0 ** rng.uniform(-12, 2, size=lead + (k,))
+    w[rng.random(w.shape) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    w[..., 0] += 1e-3  # no all-zero row
+    if draw(st.booleans()):
+        w = np.round(w, 1) + 0.5  # ties and a positive probability of exactly 0.5
+    if kind == "slc":
+        return kind, w / w.sum(axis=-1, keepdims=True)
+    p = w / w.max()
+    return kind, np.stack([p, 1.0 - p], axis=-1)
+
+
+class TestArrayForms:
+    """Each formula over a batch of rows against the same formula on one ProbDist, bit for bit."""
+
+    @settings(max_examples=200)
+    @given(batch=probability_batches(), variant=st.sampled_from(VARIANTS), kl=st.booleans())
+    def test_rows_equal_one_row_forms(self, batch, variant, kl):
+        kind, probs = batch
+        lead = probs.shape[:-1] if kind == "slc" else probs.shape[:-2]
+        check_probs(kind, probs, lead=len(lead))
+        rows = probs.reshape((-1,) + probs.shape[len(lead):])
+        dists = [ProbDist(kind, row) for row in rows]
+        flat = rows.reshape(len(rows), -1)
+        prev = np.roll(flat, 1, axis=0)  # row i is paired with row i - 1
+        measure = SimilarityMeasure(variant, subtract_self_entropy=kl)
+        scores = measure.scores(prev.reshape(lead + (-1,)), flat.reshape(lead + (-1,))).reshape(-1)
+        changes = prediction_changes(kind, prev.reshape(probs.shape), probs).reshape(-1)
+        ents, tops = entropies(kind, probs).reshape(-1), max_probs(kind, probs).reshape(-1)
+        preds = predictions(kind, probs).reshape(len(rows), -1)
+        maxprob = MaxProb(0.5)
+        for i, dist in enumerate(dists):
+            assert scores[i].tobytes() == np.float64(score(measure, dists[i - 1], dist)).tobytes()
+            assert changes[i] == prediction_match_scorer(dists[i - 1], dist)
+            assert changes[i] == float(dists[i - 1].prediction() != dist.prediction())
+            assert ents[i].tobytes() == np.float64(entropy(dist)).tobytes()
+            maxprob.step(1, dist)
+            assert tops[i].tobytes() == np.float64(maxprob.last_score).tobytes()
+            pred = int(preds[i][0]) if kind == "slc" else frozenset(np.flatnonzero(preds[i]).tolist())
+            assert pred == dist.prediction()
+
+    @pytest.mark.parametrize("kind, bad", [("slc", [0.7, 0.7]), ("slc", [np.nan, 1.0]),
+                                           ("mlc", [[0.9, 0.3]]), ("mlc", [[np.inf, 0.0]])])
+    def test_a_bad_row_fails_a_batch_with_the_row_message(self, kind, bad):
+        good = [0.5, 0.5] if kind == "slc" else [[0.5, 0.5]]
+        with pytest.raises(ValueError) as row:
+            ProbDist(kind, np.array(bad))
+        with pytest.raises(ValueError) as batch:
+            check_probs(kind, np.array([good, bad, good]), lead=1)
+        assert str(batch.value) == str(row.value)
+        check_probs(kind, np.array([good, good]), lead=1)

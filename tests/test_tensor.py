@@ -338,3 +338,38 @@ class TestLayerNormKernel:
         assert T.arrays.layer_norm(x, gain, bias).tobytes() == want.tobytes()
         for got, ref in zip(out.node.backward(g), want_grads):
             assert got.tobytes() == ref.tobytes()
+
+
+def masked_sigmoid(x):
+    """The logistic function as two masked halves, so that neither exp overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    np.clip(out, T._SIG_LO, T._SIG_HI, out=out)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 36.9, 37.0, 37.5, -37.5, 40.0, -40.0,
+                 709.0, -709.0, 745.2, -745.2, 1e300, -1e300, 5e-324, -5e-324]
+
+
+class TestSigmoidKernel:
+    @settings(max_examples=200)
+    @given(lead=st.lists(st.integers(1, 5), max_size=3), d=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 10.0, 40.0, 1e3, 1e300]),
+           edges=st.lists(st.sampled_from(SIGMOID_EDGES), max_size=12))
+    def test_forward_bit_equal_to_masked_formula(self, lead, d, seed, scale, edges):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(*lead, d)) * scale).reshape(-1)
+        x[rng.permutation(x.size)[:len(edges)]] = edges[:x.size]
+        x = x.reshape((*lead, d))
+        want = masked_sigmoid(x)
+        assert T._sigmoid_fwd(x).tobytes() == want.tobytes()
+        assert T.sigmoid(T.Tensor(x)).array.tobytes() == want.tobytes()
+
+    def test_every_edge_value_bit_equal(self):
+        x = np.array(SIGMOID_EDGES)
+        assert T._sigmoid_fwd(x).tobytes() == masked_sigmoid(x).tobytes()
+        assert np.isnan(T._sigmoid_fwd(x)).sum() == 2
