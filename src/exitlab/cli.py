@@ -138,11 +138,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _reject_stray_flags(args, flags: dict[str, tuple[str, ...]]) -> None:
+    """ConfigError for the first flag given with a policy that does not read it.
+
+    ``flags`` maps each flag to the policies that read it; a flag is given
+    when its value is neither None nor False (an unset ``store_true``).
+    """
+    for flag, policies in flags.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False and args.policy not in policies:
+            only = (f"{', '.join(policies[:-1])} and {policies[-1]}" if len(policies) > 1
+                    else f"the {policies[0]} policy")
+            raise ConfigError(f"{flag} applies to {only} only, not {args.policy}")
+
+
 def _spec_from_args(args) -> PolicySpec:
-    if args.patience is not None and args.policy not in ("fpabee", "pabee"):
-        raise ConfigError(f"--patience applies to fpabee and pabee only, not {args.policy}")
-    if args.fixed_layer is not None and args.policy != "fixed":
-        raise ConfigError(f"--fixed-layer applies to the fixed policy only, not {args.policy}")
+    _reject_stray_flags(args, {"--patience": ("fpabee", "pabee"), "--fixed-layer": ("fixed",),
+                               "--kl-mode": ("fpabee",)})
     return PolicySpec(
         policy=args.policy,
         measure=args.measure,
@@ -268,6 +280,9 @@ def _grid_or_default(grid: list | None, default: list, flag: str) -> list:
 
 
 def _build_sweep_specs(args, n_layers: int) -> list[PolicySpec]:
+    _reject_stray_flags(args, {"--patience-grid": ("fpabee", "pabee"), "--layer-grid": ("fixed",),
+                               "--thre-grid": ("fpabee", "entropy", "maxprob", "learned"),
+                               "--kl-mode": ("fpabee",)})
     if args.policy == "fixed":
         layers = _grid_or_default(args.layer_grid, list(range(1, n_layers + 1)), "--layer-grid")
         return [PolicySpec("fixed", fixed_layer=j) for j in layers]

@@ -9,10 +9,12 @@ micro-averaged F1 over those sets and equals accuracy on single-label
 tasks. ``MultiExitModel.check_dataset`` rejects a mismatched dataset first.
 
 Record once, one halting rule: each :func:`sweep` and
-:func:`compare_policies` call runs every layer of every sample once, a
-length group at a time as one unpadded [b, t] batch whose rows keep their
-batch-1 bits, into one [samples, n, ...] probability array; the
-confidence head runs only if a spec is ``learned``. Every policy but
+:func:`compare_policies` call runs every layer of every sample once, into
+one [samples, n, ...] probability array. The samples run in chunks of up
+to ``_CHUNK_ROWS`` token rows of mixed lengths, one layer call per chunk:
+the gemms and attention run per length group and everything else once
+over the chunk's rows, with no padding, so every row keeps its batch-1
+bits. The confidence head runs only if a spec is ``learned``. Every policy but
 ``fixed`` halts at the first layer whose key, the max of its signed
 scores over the last ``patience`` layers (fpabee, pabee) or one layer
 (the others), is below its signed threshold. The scores are the formulas
@@ -38,7 +40,7 @@ import numpy as np
 
 from .data import Dataset, Vocab, encode_dataset
 from .errors import ConfigError
-from .model import MultiExitModel
+from .model import LengthGroups, MultiExitModel
 from .policies import (
     EntropyThreshold,
     ExitPolicy,
@@ -70,6 +72,13 @@ __all__ = [
 _POLICY_CLASSES = {cls.name: cls for cls in
                    (FPabee, Pabee, EntropyThreshold, MaxProb, LearnedConfidence, FixedExit)}
 POLICY_NAMES = tuple(_POLICY_CLASSES)
+
+# Token rows per recorded chunk (see _LayerCache). A 4-point sweep of a
+# 500-sample split at the test fixtures' architectures (2-vCPU Xeon, numpy
+# 2.4, one BLAS thread) took the same time within 10% at 256, 512 and 1024
+# rows, and 30-50% longer as one chunk of the whole split (4,200-4,800
+# rows).
+_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -181,13 +190,16 @@ class CompareResult:
 class _LayerCache:
     """Every layer of one model over one dataset, for one sweep or compare call.
 
-    Samples are grouped by encoded length, and each group runs
-    :meth:`MultiExitModel.iter_layers` once, as one unpadded [b, t] batch
-    whose rows keep their batch-1 bits, so each sample-layer runs exactly
-    once. Each layer's rows go straight into one float64 array: ``probs[i,
-    j - 1]`` is sample i's exit distribution at layer j in the
-    ``ProbDist.probs`` layout, so ``probs`` is [samples, n, k] (slc) or
-    [samples, n, k, 2] (mlc). ``confidences`` is [samples, n] when the
+    Samples are grouped by encoded length, and the groups are packed in
+    order into chunks of at most ``_CHUNK_ROWS`` token rows (:func:`_chunks`;
+    a group that overflows continues in the next chunk). Each chunk runs
+    :meth:`MultiExitModel.iter_layers` once, as one unpadded state of its
+    :class:`~exitlab.model.LengthGroups` whose rows keep their batch-1
+    bits, so each sample-layer runs exactly once, in one ``forward_layer``
+    call per chunk-layer. Each layer's rows go straight into one float64
+    array: ``probs[i, j - 1]`` is sample i's exit distribution at layer j
+    in the ``ProbDist.probs`` layout, so ``probs`` is [samples, n, k] (slc)
+    or [samples, n, k, 2] (mlc). ``confidences`` is [samples, n] when the
     cache is built with ``confidence``, and ``None`` otherwise, so the
     confidence head runs only for a ``learned`` spec. ``gold`` holds the
     labels in the layout :func:`_result` scores against.
@@ -203,14 +215,16 @@ class _LayerCache:
         self.dataset = dataset
         self.n_layers = n = model.config.n_layers
         encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
-        groups: dict[int, list[int]] = {}
+        by_length: dict[int, list[int]] = {}
         for i, ids in enumerate(encoded):
-            groups.setdefault(len(ids), []).append(i)
+            by_length.setdefault(len(ids), []).append(i)
         self.probs = np.empty((len(encoded), n) + _row_shape(dataset))
         self.confidences = np.empty((len(encoded), n)) if confidence else None
-        for members in groups.values():
-            batch = np.stack([encoded[i] for i in members])
-            for j, (_, probs, confs) in enumerate(model.iter_layers(batch, confidence=confidence)):
+        for chunk in _chunks(by_length, _CHUNK_ROWS):
+            members = [i for _, part in chunk for i in part]
+            layout = LengthGroups([(len(part), t) for t, part in chunk])
+            ids = np.concatenate([encoded[i] for i in members])
+            for j, (_, probs, confs) in enumerate(model.iter_layers(ids, confidence, layout)):
                 self.probs[members, j] = probs
                 if confidence:
                     self.confidences[members, j] = confs
@@ -268,6 +282,32 @@ class _LayerCache:
             np.maximum(keys[:, lag:], scores[:, :-lag], out=keys[:, lag:])
         keys[:, :window - 1] = np.inf
         return keys, sign
+
+
+def _chunks(by_length: dict[int, list[int]], budget: int) -> list[list[tuple[int, list[int]]]]:
+    """The length groups ``{t: sample indices}`` packed in order into chunks
+    of at most ``budget`` token rows, each chunk a list of ``(t, indices)``.
+
+    A chunk takes whole groups while they fit and as many samples of the
+    next one as fit; the rest of that group starts the next chunk. A sample
+    longer than the budget is a chunk of its own.
+    """
+    chunks, chunk, rows = [], [], 0
+    for t, members in by_length.items():
+        start = 0
+        while start < len(members):
+            take = (budget - rows) // t
+            if take < 1 and chunk:
+                chunks.append(chunk)
+                chunk, rows = [], 0
+                continue
+            part = members[start:start + max(take, 1)]
+            chunk.append((t, part))
+            rows += t * len(part)
+            start += len(part)
+    if chunk:
+        chunks.append(chunk)
+    return chunks
 
 
 def _exits(cache: _LayerCache, spec: PolicySpec) -> np.ndarray:
@@ -379,7 +419,7 @@ def sweep(
     """One evaluation per grid point, rows sorted by ascending speedup.
 
     All grid points read their exits from one layer cache that records
-    every layer of every sample once, in length groups.
+    every layer of every sample once, in chunks of length groups.
     """
     cache = _LayerCache(model, dataset, vocab, confidence=any(s.reads_confidence for s in specs))
     rows = [_evaluate(cache, spec) for spec in specs]

@@ -16,12 +16,19 @@ inference runs the same code on plain float64 ndarrays through
 :data:`exitlab.tensor.arrays`, the same forward kernels with nothing
 recorded, and gives the same bits as the taped ops.
 
-Inference runs one input, or a batch of equal-length inputs with no
-padding that gives each row its batch-1 bits; prefix equivalence holds
-by construction, i.e. stopping at layer j reproduces the first j entries
-of a full pass bit for bit. Early exit is :func:`exitlab.policies.run_exit`
-over the lazy layers of :meth:`MultiExitModel.iter_layers`; each trace
-entry records the layer's :meth:`~exitlab.similarity.ProbDist.prediction`.
+Inference runs one input, a batch of equal-length inputs, or inputs of
+mixed lengths as one state of concatenated rows described by its
+:class:`LengthGroups`. None of them pads, and every sample gets its
+batch-1 bits: the position-wise kernels (bias and residual adds, layer
+norms, GELU, the heads over the first-token rows) run once over all rows,
+while each length group runs its own attention and its own gemms, a
+[b, t, d] ``np.matmul`` that computes each sample's product as batch 1
+does (one 2-D gemm over rows of several samples may round differently).
+Prefix equivalence holds by construction, i.e. stopping at layer j
+reproduces the first j entries of a full pass bit for bit. Early exit is
+:func:`exitlab.policies.run_exit` over the lazy layers of
+:meth:`MultiExitModel.iter_layers`; each trace entry records the layer's
+:meth:`~exitlab.similarity.ProbDist.prediction`.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .similarity import MLC, SLC, ProbDist, check_probs
 
 __all__ = [
     "ModelConfig",
+    "LengthGroups",
     "PredictionStream",
     "MultiExitModel",
     "save_checkpoint",
@@ -82,6 +90,29 @@ class ModelConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < 1 or self.max_seq_len < 1:
             raise ConfigError("vocab_size and max_seq_len must be positive")
+
+
+class LengthGroups:
+    """The layout of a mixed-length state: groups of equal-length samples, row-concatenated.
+
+    ``shapes`` lists the groups in order as (b, t): b samples of t tokens
+    each. A state over them is one [rows, d_model] array holding each
+    group's [b, t, d_model] block in turn, so sample by sample it holds
+    every token position; the ids it embeds are laid out the same way,
+    [rows]. ``spans`` gives each group's rows as (lo, hi, b, t) and
+    ``first_rows`` each sample's first-token row, in sample order.
+    """
+
+    def __init__(self, shapes):
+        self.shapes = tuple((int(b), int(t)) for b, t in shapes)
+        if not self.shapes or min(min(shape) for shape in self.shapes) < 1:
+            raise DataError(f"length groups need b >= 1 samples of t >= 1 tokens, got {self.shapes}")
+        bounds = np.cumsum([0] + [b * t for b, t in self.shapes]).tolist()
+        self.spans = tuple((lo, hi, b, t) for lo, hi, (b, t) in zip(bounds, bounds[1:], self.shapes))
+        self.first_rows = np.concatenate([np.arange(lo, hi, t) for lo, hi, _, t in self.spans])
+        self.positions = np.concatenate([np.tile(np.arange(t), b) for b, t in self.shapes])
+        self.n_rows = bounds[-1]
+        self.max_len = max(t for _, t in self.shapes)
 
 
 @dataclass
@@ -179,16 +210,23 @@ class MultiExitModel:
 
     # -- forward pieces --------------------------------------------------
 
-    def embed(self, tokens, taped: bool = False) -> np.ndarray | T.Tensor:
+    def embed(self, tokens, taped: bool = False,
+              groups: LengthGroups | None = None) -> np.ndarray | T.Tensor:
         """Token + position embeddings, a plain array or, with ``taped``, a Tensor.
 
         1-D input of length t gives [t, d_model]; 2-D [b, t] input (already
-        padded) gives [b, t, d_model].
+        padded) gives [b, t, d_model]. With ``groups``, the input is the
+        [rows] ids of every group's samples in turn, and gives [rows, d_model].
         """
         ids = np.asarray(tokens, dtype=np.int64)
-        if ids.ndim not in (1, 2) or ids.size == 0:
-            raise DataError(f"embed needs a non-empty 1-D or 2-D id array, got shape {ids.shape}")
-        seq_len = ids.shape[-1]
+        if groups is None:
+            if ids.ndim not in (1, 2) or ids.size == 0:
+                raise DataError(f"embed needs a non-empty 1-D or 2-D id array, got shape {ids.shape}")
+            seq_len, positions = ids.shape[-1], np.arange(ids.shape[-1])
+        elif ids.shape != (groups.n_rows,):
+            raise DataError(f"length groups {groups.shapes} need {groups.n_rows} ids, got shape {ids.shape}")
+        else:
+            seq_len, positions = groups.max_len, groups.positions
         if seq_len > self.config.max_seq_len:
             raise DataError(f"sequence length {seq_len} exceeds max_seq_len {self.config.max_seq_len}")
         bad = np.flatnonzero((ids < 0) | (ids >= self.config.vocab_size))
@@ -200,7 +238,7 @@ class MultiExitModel:
             )
         ops, p = self._ops(taped)
         tok = ops.embedding_lookup(p["embed.tok"], ids)
-        pos = ops.embedding_lookup(p["embed.pos"], np.arange(seq_len))
+        pos = ops.embedding_lookup(p["embed.pos"], positions)
         return tok + pos
 
     def _attention_mask(self, pad_mask: np.ndarray, n_heads: int) -> T.Tensor:
@@ -209,37 +247,72 @@ class MultiExitModel:
         add = (1.0 - pad_mask[:, None, None, :]) * -1e9
         return T.Tensor(np.broadcast_to(add, (b, n_heads, t, t)).copy())
 
-    def _block(self, h, layer_index: int, attn_mask: T.Tensor | None):
-        """One transformer block on a [b, t, d_model] state.
+    def _block(self, h, layer_index: int, attn_mask: T.Tensor | None,
+               groups: LengthGroups | None = None):
+        """One transformer block on a [b, t, d_model] state, or on the
+        [rows, d_model] state of ``groups``.
 
         A Tensor state runs the taped ops on the parameter tensors; an
-        ndarray state runs the same kernels on the parameter arrays.
+        ndarray state runs the same kernels on the parameter arrays, adding
+        biases and residuals in place: the same sums without fresh arrays.
+        With ``groups``, each gemm and the attention run per group on its
+        [b, t, .] block, as they run on a [b, t, d_model] state, and every
+        other kernel runs once over all rows.
         """
         cfg = self.config
         pre = self._block_prefix(layer_index)
-        ops, p = self._ops(isinstance(h, T.Tensor))
-        b, t, d = h.shape
+        taped = isinstance(h, T.Tensor)
+        ops, p = self._ops(taped)
         nh, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
 
-        def heads(x):
-            return ops.transpose(x.reshape((b, t, nh, hd)), (0, 2, 1, 3))
+        def attend(q, k, v):
+            """One group's [b, t, d_model] context from its projections."""
+            b, t, d = q.shape
 
-        q = heads(ops.matmul(h, p[f"{pre}.wq"]) + p[f"{pre}.wbq"])
-        k = heads(ops.matmul(h, p[f"{pre}.wk"]) + p[f"{pre}.wbk"])
-        v = heads(ops.matmul(h, p[f"{pre}.wv"]) + p[f"{pre}.wbv"])
-        scores = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
-        if attn_mask is not None:
-            scores = scores + attn_mask
-        ctx = ops.matmul(ops.softmax(scores, axis=-1), v)
-        ctx = ops.transpose(ctx, (0, 2, 1, 3)).reshape((b, t, d))
-        attn_out = ops.matmul(ctx, p[f"{pre}.wo"]) + p[f"{pre}.wbo"]
-        h = ops.layer_norm(h + attn_out, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
-        ff = ops.gelu(ops.matmul(h, p[f"{pre}.w1"]) + p[f"{pre}.b1"])
-        ff = ops.matmul(ff, p[f"{pre}.w2"]) + p[f"{pre}.b2"]
-        return ops.layer_norm(h + ff, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
+            def heads(x, axes=(0, 2, 1, 3)):
+                """[b, nh, t, hd] per head, or [b, nh, hd, t] with ``axes`` (0, 2, 3, 1)."""
+                return ops.transpose(x.reshape((b, t, nh, hd)), axes)
 
-    def _pooled_head(self, h, name: str):
-        """Head ``name``'s logits [b, k] from the first-token rows of a [b, t, d_model] state.
+            scores = ops.matmul(heads(q), heads(k, (0, 2, 3, 1))) * (1.0 / np.sqrt(hd))
+            if attn_mask is not None:
+                scores = scores + attn_mask
+            ctx = ops.matmul(ops.softmax(scores, axis=-1), heads(v))
+            return ops.transpose(ctx, (0, 2, 1, 3)).reshape((b, t, d))
+
+        def linear(x, w, bias):
+            w, bias = p[f"{pre}.{w}"], p[f"{pre}.{bias}"]
+            if taped:
+                return ops.matmul(x, w) + bias
+            if groups is None:
+                y = ops.matmul(x, w)
+            else:
+                y = np.empty((groups.n_rows, w.shape[1]))
+                for lo, hi, b, t in groups.spans:
+                    ops.matmul(x[lo:hi].reshape((b, t, -1)), w, out=y[lo:hi].reshape((b, t, -1)))
+            y += bias
+            return y
+
+        def attention(q, k, v):
+            if groups is None:
+                return attend(q, k, v)
+            ctx = np.empty_like(q)
+            for lo, hi, b, t in groups.spans:
+                ctx[lo:hi] = attend(*(x[lo:hi].reshape((b, t, -1)) for x in (q, k, v))).reshape((hi - lo, -1))
+            return ctx
+
+        def add_norm(x, y, ln):
+            """Layer norm ``ln`` of the residual sum x + y; an array y is overwritten."""
+            total = x + y if taped else np.add(x, y, out=y)
+            return ops.layer_norm(total, p[f"{pre}.{ln}.g"], p[f"{pre}.{ln}.b"])
+
+        q, k, v = linear(h, "wq", "wbq"), linear(h, "wk", "wbk"), linear(h, "wv", "wbv")
+        h = add_norm(h, linear(attention(q, k, v), "wo", "wbo"), "ln1")
+        ff = linear(ops.gelu(linear(h, "w1", "b1")), "w2", "b2")
+        return add_norm(h, ff, "ln2")
+
+    def _pooled_head(self, h, name: str, groups: LengthGroups | None = None):
+        """Head ``name``'s logits [b, k] from the first-token rows of a [b, t, d_model]
+        state, or [samples, k] from those of the [rows, d_model] state of ``groups``.
 
         Taped, the head is one [b, d] @ [d, k] gemm. Untaped, it runs as
         [b, 1, d] @ [d, k], one product per row, so every row gets the bits
@@ -249,19 +322,21 @@ class MultiExitModel:
         w, bias = p[f"{name}.w"], p[f"{name}.b"]
         if ops is T:
             return ops.matmul(ops.select(h, axis=1, index=0), w) + bias
-        return (ops.matmul(h[:, :1], w) + bias)[:, 0]
+        first = h[:, :1] if groups is None else h[groups.first_rows][:, None]
+        return (ops.matmul(first, w) + bias)[:, 0]
 
-    def _exit_probs(self, h, layer_index: int):
-        """Exit ``layer_index``'s class probabilities [b, k] from a [b, t, d_model]
-        state: softmax for slc, per-label sigmoid for mlc."""
+    def _exit_probs(self, h, layer_index: int, groups: LengthGroups | None = None):
+        """Exit ``layer_index``'s class probabilities [b, k] from a state (see
+        :meth:`_pooled_head`): softmax for slc, per-label sigmoid for mlc."""
         ops = self._ops(isinstance(h, T.Tensor))[0]
-        logits = self._pooled_head(h, f"head{layer_index - 1}")
+        logits = self._pooled_head(h, f"head{layer_index - 1}", groups)
         return ops.softmax(logits, axis=-1) if self.config.task == SLC else ops.sigmoid(logits)
 
-    def _confidence(self, h, layer_index: int):
+    def _confidence(self, h, layer_index: int, groups: LengthGroups | None = None):
         """Exit ``layer_index``'s confidence values [b] in (0, 1)."""
         ops = self._ops(isinstance(h, T.Tensor))[0]
-        return ops.sigmoid(self._pooled_head(h, f"conf{layer_index - 1}").reshape((h.shape[0],)))
+        logits = self._pooled_head(h, f"conf{layer_index - 1}", groups)
+        return ops.sigmoid(logits.reshape((logits.shape[0],)))
 
     def _to_probdist(self, prob_row: np.ndarray) -> ProbDist:
         if self.config.task == SLC:
@@ -287,42 +362,53 @@ class MultiExitModel:
 
     # -- inference-side forward ---------------------------------------
 
-    def forward_layer(self, h_prev: np.ndarray,
-                      layer_index: int) -> tuple[np.ndarray, ProbDist | np.ndarray]:
+    def forward_layer(self, h_prev: np.ndarray, layer_index: int,
+                      groups: LengthGroups | None = None) -> tuple[np.ndarray, ProbDist | np.ndarray]:
         """Run one block on an array state; return the new state and the exit's prediction.
 
         ``h_prev`` is [t, d_model] for one input, which gives one
-        :class:`ProbDist`, or [b, t, d_model] for b equal-length inputs, which
-        gives one float64 array of b rows in the ``ProbDist.probs`` layout,
-        [b, k] (slc) or [b, k, 2] (mlc), checked once as :class:`ProbDist`
-        checks a row; each row's bits equal its batch-1 bits. The block and
-        exit head run the shared kernels on plain arrays: nothing is taped.
+        :class:`ProbDist`; [b, t, d_model] for b equal-length inputs; or, with
+        ``groups``, the [rows, d_model] state of their samples. A batch gives
+        one float64 array with a row per sample in the ``ProbDist.probs``
+        layout, [samples, k] (slc) or [samples, k, 2] (mlc), checked once as
+        :class:`ProbDist` checks a row; each row's bits equal its batch-1
+        bits. The block and exit head run the shared kernels on plain
+        arrays: nothing is taped.
         """
         if not 1 <= layer_index <= self.config.n_layers:
             raise ValueError(f"layer_index {layer_index} outside [1, {self.config.n_layers}]")
-        h = self._block(h_prev if h_prev.ndim == 3 else h_prev[None], layer_index, None)
-        probs = self._exit_probs(h, layer_index)
-        if h_prev.ndim == 2:
+        one = h_prev.ndim == 2 and groups is None
+        h = self._block(h_prev[None] if one else h_prev, layer_index, None, groups)
+        probs = self._exit_probs(h, layer_index, groups)
+        if one:
             return h[0], self._to_probdist(probs[0])
         if self.config.task == MLC:
             probs = np.stack([probs, 1.0 - probs], axis=-1)  # ProbDist.mlc's pairs
         check_probs(self.config.task, probs, lead=1)
         return h, probs
 
-    def layer_confidence(self, h: np.ndarray, layer_index: int) -> float | np.ndarray:
+    def layer_confidence(self, h: np.ndarray, layer_index: int,
+                         groups: LengthGroups | None = None) -> float | np.ndarray:
         """Confidence-head output in (0, 1): a float for a [t, d_model] array
-        state, a [b] array for a [b, t, d_model] one."""
-        conf = self._confidence(h if h.ndim == 3 else h[None], layer_index)
-        return conf if h.ndim == 3 else float(conf[0])
+        state, an array with one value per sample for a batch state (see
+        :meth:`forward_layer`). ValueError if any value is NaN, which a NaN
+        head weight gives and no threshold would halt on."""
+        one = h.ndim == 2 and groups is None
+        conf = self._confidence(h[None] if one else h, layer_index, groups)
+        if not np.minimum.reduce(conf) > 0.0:  # a NaN fails: the sigmoid keeps the rest in (0, 1)
+            raise ValueError("confidence values must lie in (0, 1)")
+        return float(conf[0]) if one else conf
 
-    def iter_layers(self, tokens, confidence: bool = True) -> Iterator[
+    def iter_layers(self, tokens, confidence: bool = True, groups: LengthGroups | None = None) -> Iterator[
             tuple[np.ndarray, ProbDist | np.ndarray, float | np.ndarray | None]]:
         """Yield ``(h, prob, confidence)`` for layers 1..n, lazily.
 
-        ``tokens`` is one input (1-D), or b inputs of one length ([b, t]),
-        which gives each layer's predictions as one [b, k] / [b, k, 2] array
-        (see :meth:`forward_layer`) and its confidences as a [b] array,
-        bit-identical row by row to b batch-1 passes. Each layer runs only
+        ``tokens`` is one input (1-D); b inputs of one length ([b, t]); or,
+        with ``groups``, the [rows] ids of inputs of mixed lengths, each
+        length group's samples in turn. A batch gives each layer's
+        predictions as one [samples, k] / [samples, k, 2] array (see
+        :meth:`forward_layer`) and its confidences as a [samples] array,
+        bit-identical row by row to batch-1 passes. Each layer runs only
         when the next item is requested, so a consumer that stops after
         layer j has computed exactly j layers. The confidence head runs only
         when read: with ``confidence=False`` it never runs and every layer
@@ -331,10 +417,10 @@ class MultiExitModel:
         untaped, so a suspended generator holds no tape and leaves taped
         training untouched.
         """
-        h = self.embed(tokens)
+        h = self.embed(tokens, groups=groups)
         for layer in range(1, self.config.n_layers + 1):
-            h, prob = self.forward_layer(h, layer)
-            yield h, prob, self.layer_confidence(h, layer) if confidence else None
+            h, prob = self.forward_layer(h, layer, groups)
+            yield h, prob, self.layer_confidence(h, layer, groups) if confidence else None
 
     def forward_full(self, tokens) -> PredictionStream:
         """All n layers, confidences included; the stream used for oracles."""

@@ -269,7 +269,7 @@ def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def _transpose_fwd(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     # a C-contiguous copy, as every Tensor holds: np.matmul of a strided
     # view may take another BLAS path and round differently
-    return np.ascontiguousarray(np.transpose(x, axes))
+    return x.transpose(axes).copy()
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -333,9 +333,11 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 
 
 def _softmax_fwd(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    # the reduces are what ndarray.max and ndarray.sum call, minus their
+    # Python wrappers; the divide runs in place, the same quotients
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -396,10 +398,22 @@ _GELU_A = 0.044715
 
 
 def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU of ``x`` and the tanh its backward reuses."""
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
+    """GELU of ``x`` and the tanh its backward reuses.
+
+    0.5 x (1 + tanh(c (x + a x^3))), with the cube as ``x * x * x``. The
+    arithmetic runs in place, the same products and sums as the
+    out-of-place expression, so it gives the same bits from three fresh
+    arrays instead of nine.
+    """
+    u = x * x
+    u *= x
+    u *= _GELU_A
+    u += x
+    u *= _GELU_C
     t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), t
+    out = 0.5 * x
+    out *= np.add(t, 1.0, out=u)
+    return out, t
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -424,14 +438,18 @@ def _layer_norm_fwd(x, gain, bias, eps=1e-5) -> tuple[np.ndarray, np.ndarray, np
 
     Each mean is an add-reduce and a divide by the last-axis size, which
     is what ``ndarray.mean`` computes, bit for bit, minus its Python
-    wrapper; ``xc * xc`` is the same square as ``xc**2``.
+    wrapper; ``xc * xc`` is the same square as ``xc**2``. The scale and
+    shift run in place, the same bits as ``gain * xhat + bias``.
     """
     d = x.shape[-1]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return gain * xhat + bias, xhat, inv
+    xhat = xc
+    xhat *= inv
+    out = gain * xhat
+    out += bias
+    return out, xhat, inv
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -297,6 +297,29 @@ class TestBadInputs:
                      id="empty-patience-grid"),
         pytest.param(["sweep", "--policy", "entropy", "--thre-grid", ",", "--out", os.devnull], None, 1,
                      id="empty-thre-grid"),
+        # a flag the policy does not read is an error, not silently dropped
+        pytest.param(["sweep", "--policy", "entropy", "--thre-grid", "0.5", "--patience-grid", "3",
+                      "--out", os.devnull], None, 1, id="entropy-sweep-with-patience-grid"),
+        pytest.param(["sweep", "--policy", "fixed", "--layer-grid", "2", "--patience-grid", "1",
+                      "--out", os.devnull], None, 1, id="fixed-sweep-with-patience-grid"),
+        pytest.param(["sweep", "--policy", "fixed", "--layer-grid", "2", "--thre-grid", "0.3",
+                      "--out", os.devnull], None, 1, id="fixed-sweep-with-thre-grid"),
+        pytest.param(["sweep", "--policy", "pabee", "--patience-grid", "2", "--thre-grid", "0.3",
+                      "--out", os.devnull], None, 1, id="pabee-sweep-with-thre-grid"),
+        pytest.param(["sweep", "--policy", "fpabee", "--thre-grid", "0.3", "--patience-grid", "1",
+                      "--layer-grid", "2", "--out", os.devnull], None, 1, id="fpabee-sweep-with-layer-grid"),
+        pytest.param(["sweep", "--policy", "learned", "--thre-grid", "0.5", "--layer-grid", "2",
+                      "--out", os.devnull], None, 1, id="learned-sweep-with-layer-grid"),
+        pytest.param(["sweep", "--policy", "maxprob", "--thre-grid", "0.5", "--kl-mode", "--out", os.devnull],
+                     None, 1, id="maxprob-sweep-with-kl-mode"),
+        pytest.param(["sweep", "--policy", "pabee", "--patience-grid", "1", "--kl-mode", "--out", os.devnull],
+                     None, 1, id="pabee-sweep-with-kl-mode"),
+        pytest.param(["eval", "--policy", "entropy", "--thre", "0.5", "--kl-mode"], None, 1,
+                     id="entropy-with-kl-mode"),
+        pytest.param(["eval", "--policy", "pabee", "--patience", "1", "--kl-mode"], None, 1,
+                     id="pabee-with-kl-mode"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1", "--kl-mode"], None, 1,
+                     id="fixed-with-kl-mode"),
     ])
     def test_exit_code_and_one_line_message(self, workspace, tmp_path, capsys, argv, checkpoint, code):
         root, data_dir, ckpt = workspace

@@ -5,6 +5,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exitlab.harness as harness
-from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_synthetic
+from exitlab.data import Dataset, Example, SyntheticSpec, Vocab, build_vocab, encode_dataset, generate_synthetic
 from exitlab.errors import ConfigError, DataError
 from exitlab.harness import (
     POLICY_NAMES,
@@ -542,15 +543,21 @@ SIX_POLICIES = {
 }
 
 
+def samples_of(h, groups=None):
+    """The number of samples a state holds: the length groups' samples, the b
+    of a [b, t, d] batch, or the one input of a [t, d] state."""
+    return len(groups.first_rows) if groups is not None else h.shape[0] if h.ndim == 3 else 1
+
+
 def count_layer_calls(model, monkeypatch):
     """Wrap ``model.forward_layer``; the returned list grows by one per sample-layer:
-    by the number of rows of each call's state ([b, t, d] or one [t, d] input)."""
+    by the number of samples in each call's state (see ``samples_of``)."""
     calls = []
     original = model.forward_layer
 
-    def counted(h, layer_index):
-        calls.extend([layer_index] * (h.shape[0] if h.ndim == 3 else 1))
-        return original(h, layer_index)
+    def counted(h, layer_index, groups=None):
+        calls.extend([layer_index] * samples_of(h, groups))
+        return original(h, layer_index, groups)
 
     monkeypatch.setattr(model, "forward_layer", counted)
     return calls
@@ -605,16 +612,28 @@ class TestReplay:
         compare_policies(model, data, 0.5, [replace(s, thre=None) for s in specs[:5]], vocab)
         assert max(Counter(calls).values()) <= len(data)
 
-    def test_sweep_records_each_length_group_in_one_call_per_layer(self, task, n_classes, monkeypatch):
+    @pytest.mark.parametrize("budget", [512, 40, 7])
+    def test_sweep_records_each_chunk_in_one_call_per_layer(self, task, n_classes, budget, monkeypatch):
         model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
-        lengths = {len(vocab.encode(ex.text, max_len=24)) for ex in data.examples}
-        assert len(lengths) < len(data)
-        rows = []
+        lengths = [len(vocab.encode(ex.text, max_len=24)) for ex in data.examples]
+        assert len(set(lengths)) < len(data)
+        monkeypatch.setattr(harness, "_CHUNK_ROWS", budget)
+        calls = []
         original = model.forward_layer
         monkeypatch.setattr(model, "forward_layer",
-                            lambda h, j: rows.append(h.shape[0]) or original(h, j))
+                            lambda h, j, groups: calls.append((j, groups.shapes)) or original(h, j, groups))
         sweep(model, data, [PolicySpec("fixed", fixed_layer=5)], vocab)
-        assert len(rows) == len(lengths) * 5 and sum(rows) == len(data) * 5
+        chunks = [shapes for j, shapes in calls if j == 1]
+        assert calls == [(j, shapes) for shapes in chunks for j in range(1, 6)]
+        rows = [sum(b * t for b, t in shapes) for shapes in chunks]
+        # each chunk fits the budget (or is one sample longer than it) and
+        # closes only when the next sample would not fit
+        assert all(r <= budget or shapes == ((1, r),) for r, shapes in zip(rows, chunks))
+        assert all(r + nxt[0][1] > budget for r, nxt in zip(rows, chunks[1:]))
+        assert sum(b for shapes in chunks for b, _ in shapes) == len(data)
+        assert Counter(t for shapes in chunks for b, t in shapes for _ in range(b)) == Counter(lengths)
+        if budget >= sum(lengths):
+            assert chunks == [tuple((lengths.count(t), t) for t in dict.fromkeys(lengths))]
 
     def test_memo_leaves_the_callers_policy_alone(self, task, n_classes):
         model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
@@ -657,9 +676,9 @@ def count_confidence_rows(monkeypatch):
     calls = []
     original = MultiExitModel._confidence
 
-    def counted(model, h, layer_index):
-        calls.extend([layer_index] * h.shape[0])
-        return original(model, h, layer_index)
+    def counted(model, h, layer_index, groups=None):
+        calls.extend([layer_index] * samples_of(h, groups))
+        return original(model, h, layer_index, groups)
 
     monkeypatch.setattr(MultiExitModel, "_confidence", counted)
     return calls
@@ -723,6 +742,82 @@ class TestConfidenceOnDemand:
         compared, compared_layers = run(lambda: compare_policies(
             model, data, 0.4, [replace(s, thre=None) for s in specs], vocab))
         assert compared == compared_layers
+
+
+@st.composite
+def ragged_splits(draw, task, share_layer_params):
+    """A randomized tiny model, a split of 0-12 texts whose encoded lengths mix
+    1..max_seq_len, and a row budget: the default, or one small enough that
+    the split takes several chunks and length groups are split across them."""
+    max_seq_len = draw(st.integers(1, 20))
+    n_heads = draw(st.sampled_from([1, 2, 4]))
+    n_classes = draw(st.integers(2, 5))
+    vocab = Vocab([f"w{i}" for i in range(17)])
+    config = ModelConfig(vocab_size=len(vocab), n_classes=n_classes, task=task,
+                         n_layers=draw(st.integers(2, 4)), d_model=n_heads * draw(st.sampled_from([2, 4, 8, 16])),
+                         n_heads=n_heads, d_ff=draw(st.integers(4, 64)), max_seq_len=max_seq_len,
+                         seed=0, share_layer_params=share_layer_params)
+    model = MultiExitModel(config)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([0.1, 0.5, 2.0]))
+    for p in model.params.values():
+        p.array[...] = rng.normal(0, scale, p.shape)
+    examples = []
+    for _ in range(draw(st.integers(0, 12))):
+        words = draw(st.lists(st.sampled_from(vocab.tokens[3:]), max_size=max_seq_len + 2))
+        label = draw(st.integers(0, n_classes - 1))
+        examples.append(Example(" ".join(words), label=label) if task == "slc" else
+                        Example(" ".join(words), labels=(label,)))
+    budget = draw(st.one_of(st.just(harness._CHUNK_ROWS), st.integers(1, 3 * max_seq_len)))
+    return model, Dataset(task, n_classes, examples), vocab, budget
+
+
+class TestRaggedRecording:
+    """The layer cache records a split in chunks of mixed lengths, one
+    forward_layer call per chunk-layer; every sample keeps its batch-1 bytes."""
+
+    @pytest.mark.parametrize("share_layer_params", [False, True], ids=["bert", "albert"])
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_every_sample_has_its_forward_full_bytes(self, task, share_layer_params, data):
+        model, dataset, vocab, budget = data.draw(ragged_splits(task, share_layer_params))
+        confidence = data.draw(st.booleans())
+        chunks = []
+        original = model.forward_layer
+
+        def recorded_chunk(h, layer_index, groups):
+            if layer_index == 1:
+                chunks.append(groups.shapes)
+            return original(h, layer_index, groups)
+
+        with mock.patch.object(harness, "_CHUNK_ROWS", budget), \
+                mock.patch.object(model, "forward_layer", recorded_chunk):
+            cache = _LayerCache(model, dataset, vocab, confidence=confidence)
+        encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
+        n = model.config.n_layers
+        assert cache.probs.shape[:2] == (len(dataset), n)
+        assert (cache.confidences is not None) == confidence
+        for i, ids in enumerate(encoded):
+            stream = model.forward_full(ids)
+            for j in range(n):
+                assert cache.probs[i, j].tobytes() == stream.probs[j].probs.tobytes(), (i, j)
+                if confidence:
+                    assert cache.confidences[i, j].tobytes() == np.float64(stream.confidences[j]).tobytes(), (i, j)
+        # whole samples in length groups, each chunk within the budget (or one
+        # sample longer than it) and closed only when the next sample does not fit
+        rows = [sum(b * t for b, t in shapes) for shapes in chunks]
+        assert all(r <= budget or shapes == ((1, r),) for r, shapes in zip(rows, chunks))
+        assert all(r + nxt[0][1] > budget for r, nxt in zip(rows, chunks[1:]))
+        assert (Counter(t for shapes in chunks for b, t in shapes for _ in range(b))
+                == Counter(len(ids) for ids in encoded))
+
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    def test_empty_split_runs_no_layer(self, task, monkeypatch):
+        model, data, vocab = make_setup(n_layers=3, task=task, n_classes=N_CLASSES[task])
+        calls = count_layer_calls(model, monkeypatch)
+        cache = _LayerCache(model, Dataset(task, data.n_classes, []), vocab)
+        assert calls == [] and cache.probs.shape[:2] == cache.confidences.shape == (0, 3)
 
 
 @functools.lru_cache(maxsize=None)
@@ -823,6 +918,27 @@ class TestArrayScores:
             sweep(model, data, [spec], vocab)
         with pytest.raises(ValueError, match=same):
             compare_policies(model, data, 0.3, [PolicySpec("entropy"), PolicySpec("pabee")], vocab)
+
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    def test_nan_confidence_weight_raises_only_where_the_head_runs(self, task):
+        model, data, vocab = make_setup(n_layers=4, task=task, n_classes=N_CLASSES[task])
+        model.params["conf2.w"].array[0, 0] = np.nan
+        spec = PolicySpec("learned", thre=1.0)  # never halts, so every sample reaches layer 3
+        with pytest.raises(ValueError) as live:
+            evaluate(model, data, spec, vocab)
+        assert str(live.value) == "confidence values must lie in (0, 1)"
+        same = f"^{re.escape(str(live.value))}$"
+        with pytest.raises(ValueError, match=same):
+            evaluate(model, data, spec.build(), vocab)
+        with pytest.raises(ValueError, match=same):
+            sweep(model, data, [PolicySpec("fixed", fixed_layer=4), spec], vocab)
+        with pytest.raises(ValueError, match=same):
+            compare_policies(model, data, 0.3, [PolicySpec("entropy"), PolicySpec("learned")], vocab)
+        # no other policy runs the confidence head, so none reads the NaN
+        others = [PolicySpec("fixed", fixed_layer=4), PolicySpec("entropy", thre=0.5), PolicySpec("pabee", patience=2)]
+        assert sweep(model, data, others, vocab).rows
+        assert all(evaluate(model, data, other, vocab).n_samples == len(data) for other in others)
+        assert len(compare_policies(model, data, 0.3, [PolicySpec("entropy"), PolicySpec("pabee")], vocab)) == 2
 
     def test_pabee_and_fixed_knob_curves_evaluate_nothing(self, monkeypatch):
         model, data, vocab = make_setup(n_layers=5)

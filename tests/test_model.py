@@ -240,7 +240,7 @@ class TestIterLayers:
         m = trained_like_model
         calls = []
         original = m.forward_layer
-        monkeypatch.setattr(m, "forward_layer", lambda h, j: calls.append(j) or original(h, j))
+        monkeypatch.setattr(m, "forward_layer", lambda h, j, *groups: calls.append(j) or original(h, j, *groups))
         layers = m.iter_layers([1, 2])
         assert calls == []
         next(layers)
