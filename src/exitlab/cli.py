@@ -21,6 +21,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .harness import (
+    POLICY_FIELDS,
     POLICY_NAMES,
     PolicySpec,
     SweepResult,
@@ -30,6 +31,7 @@ from .harness import (
     emit_svg,
     evaluate,
     pareto_curve,
+    reject_unread,
     sweep,
 )
 from .model import ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
@@ -59,7 +61,7 @@ def _model_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--task", choices=("slc", "mlc"), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--measure", choices=VARIANTS, default="jskd",
+    p.add_argument("--measure", choices=VARIANTS, default=None,
                    help="similarity variant for fpabee (default jskd)")
     p.add_argument("--kl-mode", action="store_true",
                    help="subtract self-entropy so identical distributions score 0")
@@ -133,36 +135,9 @@ def build_parser() -> _Parser:
     c.add_argument("--target-speedup", type=float, required=True)
     c.add_argument("--policies", default="fpabee,pabee,entropy,maxprob,learned,fixed",
                    help="comma list of policies to include")
-    c.add_argument("--patience", type=int, default=2, help="fixed patience for fpabee")
+    c.add_argument("--patience", type=int, default=None, help="fixed patience for fpabee (default 2)")
     c.add_argument("--out", default=None, help="optional CSV output path")
     return parser
-
-
-def _reject_stray_flags(args, flags: dict[str, tuple[str, ...]]) -> None:
-    """ConfigError for the first flag given with a policy that does not read it.
-
-    ``flags`` maps each flag to the policies that read it; a flag is given
-    when its value is neither None nor False (an unset ``store_true``).
-    """
-    for flag, policies in flags.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value is not False and args.policy not in policies:
-            only = (f"{', '.join(policies[:-1])} and {policies[-1]}" if len(policies) > 1
-                    else f"the {policies[0]} policy")
-            raise ConfigError(f"{flag} applies to {only} only, not {args.policy}")
-
-
-def _spec_from_args(args) -> PolicySpec:
-    _reject_stray_flags(args, {"--patience": ("fpabee", "pabee"), "--fixed-layer": ("fixed",),
-                               "--kl-mode": ("fpabee",)})
-    return PolicySpec(
-        policy=args.policy,
-        measure=args.measure,
-        thre=args.thre,
-        patience=args.patience,
-        fixed_layer=args.fixed_layer,
-        kl_mode=args.kl_mode,
-    )
 
 
 def _load_model_and_data(args):
@@ -257,7 +232,9 @@ def _print_result(r) -> None:
 
 def _cmd_eval(args) -> int:
     model, dataset, vocab = _load_model_and_data(args)
-    result = evaluate(model, dataset, _spec_from_args(args), vocab)
+    spec = PolicySpec(args.policy, args.measure, args.thre, args.patience, args.fixed_layer,
+                      args.kl_mode)
+    result = evaluate(model, dataset, spec, vocab)
     _print_result(result)
     if args.out_csv:
         emit_csv(
@@ -280,9 +257,10 @@ def _grid_or_default(grid: list | None, default: list, flag: str) -> list:
 
 
 def _build_sweep_specs(args, n_layers: int) -> list[PolicySpec]:
-    _reject_stray_flags(args, {"--patience-grid": ("fpabee", "pabee"), "--layer-grid": ("fixed",),
-                               "--thre-grid": ("fpabee", "entropy", "maxprob", "learned"),
-                               "--kl-mode": ("fpabee",)})
+    reject_unread([args.policy], {"thre": args.thre_grid, "patience": args.patience_grid,
+                                  "fixed_layer": args.layer_grid, "measure": args.measure,
+                                  "kl_mode": args.kl_mode},
+                  {"thre": "--thre-grid", "patience": "--patience-grid", "fixed_layer": "--layer-grid"})
     if args.policy == "fixed":
         layers = _grid_or_default(args.layer_grid, list(range(1, n_layers + 1)), "--layer-grid")
         return [PolicySpec("fixed", fixed_layer=j) for j in layers]
@@ -309,7 +287,7 @@ def _cmd_sweep(args) -> int:
     emit_csv(result, args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     if args.svg:
-        label = args.policy if args.policy != "fpabee" else f"fpabee-{args.measure}"
+        label = "-".join(filter(None, (args.policy, specs[0].measure)))
         emit_svg([(label, pareto_curve(result))], args.svg)
         print(f"wrote {args.svg}")
     return 0
@@ -319,10 +297,12 @@ def _cmd_compare(args) -> int:
     names = [p for p in args.policies.split(",") if p]
     if not names:
         raise ConfigError("--policies is empty")
-    if args.patience < 1:
-        raise ConfigError(f"--patience must be at least 1, got {args.patience}")
-    specs = [PolicySpec("fpabee", measure=args.measure, patience=args.patience, kl_mode=args.kl_mode)
-             if name == "fpabee" else PolicySpec(name) for name in names]
+    # each policy takes the flags it reads besides its knob; a patience left out means 2
+    given = {"measure": args.measure, "patience": args.patience, "kl_mode": args.kl_mode}
+    values = {**given, "patience": 2 if args.patience is None else args.patience}
+    specs = [PolicySpec(name, **{f: values[f] for f in POLICY_FIELDS.get(name, ())[1:]})
+             for name in names]
+    reject_unread(names, given, knob=False)
     model, dataset, vocab = _load_model_and_data(args)
     results = compare_policies(model, dataset, args.target_speedup, specs, vocab)
     print("policy,knob,speedup,score,attained")

@@ -52,7 +52,7 @@ from .policies import (
     max_probs,
     prediction_changes,
 )
-from .similarity import MLC, SLC, SimilarityMeasure, entropies, predictions
+from .similarity import MLC, SLC, VARIANTS, SimilarityMeasure, entropies, predictions
 
 __all__ = [
     "PolicySpec",
@@ -73,6 +73,17 @@ _POLICY_CLASSES = {cls.name: cls for cls in
                    (FPabee, Pabee, EntropyThreshold, MaxProb, LearnedConfidence, FixedExit)}
 POLICY_NAMES = tuple(_POLICY_CLASSES)
 
+# The PolicySpec fields each policy reads, its knob first. PolicySpec rejects
+# any other field that is set; the result files and the CLI read this table.
+POLICY_FIELDS = {
+    "fpabee": ("thre", "patience", "measure", "kl_mode"),
+    "pabee": ("patience",),
+    "entropy": ("thre",),
+    "maxprob": ("thre",),
+    "learned": ("thre",),
+    "fixed": ("fixed_layer",),
+}
+
 # Token rows per recorded chunk (see _LayerCache). A 4-point sweep of a
 # 500-sample split at the test fixtures' architectures (2-vCPU Xeon, numpy
 # 2.4, one BLAS thread) took the same time within 10% at 256, 512 and 1024
@@ -81,18 +92,35 @@ POLICY_NAMES = tuple(_POLICY_CLASSES)
 _CHUNK_ROWS = 512
 
 
+def reject_unread(policies: list[str], values: dict, flags: dict | None = None,
+                  knob: bool = True) -> None:
+    """ConfigError for the first field in ``values`` that is set (neither None
+    nor False) but read by no policy in ``policies`` (:data:`POLICY_FIELDS`;
+    their knobs do not count when ``knob`` is false). The message names the
+    field by its flag in ``flags``, or else by its own name."""
+    start = 0 if knob else 1
+    read = {f for p in policies for f in POLICY_FIELDS[p][start:]}
+    for field, value in values.items():
+        if value is not None and value is not False and field not in read:
+            readers = [p for p, reads in POLICY_FIELDS.items() if field in reads[start:]]
+            only = (f"{', '.join(readers[:-1])} and {readers[-1]}" if len(readers) > 1
+                    else f"the {readers[0]} policy")
+            flag = (flags or {}).get(field, "--" + field.replace("_", "-"))
+            raise ConfigError(f"{flag} applies to {only} only, not {', '.join(policies)}")
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """Declarative policy selection, mirroring the CLI flags.
 
-    ``thre`` is the policy's scalar knob: the similarity threshold for
-    fpabee, the entropy / probability / confidence threshold for the
-    confidence family. ``fixed_layer`` selects the fixed policy's layer
-    and ``patience`` the patience count for both patience policies.
+    ``thre`` is fpabee's similarity threshold and the confidence family's
+    threshold, ``patience`` the patience of fpabee and pabee, ``fixed_layer``
+    the fixed policy's layer. A field ``policy`` does not read (its row of
+    :data:`POLICY_FIELDS`) must stay unset; fpabee's ``measure`` defaults to jskd.
     """
 
     policy: str
-    measure: str = "jskd"
+    measure: str | None = None
     thre: float | None = None
     patience: int | None = None
     fixed_layer: int | None = None
@@ -101,6 +129,11 @@ class PolicySpec:
     def __post_init__(self):
         if self.policy not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}")
+        reject_unread([self.policy], {f: v for f, v in vars(self).items() if f != "policy"})
+        if self.measure is None and "measure" in POLICY_FIELDS[self.policy]:
+            object.__setattr__(self, "measure", "jskd")
+        if self.measure is not None and self.measure not in VARIANTS:
+            raise ConfigError(f"unknown similarity measure {self.measure!r}; expected one of {VARIANTS}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be at least 1, got {self.patience}")
         if self.fixed_layer is not None and self.fixed_layer < 1:
@@ -108,27 +141,20 @@ class PolicySpec:
         if self.thre is not None and not math.isfinite(self.thre):
             raise ConfigError(f"thre must be a finite number, got {self.thre}")
 
+    @property
+    def knob(self) -> str:
+        """The name of the field this spec's policy tunes."""
+        return POLICY_FIELDS[self.policy][0]
+
     def build(self) -> ExitPolicy:
+        missing = ["--" + f.replace("_", "-") for f in POLICY_FIELDS[self.policy]
+                   if getattr(self, f) is None]
+        if missing:
+            raise ConfigError(f"{self.policy} needs {' and '.join(missing)}")
         if self.policy == "fpabee":
-            if self.thre is None or self.patience is None:
-                raise ConfigError("fpabee needs both --thre and --patience")
             measure = SimilarityMeasure(self.measure, subtract_self_entropy=self.kl_mode)
             return FPabee(measure, self.thre, self.patience)
-        if self.policy == "pabee":
-            if self.patience is None:
-                raise ConfigError("pabee needs --patience")
-            return Pabee(self.patience)
-        if self.policy == "fixed":
-            if self.fixed_layer is None:
-                raise ConfigError("fixed needs --fixed-layer")
-            return FixedExit(self.fixed_layer)
-        if self.thre is None:
-            raise ConfigError(f"{self.policy} needs --thre as its threshold")
-        if self.policy == "entropy":
-            return EntropyThreshold(self.thre)
-        if self.policy == "maxprob":
-            return MaxProb(self.thre)
-        return LearnedConfidence(self.thre)
+        return _POLICY_CLASSES[self.policy](getattr(self, self.knob))
 
     @property
     def reads_confidence(self) -> bool:
@@ -137,18 +163,11 @@ class PolicySpec:
 
     def with_knob(self, knob) -> PolicySpec:
         """This spec with its knob (see :meth:`knob_value`) set to ``knob``."""
-        if self.policy == "fixed":
-            return replace(self, fixed_layer=int(knob))
-        if self.policy == "pabee":
-            return replace(self, patience=int(knob))
-        return replace(self, thre=float(knob))
+        return replace(self, **{self.knob: float(knob) if self.knob == "thre" else int(knob)})
 
     def knob_value(self) -> float | None:
-        if self.policy == "fixed":
-            return float(self.fixed_layer) if self.fixed_layer is not None else None
-        if self.policy == "pabee":
-            return float(self.patience) if self.patience is not None else None
-        return self.thre
+        value = getattr(self, self.knob)
+        return None if value is None else float(value)
 
 
 @dataclass
@@ -275,7 +294,7 @@ class _LayerCache:
         above their threshold, so their sign is -1.
         """
         sign = -1.0 if spec.policy in ("maxprob", "learned") else 1.0
-        window = min(spec.patience, self.n_layers) if spec.policy in ("fpabee", "pabee") else 1
+        window = min(spec.patience, self.n_layers) if "patience" in POLICY_FIELDS[spec.policy] else 1
         scores = self.scores(spec)
         keys = scores.copy()
         for lag in range(1, window):
@@ -324,7 +343,7 @@ def _exits(cache: _LayerCache, spec: PolicySpec) -> np.ndarray:
 
 
 def _check_fixed_layer(spec: PolicySpec, n: int) -> None:
-    if spec.policy == "fixed" and spec.fixed_layer is not None and spec.fixed_layer > n:
+    if spec.fixed_layer is not None and spec.fixed_layer > n:
         raise ConfigError(f"fixed exit layer {spec.fixed_layer} exceeds the model's {n} layers")
 
 
@@ -465,21 +484,29 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value)) if isinstance(value, float) else str(value)
 
 
+def _cell(spec: PolicySpec, field: str) -> str:
+    """``spec``'s ``field`` as a CSV cell, empty when its policy does not read it."""
+    return _fmt(getattr(spec, field)) if field in POLICY_FIELDS[spec.policy] else ""
+
+
+def _spec_cells(spec: PolicySpec) -> list[str]:
+    """The policy, measure, knob (``thre`` column) and patience cells of a row."""
+    return [spec.policy, _cell(spec, "measure"), _fmt(spec.knob_value()), _cell(spec, "patience")]
+
+
 def emit_csv(result: SweepResult, path) -> None:
     """Write the sweep table; floats use repr so a re-parse is lossless."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_csv_header(result.n_layers))
         for row in result.rows:
-            spec = row.spec
             writer.writerow(
-                [spec.policy, spec.measure if spec.policy == "fpabee" else "",
-                 _fmt(spec.knob_value()), _fmt(spec.patience),
-                 _fmt(row.accuracy), _fmt(row.micro_f1), _fmt(row.speedup),
-                 _fmt(row.mean_exit_layer)]
+                _spec_cells(row.spec)
+                + [_fmt(row.accuracy), _fmt(row.micro_f1), _fmt(row.speedup),
+                   _fmt(row.mean_exit_layer)]
                 + [str(c) for c in row.histogram]
                 + [str(result.seed), result.model_hash, result.data_hash,
-                   str(spec.kl_mode) if spec.policy == "fpabee" else ""]
+                   _cell(row.spec, "kl_mode")]
             )
 
 
@@ -487,10 +514,9 @@ def parse_csv(path) -> SweepResult:
     """Inverse of :func:`emit_csv` (task is not stored; slc is assumed
     for scoring, which leaves the stored metric columns untouched).
 
-    The ``thre`` column holds each row's knob, so it becomes ``fixed_layer``
-    on a ``fixed`` row, is dropped on a ``pabee`` row (whose patience has
-    its own column) and is ``thre`` otherwise. ``kl_mode`` is read on
-    fpabee rows; a file without that column reads as ``kl_mode=False``."""
+    The ``thre`` column holds each row's knob; the other cells are read
+    only for the fields the row's policy reads (:data:`POLICY_FIELDS`). A
+    file without the ``kl_mode`` column reads as ``kl_mode=False``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -500,16 +526,13 @@ def parse_csv(path) -> SweepResult:
         seed, model_hash, data_hash = 0, "", ""
         for rec in reader:
             m = dict(zip(header, rec))
-            policy = m["policy"]
-            knob = float(m["thre"]) if m["thre"] else None
-            patience = int(m["patience"]) if m["patience"] else None
-            if policy == "fixed":
-                spec = PolicySpec(policy, fixed_layer=None if knob is None else int(knob))
-            elif policy == "pabee":
-                spec = PolicySpec(policy, patience=patience)
-            else:
-                spec = PolicySpec(policy, measure=m["measure"] or "jskd", thre=knob,
-                                  patience=patience, kl_mode=m.get("kl_mode") == "True")
+            cells = {"measure": m["measure"] or None,
+                     "patience": int(m["patience"]) if m["patience"] else None,
+                     "kl_mode": m.get("kl_mode") == "True"}
+            spec = PolicySpec(m["policy"], **{f: cells[f] for f in
+                                              POLICY_FIELDS.get(m["policy"], ())[1:]})
+            if m["thre"]:
+                spec = spec.with_knob(float(m["thre"]))
             rows.append(
                 EvalResult(
                     spec=spec,
@@ -534,12 +557,7 @@ def emit_histogram(result: EvalResult, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["policy", "measure", "thre", "patience"] + [f"hist_{i}" for i in range(1, n + 1)])
-        spec = result.spec
-        writer.writerow(
-            [spec.policy, spec.measure if spec.policy == "fpabee" else "",
-             _fmt(spec.knob_value()), _fmt(spec.patience)]
-            + [str(c) for c in result.histogram]
-        )
+        writer.writerow(_spec_cells(result.spec) + [str(c) for c in result.histogram])
 
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -621,7 +639,7 @@ def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[np.ndarray, np.nd
     minima and the next float above them; speedup is monotone along them.
     """
     n, count = cache.n_layers, len(cache.dataset)
-    if spec.policy in ("fixed", "pabee"):
+    if spec.knob != "thre":
         knobs = np.arange(1, n + 1)
         return knobs, np.array([1.0 - _mean_exit(_exits(cache, spec.with_knob(j)), n) / n
                                 for j in knobs])

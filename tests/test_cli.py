@@ -320,6 +320,21 @@ class TestBadInputs:
                      id="pabee-with-kl-mode"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1", "--kl-mode"], None, 1,
                      id="fixed-with-kl-mode"),
+        pytest.param(["eval", "--policy", "pabee", "--patience", "2", "--thre", "0.3"], None, 1,
+                     id="pabee-with-thre"),
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "2", "--thre", "0.3"], None, 1,
+                     id="fixed-with-thre"),
+        pytest.param(["eval", "--policy", "entropy", "--thre", "0.3", "--measure", "kd"], None, 1,
+                     id="entropy-with-measure"),
+        pytest.param(["sweep", "--policy", "entropy", "--thre-grid", "0.5", "--measure", "kd",
+                      "--out", os.devnull], None, 1, id="entropy-sweep-with-measure"),
+        # compare's --measure, --kl-mode and --patience set fpabee's fields only
+        pytest.param(["compare", "--target-speedup", "0.3", "--policies", "entropy,pabee", "--kl-mode"],
+                     None, 1, id="compare-kl-mode-without-fpabee"),
+        pytest.param(["compare", "--target-speedup", "0.3", "--policies", "entropy,pabee", "--patience", "3"],
+                     None, 1, id="compare-patience-without-fpabee"),
+        pytest.param(["compare", "--target-speedup", "0.3", "--policies", "entropy,pabee", "--measure", "kd"],
+                     None, 1, id="compare-measure-without-fpabee"),
     ])
     def test_exit_code_and_one_line_message(self, workspace, tmp_path, capsys, argv, checkpoint, code):
         root, data_dir, ckpt = workspace

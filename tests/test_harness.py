@@ -197,6 +197,30 @@ class TestMetricOracle:
         assert r.micro_f1 == r.accuracy == r.score
 
 
+# the fields each policy reads, knob first, and a valid value for every field
+READS = {"fpabee": ("thre", "patience", "measure", "kl_mode"), "pabee": ("patience",),
+         "entropy": ("thre",), "maxprob": ("thre",), "learned": ("thre",), "fixed": ("fixed_layer",)}
+FIELD_VALUES = {"thre": 0.0, "patience": 2, "measure": "kd", "kl_mode": True, "fixed_layer": 1}
+
+
+class TestPolicySpec:
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_every_field_the_policy_does_not_read_is_rejected(self, policy):
+        reads = {f: FIELD_VALUES[f] for f in READS[policy]}
+        PolicySpec(policy, **reads).build()
+        for field in FIELD_VALUES.keys() - reads.keys():
+            with pytest.raises(ConfigError, match=f"--{field.replace('_', '-')} applies to"):
+                PolicySpec(policy, **reads, **{field: FIELD_VALUES[field]})
+
+    def test_unknown_measure_is_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="measure"):
+            PolicySpec("fpabee", measure="bogus", thre=0.1, patience=1)
+
+    def test_fpabee_measure_defaults_to_jskd(self):
+        assert (PolicySpec("fpabee", thre=0.1, patience=1)
+                == PolicySpec("fpabee", measure="jskd", thre=0.1, patience=1))
+
+
 class TestSweep:
     def test_single_point_equals_single_evaluate(self):
         model, data, vocab = make_setup()
@@ -294,6 +318,7 @@ class TestEmitters:
         specs = [
             PolicySpec("fpabee", measure="kd", thre=0.25, patience=2),
             PolicySpec("fpabee", measure="symkd", thre=0.5, patience=3, kl_mode=True),
+            PolicySpec("fpabee", thre=0.3, patience=1),
             PolicySpec("pabee", patience=3),
             PolicySpec("entropy", thre=0.75),
             PolicySpec("maxprob", thre=0.6),
