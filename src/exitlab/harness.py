@@ -8,13 +8,17 @@ gold label (slc) or label set (mlc); ``micro_f1`` is the multi-label
 micro-averaged F1 over those sets and equals accuracy on single-label
 tasks. ``MultiExitModel.check_dataset`` rejects a mismatched dataset first.
 
-Record once, one halting rule: each :func:`sweep` and
-:func:`compare_policies` call runs every layer of every sample once, into
-one [samples, n, ...] probability array. The samples run in chunks of up
-to ``_CHUNK_ROWS`` token rows of mixed lengths, one layer call per chunk:
-the gemms and attention run per length group and everything else once
-over the chunk's rows, with no padding, so every row keeps its batch-1
-bits. The confidence head runs only if a spec is ``learned``. Every policy but
+Record once, one halting rule: :func:`sweep`, :func:`compare_policies`
+and ``training.dev_accuracy`` read every layer of every sample from one
+recording, a [samples, n, ...] probability array plus each sample-layer's
+first-token row. A split is recorded once per parameter state: the model
+keeps the last recording (:meth:`MultiExitModel.derived`), and a call on
+the same encoded split under bitwise-unchanged parameters runs no layer.
+The samples run in chunks of up to ``_CHUNK_ROWS`` token rows of mixed
+lengths, one layer call per chunk: the gemms and attention run per length
+group and everything else once over the chunk's rows, with no padding, so
+every row keeps its batch-1 bits. The confidence head runs over the
+recorded first-token rows the first time a ``learned`` spec reads it. Every policy but
 ``fixed`` halts at the first layer whose key, the max of its signed
 scores over the last ``patience`` layers (fpabee, pabee) or one layer
 (the others), is below its signed threshold. The scores are the formulas
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,11 +160,6 @@ class PolicySpec:
             return FPabee(measure, self.thre, self.patience)
         return _POLICY_CLASSES[self.policy](getattr(self, self.knob))
 
-    @property
-    def reads_confidence(self) -> bool:
-        """Whether the built policy reads the confidence head, as its class says."""
-        return _POLICY_CLASSES[self.policy].reads_confidence
-
     def with_knob(self, knob) -> PolicySpec:
         """This spec with its knob (see :meth:`knob_value`) set to ``knob``."""
         return replace(self, **{self.knob: float(knob) if self.knob == "thre" else int(knob)})
@@ -206,8 +205,24 @@ class CompareResult:
     attained: bool
 
 
+@dataclass
+class _Recording:
+    """Every layer of one model over one encoded split: the split's ``lengths``
+    and concatenated ``ids``, each sample-layer's exit distribution
+    ``probs`` and first-token row ``pooled``, and what is derived from them
+    on demand (``confidences``, and the ``scores`` of each policy family).
+    Every array is read-only, since calls under the same parameters share it."""
+
+    lengths: np.ndarray
+    ids: np.ndarray
+    probs: np.ndarray
+    pooled: np.ndarray
+    confidences: np.ndarray | None = None
+    scores: dict = field(default_factory=dict)
+
+
 class _LayerCache:
-    """Every layer of one model over one dataset, for one sweep or compare call.
+    """Every layer of one model over one dataset, recorded once per parameter state.
 
     Samples are grouped by encoded length, and the groups are packed in
     order into chunks of at most ``_CHUNK_ROWS`` token rows (:func:`_chunks`;
@@ -218,37 +233,46 @@ class _LayerCache:
     call per chunk-layer. Each layer's rows go straight into one float64
     array: ``probs[i, j - 1]`` is sample i's exit distribution at layer j
     in the ``ProbDist.probs`` layout, so ``probs`` is [samples, n, k] (slc)
-    or [samples, n, k, 2] (mlc). ``confidences`` is [samples, n] when the
-    cache is built with ``confidence``, and ``None`` otherwise, so the
-    confidence head runs only for a ``learned`` spec. ``gold`` holds the
-    labels in the layout :func:`_result` scores against.
+    or [samples, n, k, 2] (mlc), and ``pooled[i, j - 1]`` is the state's
+    first-token row there, [samples, n, d_model]. :attr:`confidences` runs
+    the confidence head on ``pooled`` when first read, so it runs only
+    for a ``learned`` spec. ``gold`` holds the labels in the layout
+    :func:`_result` scores against.
 
-    :meth:`scores` scores each policy family once, with array ops. The
-    cache lives as long as the call that built it, so nothing needs
-    invalidating when parameters change.
+    The recording is kept in :meth:`MultiExitModel.derived`, so it lives
+    until any parameter changes. A cache of the same encoded split (the
+    same lengths and ids) under unchanged parameters reuses it and runs
+    no layer; the dataset check and the labels are read on every call.
+    :meth:`scores` scores each policy family once per recording, with
+    array ops.
     """
 
-    def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab,
-                 confidence: bool = True):
+    def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab):
         model.check_dataset(dataset)
-        self.dataset = dataset
-        self.n_layers = n = model.config.n_layers
+        self.dataset, self.gold, self._model = dataset, _gold(dataset), model
+        self.n_layers = model.config.n_layers
         encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
-        by_length: dict[int, list[int]] = {}
-        for i, ids in enumerate(encoded):
-            by_length.setdefault(len(ids), []).append(i)
-        self.probs = np.empty((len(encoded), n) + _row_shape(dataset))
-        self.confidences = np.empty((len(encoded), n)) if confidence else None
-        for chunk in _chunks(by_length, _CHUNK_ROWS):
-            members = [i for _, part in chunk for i in part]
-            layout = LengthGroups([(len(part), t) for t, part in chunk])
-            ids = np.concatenate([encoded[i] for i in members])
-            for j, (_, probs, confs) in enumerate(model.iter_layers(ids, confidence, layout)):
-                self.probs[members, j] = probs
-                if confidence:
-                    self.confidences[members, j] = confs
-        self.gold = _gold(dataset)
-        self._scores: dict[tuple, np.ndarray] = {}
+        lengths = np.array([len(ids) for ids in encoded], dtype=np.int64)
+        ids = np.concatenate(encoded) if encoded else np.empty(0, dtype=np.int64)
+        memo = model.derived()
+        rec = memo.get("recording")
+        if rec is None or not (np.array_equal(rec.lengths, lengths) and np.array_equal(rec.ids, ids)):
+            probs, pooled = _record(model, encoded, _row_shape(dataset))
+            rec = memo["recording"] = _Recording(*map(_read_only, (lengths, ids, probs, pooled)))
+        self._rec = rec
+        self.probs = rec.probs
+
+    @property
+    def confidences(self) -> np.ndarray:
+        """Each sample-layer's confidence value, [samples, n]: the confidence
+        head over ``pooled``, run once per recording when first read."""
+        rec = self._rec
+        if rec.confidences is None:
+            confs = np.empty(rec.pooled.shape[:2])
+            for j in range(self.n_layers if len(confs) else 0):
+                confs[:, j] = self._model.layer_confidence(rec.pooled[:, j][:, None], j + 1)
+            rec.confidences = _read_only(confs)
+        return rec.confidences
 
     def scores(self, spec: PolicySpec) -> np.ndarray:
         """The signed score ``spec``'s policy compares at every recorded layer, [samples, n].
@@ -258,10 +282,10 @@ class _LayerCache:
         compared (layer 1 of fpabee and pabee) scores ``inf``. maxprob and
         learned halt on a score above their threshold, so their scores are
         negated (see :meth:`keys`). Computed once per policy family (policy,
-        measure, ``kl_mode``).
+        measure, ``kl_mode``) per recording.
         """
         family = (spec.policy, spec.measure, spec.kl_mode)
-        scores = self._scores.get(family)
+        scores = self._rec.scores.get(family)
         if scores is not None:
             return scores
         kind, probs = self.dataset.task, self.probs
@@ -280,7 +304,7 @@ class _LayerCache:
             scores = -max_probs(kind, probs)
         else:
             scores = -self.confidences
-        self._scores[family] = scores
+        self._rec.scores[family] = _read_only(scores)
         return scores
 
     def keys(self, spec: PolicySpec) -> tuple[np.ndarray, float]:
@@ -301,6 +325,32 @@ class _LayerCache:
             np.maximum(keys[:, lag:], scores[:, :-lag], out=keys[:, lag:])
         keys[:, :window - 1] = np.inf
         return keys, sign
+
+
+def _record(model: MultiExitModel, encoded: list[np.ndarray],
+            row_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every layer of every encoded sample, run in chunks of length groups:
+    the exit distributions [samples, n, *row_shape] and first-token rows
+    [samples, n, d_model] (see :class:`_LayerCache`)."""
+    n = model.config.n_layers
+    by_length: dict[int, list[int]] = {}
+    for i, ids in enumerate(encoded):
+        by_length.setdefault(len(ids), []).append(i)
+    probs = np.empty((len(encoded), n) + row_shape)
+    pooled = np.empty((len(encoded), n, model.config.d_model))
+    for chunk in _chunks(by_length, _CHUNK_ROWS):
+        members = [i for _, part in chunk for i in part]
+        layout = LengthGroups([(len(part), t) for t, part in chunk])
+        ids = np.concatenate([encoded[i] for i in members])
+        for j, (h, layer_probs, _) in enumerate(model.iter_layers(ids, False, layout)):
+            probs[members, j] = layer_probs
+            pooled[members, j] = h[layout.first_rows]
+    return probs, pooled
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _chunks(by_length: dict[int, list[int]], budget: int) -> list[list[tuple[int, list[int]]]]:
@@ -437,10 +487,11 @@ def sweep(
 ) -> SweepResult:
     """One evaluation per grid point, rows sorted by ascending speedup.
 
-    All grid points read their exits from one layer cache that records
-    every layer of every sample once, in chunks of length groups.
+    All grid points read their exits from one layer cache, which records
+    every layer of every sample once, in chunks of length groups, or reuses
+    the model's recording of the same split under unchanged parameters.
     """
-    cache = _LayerCache(model, dataset, vocab, confidence=any(s.reads_confidence for s in specs))
+    cache = _LayerCache(model, dataset, vocab)
     rows = [_evaluate(cache, spec) for spec in specs]
     rows.sort(key=lambda r: r.speedup)
     return SweepResult(
@@ -673,7 +724,7 @@ def compare_policies(
         raise ConfigError(f"target speedup must lie in [0, 1), got {target_speedup}")
     if not tolerance >= 0.0:
         raise ConfigError(f"tolerance must be a number >= 0, got {tolerance}")
-    cache = _LayerCache(model, dataset, vocab, confidence=any(s.reads_confidence for s in specs))
+    cache = _LayerCache(model, dataset, vocab)
     out: list[CompareResult] = []
     for spec in specs:
         knobs, speedups = _knob_curve(cache, spec)

@@ -16,6 +16,14 @@ inference runs the same code on plain float64 ndarrays through
 :data:`exitlab.tensor.arrays`, the same forward kernels with nothing
 recorded, and gives the same bits as the taped ops.
 
+Every parameter lives in one contiguous float64 buffer, in init order:
+``params[name].array`` is a view into it. Optimizers, checkpoint loading
+and tests write parameters in place and never rebind them. Values derived
+from the parameters (the :meth:`~MultiExitModel.param_hash` digest, the
+harness's layer recording) are kept in :meth:`MultiExitModel.derived`,
+which checks the buffer bit for bit against a copy on every call and
+drops them all on any difference.
+
 Inference runs one input, a batch of equal-length inputs, or inputs of
 mixed lengths as one state of concatenated rows described by its
 :class:`LengthGroups`. None of them pads, and every sample gets its
@@ -131,19 +139,24 @@ class MultiExitModel:
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        self.params: dict[str, T.Tensor] = {}
-        # the same buffers as self.params, which optimizers and checkpoint
-        # loading update in place, so this view never goes stale
         self._arrays: dict[str, np.ndarray] = {}
         self._init_params()
+        # one buffer holds every parameter in init order, and each array of
+        # self._arrays and self.params is a view into it, which optimizers
+        # and checkpoint loading update in place, so neither goes stale
+        self._buffer = np.concatenate([a.reshape(-1) for a in self._arrays.values()])
+        offset = 0
+        for name, array in self._arrays.items():
+            self._arrays[name] = self._buffer[offset:offset + array.size].reshape(array.shape)
+            offset += array.size
+        self.params: dict[str, T.Tensor] = {name: T.Tensor(view, requires_grad=True)
+                                            for name, view in self._arrays.items()}
+        self._memo: tuple[np.ndarray, dict] | None = None  # see derived()
 
     # -- parameters ----------------------------------------------------
 
-    def _param(self, name: str, array: np.ndarray) -> T.Tensor:
-        t = T.Tensor(array, requires_grad=True)
-        self.params[name] = t
-        self._arrays[name] = t.array
-        return t
+    def _param(self, name: str, array: np.ndarray) -> None:
+        self._arrays[name] = array
 
     def _init_params(self) -> None:
         cfg = self.config
@@ -180,14 +193,31 @@ class MultiExitModel:
         """Named parameter tensors (shared blocks appear once)."""
         return dict(self.params)
 
+    def derived(self) -> dict:
+        """A dict for values derived from the current parameters, emptied
+        whenever any parameter changed since the last call.
+
+        Each call compares the parameter buffer bit for bit with a copy
+        taken when the dict was last emptied (as uint64, so a -0.0 for 0.0
+        or another NaN payload counts as a change). Callers store what they
+        derive under their own key; :meth:`param_hash` keeps its digest here.
+        """
+        bits = self._buffer.view(np.uint64)
+        if self._memo is None or not np.array_equal(bits, self._memo[0]):
+            self._memo = (bits.copy(), {})
+        return self._memo[1]
+
     def param_hash(self) -> str:
         """Stable digest of config plus every parameter's bytes."""
-        h = hashlib.sha256()
-        h.update(json.dumps(asdict(self.config), sort_keys=True).encode())
-        for name in sorted(self.params):
-            h.update(name.encode())
-            h.update(self.params[name].array.tobytes())
-        return h.hexdigest()[:16]
+        memo = self.derived()
+        if "param_hash" not in memo:
+            h = hashlib.sha256()
+            h.update(json.dumps(asdict(self.config), sort_keys=True).encode())
+            for name in sorted(self.params):
+                h.update(name.encode())
+                h.update(self.params[name].array.tobytes())
+            memo["param_hash"] = h.hexdigest()[:16]
+        return memo["param_hash"]
 
     def check_dataset(self, dataset: Dataset) -> None:
         """ConfigError on another task or class count; DataError on a label outside [0, n_classes)."""

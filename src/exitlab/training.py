@@ -283,7 +283,7 @@ def make_grid(batch_sizes, learning_rates, base: TrainConfig | None = None) -> l
 def dev_accuracy(model: MultiExitModel, dataset: Dataset, vocab: Vocab) -> float:
     """Final-layer accuracy (slc) or exact-set accuracy (mlc), from one
     length-grouped recording of the dataset (see ``harness._LayerCache``)."""
-    cache = _LayerCache(model, dataset, vocab, confidence=False)
+    cache = _LayerCache(model, dataset, vocab)
     return _evaluate(cache, PolicySpec("fixed", fixed_layer=model.config.n_layers)).accuracy
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI: gen-data -> train -> eval -> sweep -> compare, exit codes."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -10,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitlab.cli import build_parser, main
-from exitlab.harness import parse_csv
-from exitlab.model import CHECKPOINT_VERSION, ModelConfig, MultiExitModel
+from exitlab.harness import POLICY_NAMES, parse_csv
+from exitlab.model import CHECKPOINT_VERSION, ModelConfig, MultiExitModel, save_checkpoint
+from exitlab.similarity import VARIANTS
 from exitlab.training import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -431,6 +435,78 @@ class TestBadInputs:
         assert rc == 1
         assert err.startswith("exitlab: ") and err.count("\n") == 1, err
         assert not out_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def contract_files(workspace, tmp_path_factory):
+    """({kind: checkpoint path}, {kind: data path}, output dir) for the error-contract test."""
+    root, data_dir, ckpt = workspace
+    d = tmp_path_factory.mktemp("contract")
+    (d / "empty").write_bytes(b"")
+    (d / "binary").write_bytes(b"\xff\xfe\x00\x81\x00\x07")
+    (d / "a-directory").mkdir()
+    mlc = MultiExitModel(ModelConfig(vocab_size=9, n_classes=3, task="mlc", n_layers=2, d_model=4,
+                                     n_heads=2, d_ff=4, max_seq_len=24))
+    save_checkpoint(mlc, d / "mlc.npz", vocab=[f"w{i}" for i in range(9)])
+    (d / "mlc.jsonl").write_text('{"text": "w3 w4", "labels": [0, 2]}\n')
+    (d / "corrupt.npz").write_bytes(b"PK\x03\x04truncated")
+    (d / "corrupt.jsonl").write_text('{"text": "a", "label": 0}\n{broken\n')
+    common = {"missing": d / "missing", "empty": d / "empty", "directory": d / "a-directory",
+              "binary": d / "binary"}
+    models = {**common, "valid": ckpt, "wrong-task": d / "mlc.npz", "corrupt": d / "corrupt.npz"}
+    datas = {**common, "valid": data_dir / "test.jsonl", "wrong-task": d / "mlc.jsonl",
+             "corrupt": d / "corrupt.jsonl"}
+    return models, datas, d
+
+
+# Flag values at and past every edge: non-numbers, signs, zero, empty and
+# comma-only lists, integers past int64, and a few valid ones to reach the
+# checks after parsing.
+EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "", ",", ",,", "1", "2", "0.3", "1,2",
+               str(2**63), str(10**30)]
+COMMAND_FLAGS = {
+    "eval": ["--thre", "--patience", "--fixed-layer", "--seed"],
+    "sweep": ["--thre-grid", "--patience-grid", "--layer-grid", "--seed"],
+    "compare": ["--policies", "--patience", "--seed"],
+}
+
+
+@st.composite
+def edge_argvs(draw, models, datas, out_dir):
+    """An eval, sweep or compare argv over a drawn checkpoint and data file,
+    with any of its policy and numeric flags set to an edge value."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    model, data = (draw(st.just("valid") | st.sampled_from(sorted(files))) for files in (models, datas))
+    argv = [command, "--model", str(models[model]), "--data", str(datas[data]), "--task", "slc"]
+    if command == "compare":
+        argv += [f"--target-speedup={draw(st.sampled_from(EDGE_VALUES))}"]
+    else:
+        argv += ["--policy", draw(st.sampled_from(POLICY_NAMES))]
+    for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), unique=True, max_size=3)):
+        values = EDGE_VALUES + (["fpabee,pabee", "entropy,,fixed", "telepathy"] if flag == "--policies" else [])
+        argv += [f"{flag}={draw(st.sampled_from(values))}"]  # one token, so -1 stays a value
+    argv += draw(st.sampled_from([[], [], ["--kl-mode"]] + [["--measure", m] for m in VARIANTS]))
+    if command != "eval":
+        argv += ["--out", str(out_dir / "out.csv")]
+    return argv
+
+
+class TestErrorContract:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_edge_inputs_exit_with_a_code_and_one_message(self, contract_files, data):
+        argv = data.draw(edge_argvs(*contract_files))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)  # an exception that escapes fails the test with its traceback
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 1, 2, 3), (argv, rc)
+        assert "Traceback" not in err.getvalue(), argv
+        if rc:
+            messages = [line for line in lines if line.startswith("exitlab")]
+            assert len(messages) == 1 and lines[-1] == messages[0], (argv, lines)
+            # argparse prints its usage text before a usage error's message
+            assert len(lines) == 1 or (rc == 1 and lines[0].startswith("usage: ")), (argv, lines)
 
 
 class TestTrainConfigFile:

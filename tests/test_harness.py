@@ -3,8 +3,10 @@
 import functools
 import math
 import re
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exitlab.harness as harness
-from exitlab.data import Dataset, Example, SyntheticSpec, Vocab, build_vocab, encode_dataset, generate_synthetic
+from exitlab.data import (Dataset, Example, SyntheticSpec, Vocab, build_vocab, encode_dataset,
+                          generate_synthetic, tokenize)
 from exitlab.errors import ConfigError, DataError
 from exitlab.harness import (
     POLICY_NAMES,
@@ -33,21 +36,23 @@ from exitlab.harness import (
     pareto_curve,
     sweep,
 )
-from exitlab.model import ModelConfig, MultiExitModel
+from exitlab.model import ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
 from exitlab.policies import (FIXED_LAYER, ExitDecision, ExitPolicy, ExitTrace, FPabee, Pabee,
                               TraceEntry, run_exit)
 from exitlab.similarity import VARIANTS, SimilarityMeasure
+from exitlab.training import dev_accuracy
 
 from conftest import recorded_layers, replay, replay_result
 
 
-def make_setup(n_layers=4, task="slc", n_classes=3, n_examples=12, seed=0):
+def make_setup(n_layers=4, task="slc", n_classes=3, n_examples=12, seed=0, share_layer_params=False):
     spec = SyntheticSpec(task=task, n_classes=n_classes, n_train=n_examples, n_dev=4,
                          n_test=4, easy_fraction=1.0, seed=seed)
     splits = generate_synthetic(spec)
     vocab = build_vocab(splits.train, 300)
     cfg = ModelConfig(vocab_size=len(vocab), n_classes=n_classes, task=task,
-                      n_layers=n_layers, d_model=8, n_heads=2, d_ff=16, max_seq_len=24, seed=1)
+                      n_layers=n_layers, d_model=8, n_heads=2, d_ff=16, max_seq_len=24, seed=1,
+                      share_layer_params=share_layer_params)
     model = MultiExitModel(cfg)
     rng = np.random.default_rng(2)
     for p in model.params.values():
@@ -634,8 +639,9 @@ class TestReplay:
         assert max(Counter(calls).values()) <= len(data)
         assert {row.spec: row for row in result.rows} == separate
         calls.clear()
+        # the same split under the same parameters reuses the sweep's recording
         compare_policies(model, data, 0.5, [replace(s, thre=None) for s in specs[:5]], vocab)
-        assert max(Counter(calls).values()) <= len(data)
+        assert calls == []
 
     @pytest.mark.parametrize("budget", [512, 40, 7])
     def test_sweep_records_each_chunk_in_one_call_per_layer(self, task, n_classes, budget, monkeypatch):
@@ -744,7 +750,6 @@ class TestConfidenceOnDemand:
             layers.clear()
             confs.clear()
             call()
-            assert layers, "nothing ran"
             return Counter(confs), Counter(layers)
 
         def serve(policy):
@@ -756,17 +761,104 @@ class TestConfidenceOnDemand:
             by_spec, _ = run(lambda: evaluate(model, data, spec, vocab))
             by_object, _ = run(lambda: evaluate(model, data, spec.build(), vocab))
             expected = served_layers if spec.policy == "learned" else Counter()
-            assert served == by_spec == by_object == expected, spec
-        swept, _ = run(lambda: sweep(model, data, fpabee_grid, vocab))
-        assert swept == Counter()
-        compared, _ = run(lambda: compare_policies(model, data, 0.4, [replace(s, thre=None) for s in specs
-                                                                    if s is not learned], vocab))
-        assert compared == Counter()
-        swept, swept_layers = run(lambda: sweep(model, data, fpabee_grid + [learned], vocab))
-        assert swept == swept_layers
-        compared, compared_layers = run(lambda: compare_policies(
-            model, data, 0.4, [replace(s, thre=None) for s in specs], vocab))
-        assert compared == compared_layers
+            assert served_layers and served == by_spec == by_object == expected, spec
+        every_layer = Counter({j: len(data) for j in range(1, 6)})
+        assert run(lambda: sweep(model, data, fpabee_grid, vocab)) == (Counter(), every_layer)
+        unlearned = [replace(s, thre=None) for s in specs if s is not learned]
+        assert run(lambda: compare_policies(model, data, 0.4, unlearned, vocab)) == (Counter(), Counter())
+        # the first learned spec on a recording runs the head once per sample-layer
+        assert run(lambda: sweep(model, data, fpabee_grid + [learned], vocab)) == (every_layer, Counter())
+        every_spec = [replace(s, thre=None) for s in specs]
+        assert run(lambda: compare_policies(model, data, 0.4, every_spec, vocab)) == (Counter(), Counter())
+        # a new parameter state is a new recording
+        model.params["conf0.b"].array[0] += 0.25
+        assert run(lambda: compare_policies(model, data, 0.4, every_spec, vocab)) == (every_layer, every_layer)
+        assert run(lambda: sweep(model, data, fpabee_grid, vocab)) == (Counter(), Counter())
+
+
+def outcomes(model, data, vocab, layers):
+    """sweep, compare_policies, dev_accuracy and param_hash, each a value or
+    its ValueError's message, and the sample-layers each call ran (``layers``
+    is a count_layer_calls list)."""
+    task = data.task
+    calls = [lambda: sweep(model, data, SIX_POLICIES[task], vocab),
+             lambda: compare_policies(model, data, 0.4, [replace(s, thre=None) for s in SIX_POLICIES[task]],
+                                      vocab),
+             lambda: dev_accuracy(model, data, vocab),
+             model.param_hash]
+    out, ran = [], []
+    for call in calls:
+        layers.clear()
+        try:
+            out.append(call())
+        except ValueError as e:
+            out.append(("ValueError", str(e)))
+        ran.append(len(layers))
+    return out, ran
+
+
+@st.composite
+def changed_inputs(draw, model, data, vocab):
+    """An in-place change to one parameter element, one token of one example,
+    or the vocabulary; returns the (data, vocab) to call with after it. A sign
+    flip sets the element to +0.0 now, for ``apply`` to write -0.0."""
+    kind = draw(st.sampled_from(["ulp", "sign", "nan", "token", "vocab"]))
+    if kind in ("ulp", "sign", "nan"):
+        name = draw(st.sampled_from(sorted(model.params)))
+        flat = model.params[name].array.reshape(-1)
+        i = draw(st.integers(0, flat.size - 1))
+        if kind == "sign":
+            flat[i] = 0.0
+        new = {"ulp": np.nextafter(flat[i], np.inf), "sign": -0.0, "nan": np.nan}[kind]
+
+        def apply():
+            flat[i] = new
+            return data, vocab
+    elif kind == "token":
+        i = draw(st.integers(0, len(data) - 1))
+        words = tokenize(data.examples[i].text)
+        pos = draw(st.integers(0, min(len(words), 23) - 1))  # within max_seq_len after <cls>
+        words[pos] = draw(st.sampled_from([t for t in vocab.tokens[3:] if t != words[pos]]))
+        examples = list(data.examples)
+        examples[i] = replace(examples[i], text=" ".join(words))
+
+        def apply():
+            return Dataset(data.task, data.n_classes, examples), vocab
+    else:
+        tokens = vocab.tokens[3:]
+        k = draw(st.integers(1, len(tokens) - 1))  # every token gets another id
+
+        def apply():
+            return data, Vocab(vocab.tokens[:3] + tokens[k:] + tokens[:k])
+    return kind, apply
+
+
+class TestRecordingReuse:
+    """One recording per parameter state and encoded split: after any change,
+    every call equals a fresh model's; with none, repeated calls run no layer."""
+
+    @settings(max_examples=40)
+    @given(data=st.data(), task=st.sampled_from(["slc", "mlc"]), shared=st.booleans())
+    def test_calls_after_a_change_equal_a_fresh_models(self, data, task, shared):
+        model, split, vocab = make_setup(n_layers=5, task=task, n_classes=N_CLASSES[task],
+                                         share_layer_params=shared)
+        kind, apply = data.draw(changed_inputs(model, split, vocab))
+        with pytest.MonkeyPatch.context() as mp:
+            layers = count_layer_calls(model, mp)
+            _, ran = outcomes(model, split, vocab, layers)
+            # compare and dev_accuracy reuse the sweep's recording
+            assert ran == [len(split) * 5, 0, 0, 0]
+            split, vocab = apply()
+            after, ran = outcomes(model, split, vocab, layers)
+        assert ran[0] == len(split) * 5 or isinstance(after[0], tuple), kind
+        if kind != "nan":
+            with tempfile.TemporaryDirectory() as tmp:
+                save_checkpoint(model, Path(tmp) / "m.npz")
+                fresh, _ = load_checkpoint(Path(tmp) / "m.npz")
+        else:  # a checkpoint holds finite values only
+            fresh = MultiExitModel(model.config)
+            fresh._buffer[...] = model._buffer
+        assert after == outcomes(fresh, split, vocab, [])[0], kind
 
 
 @st.composite
@@ -807,7 +899,6 @@ class TestRaggedRecording:
     @given(data=st.data())
     def test_every_sample_has_its_forward_full_bytes(self, task, share_layer_params, data):
         model, dataset, vocab, budget = data.draw(ragged_splits(task, share_layer_params))
-        confidence = data.draw(st.booleans())
         chunks = []
         original = model.forward_layer
 
@@ -818,17 +909,15 @@ class TestRaggedRecording:
 
         with mock.patch.object(harness, "_CHUNK_ROWS", budget), \
                 mock.patch.object(model, "forward_layer", recorded_chunk):
-            cache = _LayerCache(model, dataset, vocab, confidence=confidence)
+            cache = _LayerCache(model, dataset, vocab)
         encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
         n = model.config.n_layers
-        assert cache.probs.shape[:2] == (len(dataset), n)
-        assert (cache.confidences is not None) == confidence
+        assert cache.probs.shape[:2] == cache.confidences.shape == (len(dataset), n)
         for i, ids in enumerate(encoded):
             stream = model.forward_full(ids)
             for j in range(n):
                 assert cache.probs[i, j].tobytes() == stream.probs[j].probs.tobytes(), (i, j)
-                if confidence:
-                    assert cache.confidences[i, j].tobytes() == np.float64(stream.confidences[j]).tobytes(), (i, j)
+                assert cache.confidences[i, j].tobytes() == np.float64(stream.confidences[j]).tobytes(), (i, j)
         # whole samples in length groups, each chunk within the budget (or one
         # sample longer than it) and closed only when the next sample does not fit
         rows = [sum(b * t for b, t in shapes) for shapes in chunks]

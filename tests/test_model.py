@@ -1,5 +1,6 @@
 """Multi-exit encoder: shape contracts, prefix equivalence, checkpointing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitlab import tensor as T
-from exitlab.data import Vocab
+from exitlab.data import SyntheticSpec, Vocab, build_vocab, generate_synthetic
 from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
 from exitlab.policies import (CONFIDENCE, FINAL_FALLBACK, EntropyThreshold, FixedExit, FPabee,
                               LearnedConfidence, MaxProb)
 from exitlab.similarity import SLC, ProbDist, SimilarityMeasure, entropy
+from exitlab.training import TrainConfig, train
 
 
 def tiny_config(**kw):
@@ -363,3 +365,111 @@ class TestCheckpoint:
         before = model.param_hash()
         model.params["head0.w"].array[0, 0] = 1.0
         assert model.param_hash() != before
+
+
+# The test-suite fixture architectures (conftest.py), BERT- and ALBERT-style.
+FIXTURE_ARCH = {"slc": dict(n_classes=4, d_model=64, n_heads=4, d_ff=256, max_seq_len=24, seed=3),
+                "mlc": dict(n_classes=5, d_model=48, n_heads=4, d_ff=192, max_seq_len=32, seed=4)}
+
+
+def fixture_model(task, shared):
+    """(model, train split, vocab): a fixture-architecture model and 48 training examples."""
+    arch = FIXTURE_ARCH[task]
+    splits = generate_synthetic(SyntheticSpec(task=task, n_classes=arch["n_classes"], n_train=48,
+                                              n_dev=0, n_test=0, easy_fraction=0.7, seed=11))
+    vocab = build_vocab(splits.train, 500)
+    config = ModelConfig(vocab_size=len(vocab), task=task, n_layers=6, share_layer_params=shared, **arch)
+    return MultiExitModel(config), splits.train, vocab
+
+
+def checkpoint_sha256(model, vocab, path):
+    save_checkpoint(model, path, vocab=vocab.tokens)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def buffer_pins(task, shared, tmp_path):
+    """param_hash and checkpoint SHA-256 at init and after two epochs, and the
+    epochs' per-layer and total losses as float.hex strings."""
+    model, train_split, vocab = fixture_model(task, shared)
+    pins = [model.param_hash(), checkpoint_sha256(model, vocab, tmp_path / "init.npz")]
+    history = train(model, train_split, TrainConfig(batch_size=16, learning_rate=1.5e-3, epochs=2, seed=5),
+                    vocab)
+    pins += [model.param_hash(), checkpoint_sha256(model, vocab, tmp_path / "trained.npz")]
+    return pins + [[[x.hex() for x in h.per_layer_losses + [h.total]] for h in history]]
+
+
+# buffer_pins as computed before the parameters shared one buffer, when each
+# parameter was an array of its own.
+BUFFER_PINS = {
+    ("slc", False): [
+        "efa84111bc398ded", "a352fda5f367e521e54452c4b41c89430e111cd295efecf5eefe47d5c4466a7a",
+        "47bbe6023ac45657", "994345975dd939b6f47eacb9024469ca0ada83755eb228dcb8503058b0cb5a74",
+        [["0x1.67a9c16881a15p+0", "0x1.67c3e9be9e560p+0", "0x1.67d737474a033p+0", "0x1.67f3da8cd093dp+0",
+          "0x1.680ff81f31ae8p+0", "0x1.681b5e6a83b01p+0", "0x1.67f9a70ca9c54p+0"],
+         ["0x1.62744c75731dbp+0", "0x1.6265dc9272028p+0", "0x1.625773b082f85p+0", "0x1.624f58ec85bd4p+0",
+          "0x1.624a452944e60p+0", "0x1.624b1c74044f0p+0", "0x1.6251fd6035c74p+0"]]],
+    ("slc", True): [
+        "0033243ebf1a90ca", "e05c935540cdba72d4b81b5ae33e2097d6ebe4bbf94f43fcdec723f8fe485ad9",
+        "cb7f22cc0c03251f", "aefb9c31279c829d543ce20557f66b31b92e78eec1ca9a5d66d68f496419d190",
+        [["0x1.67a1685a2abe5p+0", "0x1.67b86cda45a30p+0", "0x1.67d09ed5b76bdp+0", "0x1.67e79aea7a6ddp+0",
+          "0x1.68035e36a9c64p+0", "0x1.680a1b3912351p+0", "0x1.67ecf407b0f52p+0"],
+         ["0x1.627c1af7b7a6bp+0", "0x1.626e1ccb5dd60p+0", "0x1.625afac549645p+0", "0x1.62489166ab25bp+0",
+          "0x1.622cb22436dbbp+0", "0x1.621c83656c6bdp+0", "0x1.623e01378d606p+0"]]],
+    ("mlc", False): [
+        "5bf98ac3113ff4c1", "caf579c347a3031759319d3cac838b8524df0f81fc4fa2f095b4562169944a28",
+        "ad82a3299631b570", "6c498a2737df10a44349d32ffb021b72324241f54190c7cf7677f1187767e263",
+        [["0x1.622eb1cad1571p-1", "0x1.62340f46b92e8p-1", "0x1.6229e7cc16777p-1", "0x1.620b999f2b4d9p-1",
+          "0x1.6208ac3356848p-1", "0x1.622550bd55a63p-1", "0x1.621c1aa69115ep-1"],
+         ["0x1.5d3f541fdc891p-1", "0x1.5d33d2438887fp-1", "0x1.5d16efc3826a8p-1", "0x1.5cf4404ffba50p-1",
+          "0x1.5ce026624f758p-1", "0x1.5cea62df1d583p-1", "0x1.5cfb3b28be838p-1"]]],
+    ("mlc", True): [
+        "8a1e476cbaf6d1c2", "16befd3eaa2d2f9b593727996707e6c562438e4241a977b8f458005e937d6b9f",
+        "8b982ac824c95979", "2ac92a58e9e9dc5204a93a469534a902af1e3d31306a7a3a30c9e952129349c1",
+        [["0x1.6230f6c13a3bbp-1", "0x1.62150fae0aca4p-1", "0x1.6214e2d5638d0p-1", "0x1.62131183f4f73p-1",
+          "0x1.620dff9ebb65bp-1", "0x1.620f0e94c2635p-1", "0x1.621296958044cp-1"],
+         ["0x1.5d5795b864f14p-1", "0x1.5d2f3fa1fa8a5p-1", "0x1.5d1b920bc5b14p-1", "0x1.5d0fb661e119cp-1",
+          "0x1.5cfcf8d3b2098p-1", "0x1.5d00a6cd9bad9p-1", "0x1.5d0f1138285e8p-1"]]],
+}
+
+
+def assert_one_buffer(model):
+    """Every parameter is a view into model._buffer, in init order, tiling it exactly."""
+    buffer, offset = model._buffer, 0
+    for name, p in model.params.items():
+        assert np.shares_memory(p.array, buffer) and model._arrays[name] is p.array, name
+        assert p.array.ctypes.data == buffer.ctypes.data + 8 * offset, name
+        offset += p.array.size
+    assert offset == buffer.size
+
+
+class TestParameterBuffer:
+    @pytest.mark.parametrize("shared", [False, True], ids=["bert", "albert"])
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    def test_digests_and_losses_match_separate_arrays(self, task, shared, tmp_path):
+        assert buffer_pins(task, shared, tmp_path) == BUFFER_PINS[task, shared]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["bert", "albert"])
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    def test_parameters_stay_views_of_the_buffer(self, task, shared, tmp_path):
+        model, train_split, vocab = fixture_model(task, shared)
+        assert_one_buffer(model)
+        train(model, train_split, TrainConfig(batch_size=48, epochs=1), vocab)  # one step
+        assert_one_buffer(model)
+        save_checkpoint(model, tmp_path / "m.npz", vocab=vocab.tokens)
+        loaded, _ = load_checkpoint(tmp_path / "m.npz")
+        assert_one_buffer(loaded)
+        assert loaded._buffer.tobytes() == model._buffer.tobytes()
+
+    def test_param_hash_follows_in_place_writes(self, model):
+        """A memoized digest is dropped on any bitwise change, ±0.0 and NaN payloads included."""
+        arr = model.params["block1.wbq"].array  # zero-initialized
+        digests = [model.param_hash()]
+        payload_nan = np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64)[()]
+        for value in (-0.0, 0.0, np.nan, payload_nan, 1.0):
+            arr[0] = value
+            ref = MultiExitModel(model.config)
+            ref.params["block1.wbq"].array[0] = value
+            digests.append(model.param_hash())
+            assert digests[-1] == ref.param_hash(), value
+        assert len(set(digests)) == 5  # the second 0.0 restores the first digest
+        assert digests[0] == digests[2]
