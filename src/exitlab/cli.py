@@ -40,9 +40,9 @@ from .training import TrainConfig, grid_search, load_train_config, make_grid, tr
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the contract is 1
+    # argparse prints its usage text and exits 2 on a usage error; the
+    # contract is one message line and exit code 1
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

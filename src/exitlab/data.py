@@ -35,7 +35,6 @@ __all__ = [
     "encode_dataset",
     "SyntheticSpec",
     "generate_synthetic",
-    "binarize_mlc",
 ]
 
 RESERVED = ("<pad>", "<unk>", "<cls>")
@@ -59,6 +58,24 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.examples)
+
+    def gold(self) -> np.ndarray:
+        """The answer key: labels [samples] (slc), or label-set masks [samples, k] (mlc).
+
+        Every label is checked before any is indexed, so a label outside
+        [0, n_classes), negative ones included, raises :class:`DataError`.
+        """
+        mlc, k = self.task == MLC, self.n_classes
+        for i, ex in enumerate(self.examples):
+            for j in ex.labels if mlc else (ex.label,):
+                if not 0 <= j < k:
+                    raise DataError(f"example {i} has label {j} outside [0, {k})")
+        if not mlc:
+            return np.array([ex.label for ex in self.examples], dtype=np.int64)
+        gold = np.zeros((len(self), k), dtype=bool)
+        for row, ex in zip(gold, self.examples):
+            row[list(ex.labels)] = True
+        return gold
 
     def data_hash(self) -> str:
         """Digest of the canonical JSONL serialization."""
@@ -292,12 +309,3 @@ def generate_synthetic(spec: SyntheticSpec) -> DataSplits:
         splits.append(Dataset(spec.task, spec.n_classes, examples))
     return DataSplits(*splits)
 
-
-def binarize_mlc(labels, k: int) -> np.ndarray:
-    """Label set -> k Bernoulli targets (1.0 where present)."""
-    out = np.zeros(k, dtype=np.float64)
-    for j in labels:
-        if not 0 <= j < k:
-            raise DataError(f"label {j} outside [0, {k})")
-        out[j] = 1.0
-    return out

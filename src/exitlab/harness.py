@@ -6,7 +6,8 @@ the flops and the reported speedup is the per-sample average of that
 ratio. Accuracy counts exits whose ``ProbDist.prediction()`` equals the
 gold label (slc) or label set (mlc); ``micro_f1`` is the multi-label
 micro-averaged F1 over those sets and equals accuracy on single-label
-tasks. ``MultiExitModel.check_dataset`` rejects a mismatched dataset first.
+tasks. ``MultiExitModel.check_dataset`` rejects a mismatched dataset first
+and returns those gold answers, ``Dataset.gold()``.
 
 Record once, one halting rule: :func:`sweep`, :func:`compare_policies`
 and ``training.dev_accuracy`` read every layer of every sample from one
@@ -236,20 +237,19 @@ class _LayerCache:
     or [samples, n, k, 2] (mlc), and ``pooled[i, j - 1]`` is the state's
     first-token row there, [samples, n, d_model]. :attr:`confidences` runs
     the confidence head on ``pooled`` when first read, so it runs only
-    for a ``learned`` spec. ``gold`` holds the labels in the layout
-    :func:`_result` scores against.
+    for a ``learned`` spec. ``gold`` is the answer key, ``Dataset.gold()``,
+    which :func:`_result` scores against.
 
     The recording is kept in :meth:`MultiExitModel.derived`, so it lives
     until any parameter changes. A cache of the same encoded split (the
     same lengths and ids) under unchanged parameters reuses it and runs
-    no layer; the dataset check and the labels are read on every call.
+    no layer; the dataset check, which returns ``gold``, runs on every call.
     :meth:`scores` scores each policy family once per recording, with
     array ops.
     """
 
     def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab):
-        model.check_dataset(dataset)
-        self.dataset, self.gold, self._model = dataset, _gold(dataset), model
+        self.dataset, self.gold, self._model = dataset, model.check_dataset(dataset), model
         self.n_layers = model.config.n_layers
         encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
         lengths = np.array([len(ids) for ids in encoded], dtype=np.int64)
@@ -402,16 +402,6 @@ def _row_shape(dataset: Dataset) -> tuple[int, ...]:
     return (dataset.n_classes, 2) if dataset.task == MLC else (dataset.n_classes,)
 
 
-def _gold(dataset: Dataset) -> np.ndarray:
-    """The gold answers: labels [samples] (slc), or label-set masks [samples, k] (mlc)."""
-    if dataset.task != MLC:
-        return np.array([ex.label for ex in dataset.examples], dtype=np.int64)
-    gold = np.zeros((len(dataset), dataset.n_classes), dtype=bool)
-    for row, ex in zip(gold, dataset.examples):
-        row[list(ex.labels)] = True
-    return gold
-
-
 def _mean_exit(exits: np.ndarray, n: int) -> float:
     # the integer sum is exact, and int / int rounds once, as exits.mean() does
     return int(exits.sum()) / len(exits) if len(exits) else float(n)
@@ -420,7 +410,7 @@ def _mean_exit(exits: np.ndarray, n: int) -> float:
 def _result(spec: PolicySpec, dataset: Dataset, n: int, exits: np.ndarray,
             probs: np.ndarray, gold: np.ndarray) -> EvalResult:
     """Score per-sample exit layers and the exits' distributions, [samples, k]
-    or [samples, k, 2], against ``gold`` (:func:`_gold` of ``dataset``)."""
+    or [samples, k, 2], against ``gold``, ``dataset.gold()``."""
     pred, count = predictions(dataset.task, probs), len(dataset)
     if dataset.task == MLC:
         accuracy = int((pred == gold).all(axis=1).sum()) / max(1, count)
@@ -463,7 +453,7 @@ def evaluate(
     for a spec and a policy object as given, and scores its exit layers
     and predictions as :func:`sweep` does.
     """
-    model.check_dataset(dataset)
+    gold = model.check_dataset(dataset)
     n = model.config.n_layers
     if isinstance(policy, PolicySpec):
         _check_fixed_layer(policy, n)
@@ -475,7 +465,7 @@ def evaluate(
     for i, ids in enumerate(encode_dataset(dataset, vocab, model.config.max_seq_len)):
         prob, exits[i], _ = model.forward_early_exit(ids, built)
         probs[i] = prob.probs
-    return _result(spec, dataset, n, exits, probs, _gold(dataset))
+    return _result(spec, dataset, n, exits, probs, gold)
 
 
 def sweep(
@@ -614,8 +604,7 @@ def emit_histogram(result: EvalResult, path) -> None:
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def emit_svg(curves: list[tuple[str, list[tuple[float, float]]]], path,
-             x_label: str = "speedup", y_label: str = "score") -> None:
+def emit_svg(curves: list[tuple[str, list[tuple[float, float]]]], path) -> None:
     """Self-contained polyline chart; no external renderer needed."""
     width, height, margin = 640, 480, 60
     xs = [p[0] for _, pts in curves for p in pts]
@@ -643,9 +632,9 @@ def emit_svg(curves: list[tuple[str, list[tuple[float, float]]]], path,
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
         f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle" '
-        f'font-size="14">{x_label}</text>',
+        f'font-size="14">speedup</text>',
         f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 18 {height / 2:.1f})">{y_label}</text>',
+        f'transform="rotate(-90 18 {height / 2:.1f})">score</text>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x_lo + frac * (x_hi - x_lo)

@@ -52,7 +52,7 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .policies import ExitPolicy, ExitTrace, TraceEntry, run_exit
+from .policies import ExitPolicy, ExitTrace, run_exit
 from .similarity import MLC, SLC, ProbDist, check_probs
 
 __all__ = [
@@ -219,17 +219,16 @@ class MultiExitModel:
             memo["param_hash"] = h.hexdigest()[:16]
         return memo["param_hash"]
 
-    def check_dataset(self, dataset: Dataset) -> None:
-        """ConfigError on another task or class count; DataError on a label outside [0, n_classes)."""
+    def check_dataset(self, dataset: Dataset) -> np.ndarray:
+        """The dataset's answer key, :meth:`~exitlab.data.Dataset.gold`, once it
+        fits this model: ConfigError on another task or class count, and
+        ``gold()``'s DataError on a label outside [0, n_classes)."""
         cfg = self.config
         if dataset.task != cfg.task:
             raise ConfigError(f"dataset task {dataset.task!r} does not match model task {cfg.task!r}")
         if dataset.n_classes != cfg.n_classes:
             raise ConfigError(f"dataset has {dataset.n_classes} classes, model expects {cfg.n_classes}")
-        for i, ex in enumerate(dataset.examples):
-            for j in (ex.label,) if cfg.task == SLC else ex.labels:
-                if not 0 <= j < cfg.n_classes:
-                    raise DataError(f"example {i} has label {j} outside [0, {cfg.n_classes})")
+        return dataset.gold()
 
     def _block_prefix(self, layer_index: int) -> str:
         return "block0" if self.config.share_layer_params else f"block{layer_index - 1}"
@@ -470,11 +469,8 @@ class MultiExitModel:
         """
         layers = ((prob, conf) for _, prob, conf
                   in self.iter_layers(tokens, confidence=policy.reads_confidence))
-        steps = run_exit(policy, layers, self.config.n_layers)
-        entries = tuple(TraceEntry(layer, prob.prediction(), score, pat, decision)
-                        for layer, prob, decision, score, pat in steps)
-        layer, prob, decision, _, _ = steps[-1]
-        return prob, layer, ExitTrace(entries, layer, decision.reason)
+        prob, trace = run_exit(policy, layers, self.config.n_layers)
+        return prob, trace.exit_layer, trace
 
 
 # -- checkpointing --------------------------------------------------------

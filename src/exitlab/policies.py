@@ -2,9 +2,10 @@
 
 Every policy is one :class:`ExitPolicy` object holding its own per-sample
 state: call ``reset()`` before each new input, then ``step`` once per
-layer until it halts. :func:`run_exit` is the one loop that does so; the
-live early-exit path runs it. Each score a ``step`` compares is one row of
-an array formula (:meth:`~exitlab.similarity.SimilarityMeasure.scores`,
+layer until it halts. :func:`run_exit` is the one loop that does so and
+returns the sample's :class:`ExitTrace`; the live early-exit path runs it.
+Each score a ``step`` compares is one row of an array formula
+(:meth:`~exitlab.similarity.SimilarityMeasure.scores`,
 :func:`prediction_changes`, :func:`~exitlab.similarity.entropies`,
 :func:`max_probs`), which the harness applies to every recorded layer at
 once to read the same exits.
@@ -35,7 +36,6 @@ __all__ = [
     "ExitDecision",
     "TraceEntry",
     "ExitTrace",
-    "ExitStep",
     "run_exit",
     "prediction_changes",
     "prediction_match_scorer",
@@ -92,12 +92,6 @@ class ExitTrace:
             raise ValueError("exit_layer must match the last recorded layer")
 
 
-# One executed layer: (layer, prob, decision, last_score, pat). It is a
-# plain tuple because run_exit builds one per executed layer: a NamedTuple's
-# Python-level constructor made a sweep over run_exit about 10% slower (2-vCPU Xeon).
-ExitStep = tuple[int, ProbDist, ExitDecision, float | None, int | None]
-
-
 def prediction_changes(kind: str, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """1.0 where the prediction (:func:`~exitlab.similarity.predictions`) of a
     ``cur`` row differs from its ``prev`` row's, else 0.0, over any leading shape."""
@@ -146,25 +140,25 @@ class ExitPolicy:
 
 def run_exit(
     policy: ExitPolicy, layers: Iterable[tuple[ProbDist, float | None]], n_layers: int
-) -> list[ExitStep]:
+) -> tuple[ProbDist, ExitTrace]:
     """Run ``policy`` over one sample's ``(prob, confidence)`` layers.
 
     Resets the policy, then steps it once per layer until it halts; a
     policy still running at layer ``n_layers`` gets the final-layer
-    fallback there. ``layers`` is never read past the exit. Each step is
-    an :data:`ExitStep`; the last holds the exit layer, the answer and the
-    halting decision.
+    fallback there. ``layers`` is never read past the exit. Returns the
+    exit layer's prob and the trace: one :class:`TraceEntry` per executed
+    layer, the last holding the halting decision.
     """
     policy.reset()
-    steps = []
+    entries = []
     for layer, (prob, conf) in enumerate(layers, start=1):
         decision = policy.step(layer, prob, conf)
         if layer == n_layers and not decision.halt:
             decision = ExitDecision(True, FINAL_FALLBACK)
-        steps.append((layer, prob, decision, policy.last_score, policy.pat))
+        entries.append(TraceEntry(layer, prob.prediction(), policy.last_score, policy.pat, decision))
         if decision.halt:
             break
-    return steps
+    return prob, ExitTrace(tuple(entries), layer, decision.reason)
 
 
 class FPabee(ExitPolicy):

@@ -288,13 +288,9 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     return _result("transpose", out, (a,), back)
 
 
-def _select_fwd(x: np.ndarray, axis: int, index: int) -> np.ndarray:
-    return np.take(x, index, axis=axis)
-
-
 def select(a: Tensor, axis: int, index: int) -> Tensor:
     """Pick a single index along ``axis``, dropping that axis."""
-    out = _select_fwd(a.array, axis, index)
+    out = np.take(a.array, index, axis=axis)
     in_shape = a.shape
 
     def back(g):
@@ -502,7 +498,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 arrays = SimpleNamespace(
     matmul=np.matmul,
     transpose=_transpose_fwd,
-    select=_select_fwd,
     softmax=_softmax_fwd,
     sigmoid=_sigmoid_fwd,
     gelu=lambda x: _gelu_fwd(x)[0],

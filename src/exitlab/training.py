@@ -8,7 +8,8 @@ so deeper classifiers weigh linearly more. Single-label heads use
 softmax + cross-entropy, multi-label heads sigmoid + binary
 cross-entropy (averaged over labels). Each layer's confidence head is
 trained jointly with a small auxiliary BCE term whose target is whether
-that exit's prediction is correct.
+that exit's prediction, by the rule of ``ProbDist.prediction()``, matches
+the answer key ``Dataset.gold()``, which also gives the loss targets.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, DataSplits, Vocab, binarize_mlc, encode_dataset, text_lines
+from .data import Dataset, DataSplits, Vocab, encode_dataset, text_lines
 from .errors import ConfigError
 from .harness import PolicySpec, _evaluate, _LayerCache
 from .model import MultiExitModel
@@ -156,15 +157,6 @@ def _pad_batch(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
-def _slc_targets(dataset: Dataset, idx: np.ndarray) -> np.ndarray:
-    return np.asarray([dataset.examples[i].label for i in idx], dtype=np.int64)
-
-
-def _mlc_targets(dataset: Dataset, idx: np.ndarray) -> np.ndarray:
-    k = dataset.n_classes
-    return np.stack([binarize_mlc(dataset.examples[i].labels, k) for i in idx])
-
-
 def _bce(p: T.Tensor, target: T.Tensor) -> T.Tensor:
     """Elementwise binary cross-entropy of probabilities ``p`` against 0/1 ``target``."""
     return -(target * T.log(T.clamp_min(p, _LOG_FLOOR))
@@ -223,7 +215,9 @@ def train(
 
     Returns one report per epoch; the model is updated in place.
     """
-    model.check_dataset(dataset)
+    gold = model.check_dataset(dataset)
+    if dataset.task != SLC:
+        gold = gold.astype(np.float64)  # the Bernoulli targets of the mlc loss
     encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
     optimizer = AdamW(model.parameters(), config)
     wrt = list(model.parameters().values())
@@ -238,9 +232,8 @@ def train(
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
             ids, mask = _pad_batch([encoded[i] for i in idx])
-            targets = _slc_targets(dataset, idx) if dataset.task == SLC else _mlc_targets(dataset, idx)
             probs, confs = model.forward_batch(ids, mask)
-            losses, correct = _batch_losses(model, probs, targets)
+            losses, correct = _batch_losses(model, probs, gold[idx])
             objective = (_weighted_total(losses)
                          + _confidence_loss(confs, correct) * CONFIDENCE_LOSS_WEIGHT)
             grads = T.backward(objective, wrt=wrt)

@@ -44,7 +44,8 @@ def replay(cache, policy):
     exits = np.zeros(len(cache.probs), dtype=np.int64)
     probs = []
     for i in range(len(cache.probs)):
-        exits[i], prob, *_ = run_exit(policy, recorded_layers(cache, i), cache.n_layers)[-1]
+        prob, trace = run_exit(policy, recorded_layers(cache, i), cache.n_layers)
+        exits[i] = trace.exit_layer
         probs.append(prob)
     return exits, probs
 

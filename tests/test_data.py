@@ -12,7 +12,6 @@ from exitlab.data import (
     Example,
     SyntheticSpec,
     Vocab,
-    binarize_mlc,
     build_vocab,
     generate_synthetic,
     load_jsonl,
@@ -20,6 +19,9 @@ from exitlab.data import (
     tokenize,
 )
 from exitlab.errors import ConfigError, DataError
+from exitlab.harness import PolicySpec, sweep
+from exitlab.model import ModelConfig, MultiExitModel
+from exitlab.training import TrainConfig, train
 
 
 class TestJsonl:
@@ -181,16 +183,53 @@ class TestSynthetic:
             self.spec(easy_fraction=1.5)
 
 
-class TestBinarize:
-    def test_empty_set(self):
-        assert binarize_mlc((), 3).tolist() == [0.0, 0.0, 0.0]
+def _dataset_with_bad_label(task, bad):
+    """Three classes; example 1 holds the label ``bad``."""
+    if task == "slc":
+        return Dataset("slc", 3, [Example("a", label=0), Example("a", label=bad)])
+    return Dataset("mlc", 3, [Example("a", labels=(1,)), Example("a", labels=(0, bad))])
 
-    def test_partial_set(self):
-        assert binarize_mlc({0, 2}, 3).tolist() == [1.0, 0.0, 1.0]
 
-    def test_full_set(self):
-        assert binarize_mlc(range(4), 4).tolist() == [1.0] * 4
+BAD_LABELS = [pytest.param(task, bad, id=f"{task}-{name}")
+              for task in ("slc", "mlc") for bad, name in ((3, "above"), (-1, "negative"))]
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataError):
-            binarize_mlc({3}, 3)
+
+class TestGold:
+    """``Dataset.gold()``: the one answer key of the dataset check, training and scoring."""
+
+    def test_slc_labels(self):
+        gold = Dataset("slc", 3, [Example("a", label=2), Example("b", label=0)]).gold()
+        assert gold.dtype == np.int64 and gold.tolist() == [2, 0]
+
+    def test_mlc_masks(self):
+        gold = Dataset("mlc", 3, [Example("a", labels=(0, 2)), Example("b", labels=(1,))]).gold()
+        assert gold.dtype == bool and gold.tolist() == [[True, False, True], [False, True, False]]
+
+    def test_mlc_empty_label_set(self):
+        assert Dataset("mlc", 3, [Example("a", labels=())]).gold().tolist() == [[False] * 3]
+
+    def test_mlc_full_label_set(self):
+        assert Dataset("mlc", 4, [Example("a", labels=(0, 1, 2, 3))]).gold().tolist() == [[True] * 4]
+
+    def test_empty_dataset(self):
+        assert Dataset("slc", 3).gold().shape == (0,)
+        assert Dataset("mlc", 3).gold().shape == (0, 3)
+
+    @pytest.mark.parametrize("task, bad", BAD_LABELS)
+    def test_out_of_range_rejected(self, task, bad):
+        # a negative mlc label would wrap under numpy indexing: it must raise, not mark label 2
+        with pytest.raises(DataError, match=rf"^example 1 has label {bad} outside \[0, 3\)$"):
+            _dataset_with_bad_label(task, bad).gold()
+
+    @pytest.mark.parametrize("task, bad", BAD_LABELS)
+    def test_train_and_sweep_raise_the_same_message(self, task, bad):
+        data = _dataset_with_bad_label(task, bad)
+        model = MultiExitModel(ModelConfig(vocab_size=8, n_classes=3, task=task, n_layers=2, d_model=4,
+                                           n_heads=2, d_ff=4, max_seq_len=8))
+        vocab = Vocab(["a"])
+        runs = [lambda: train(model, data, TrainConfig(epochs=1), vocab),
+                lambda: sweep(model, data, [PolicySpec("fixed", fixed_layer=2)], vocab)]
+        for run in runs:
+            with pytest.raises(DataError) as e:
+                run()
+            assert str(e.value) == f"example 1 has label {bad} outside [0, 3)"

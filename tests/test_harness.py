@@ -37,8 +37,7 @@ from exitlab.harness import (
     sweep,
 )
 from exitlab.model import ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
-from exitlab.policies import (FIXED_LAYER, ExitDecision, ExitPolicy, ExitTrace, FPabee, Pabee,
-                              TraceEntry, run_exit)
+from exitlab.policies import FIXED_LAYER, ExitDecision, ExitPolicy, FPabee, Pabee, run_exit
 from exitlab.similarity import VARIANTS, SimilarityMeasure
 from exitlab.training import dev_accuracy
 
@@ -729,13 +728,11 @@ class TestConfidenceOnDemand:
             prob, layer, trace = model.forward_early_exit(ids, policy)
             stream = model.forward_full(ids)
             assert all(isinstance(c, float) for c in stream.confidences)
-            steps = run_exit(policy, zip(stream.probs, stream.confidences), 5)
-            ref_layer, ref_prob, decision, _, _ = steps[-1]
-            assert layer == ref_layer, spec
+            ref_prob, ref_trace = run_exit(policy, zip(stream.probs, stream.confidences), 5)
+            assert layer == ref_trace.exit_layer, spec
             assert prob.probs.tobytes() == ref_prob.probs.tobytes(), spec
-            assert trace == ExitTrace(tuple(TraceEntry(j, p.prediction(), score, pat, d)
-                                            for j, p, d, score, pat in steps),
-                                      ref_layer, decision.reason), spec
+            assert ref_prob is stream.probs[layer - 1], spec
+            assert trace == ref_trace, spec
 
     @pytest.mark.parametrize("task", ["slc", "mlc"])
     def test_head_runs_once_per_sample_layer_only_for_learned(self, task, monkeypatch):

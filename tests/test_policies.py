@@ -326,24 +326,28 @@ class TestRunExit:
     def test_matches_step_by_step_reference(self, n_and_script):
         n, script = n_and_script
         requested = []
+        # a distinct object per layer, predicting class 0 at odd layers and 1 at even ones
+        dists = [ProbDist.slc([0.9, 0.1] if j % 2 else [0.1, 0.9]) for j in range(1, n + 1)]
 
         def layers():
             for j in range(1, n + 1):
                 requested.append(j)
-                yield DUMMY, j / 10
+                yield dists[j - 1], j / 10
 
         policy = ScriptedPolicy(script)
-        steps = run_exit(policy, layers(), n)
+        prob, trace = run_exit(policy, layers(), n)
         # reference: the first scripted halt, else the final layer by fallback
         halted = [j for j in range(1, n + 1) if script[j - 1]]
         exit_layer = halted[0] if halted else n
         reason = CONFIDENCE if halted else FINAL_FALLBACK
-        layers_run, probs, decisions, scores, pats = zip(*steps)
+        layers_run = [e.layer for e in trace.entries]
         assert policy.resets == 1
-        assert list(layers_run) == list(range(1, exit_layer + 1))
-        assert decisions[-1] == ExitDecision(True, reason)
-        assert (decisions[-1].reason == FINAL_FALLBACK) == (not any(script))
-        assert not any(d.halt for d in decisions[:-1])
-        assert list(zip(scores, pats)) == [(j + j / 10, j) for j in layers_run]
-        assert all(p is DUMMY for p in probs)
-        assert requested == list(layers_run)
+        assert layers_run == list(range(1, exit_layer + 1))
+        assert (trace.exit_layer, trace.reason) == (exit_layer, reason)
+        assert trace.entries[-1].decision == ExitDecision(True, reason)
+        assert (trace.reason == FINAL_FALLBACK) == (not any(script))
+        assert not any(e.decision.halt for e in trace.entries[:-1])
+        assert [(e.score, e.pat) for e in trace.entries] == [(j + j / 10, j) for j in layers_run]
+        assert [e.prediction for e in trace.entries] == [1 - j % 2 for j in layers_run]
+        assert prob is dists[exit_layer - 1]
+        assert requested == layers_run
