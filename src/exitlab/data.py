@@ -210,17 +210,15 @@ def load_jsonl(path, task: str, n_classes: int | None = None) -> Dataset:
     if not examples:
         raise DataError(f"{path}: no records")
 
-    seen_max = -1
-    for ex in examples:
-        seen_max = max(seen_max, ex.label if task == SLC else max(ex.labels, default=-1))
-    k = n_classes if n_classes is not None else max(seen_max + 1, 2)
-    if seen_max >= k:
-        bad = next(
-            i for i, ex in enumerate(examples)
-            if (ex.label if task == SLC else max(ex.labels, default=-1)) >= k
-        )
-        raise DataError(f"{path}: example {bad} has a label >= n_classes ({k})")
-    return Dataset(task, k, examples)
+    if n_classes is None:
+        seen_max = max(ex.label if task == SLC else max(ex.labels, default=-1) for ex in examples)
+        n_classes = max(seen_max + 1, 2)
+    dataset = Dataset(task, n_classes, examples)
+    try:
+        dataset.gold()  # the one label-range rule
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
+    return dataset
 
 
 # -- synthetic tasks ---------------------------------------------------------

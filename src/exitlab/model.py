@@ -14,7 +14,10 @@ One definition serves training and inference. Training runs
 ``_block`` and the heads on taped :class:`~exitlab.tensor.Tensor` values;
 inference runs the same code on plain float64 ndarrays through
 :data:`exitlab.tensor.arrays`, the same forward kernels with nothing
-recorded, and gives the same bits as the taped ops.
+recorded, and gives the same bits as the taped ops. A block is six
+``linear`` projections, one ``attention``, two residual layer norms and a
+GELU in both modes, so training's tape holds one node for each, and the
+padding mask is a [b, 1, 1, t] key mask that the attention broadcasts.
 
 Every parameter lives in one contiguous float64 buffer, in init order:
 ``params[name].array`` is a view into it. Optimizers, checkpoint loading
@@ -270,63 +273,48 @@ class MultiExitModel:
         pos = ops.embedding_lookup(p["embed.pos"], positions)
         return tok + pos
 
-    def _attention_mask(self, pad_mask: np.ndarray, n_heads: int) -> T.Tensor:
-        """Additive mask [b, h, t, t]: large negative where the key is padding."""
-        b, t = pad_mask.shape
-        add = (1.0 - pad_mask[:, None, None, :]) * -1e9
-        return T.Tensor(np.broadcast_to(add, (b, n_heads, t, t)).copy())
+    def _attention_mask(self, pad_mask: np.ndarray) -> np.ndarray:
+        """Additive key mask [b, 1, 1, t]: large negative where the key is padding.
 
-    def _block(self, h, layer_index: int, attn_mask: T.Tensor | None,
+        It broadcasts over the heads and query rows of the [b, h, t, t]
+        scores, with the sums a dense mask would give."""
+        return (1.0 - pad_mask[:, None, None, :]) * -1e9
+
+    def _block(self, h, layer_index: int, attn_mask: np.ndarray | None,
                groups: LengthGroups | None = None):
         """One transformer block on a [b, t, d_model] state, or on the
         [rows, d_model] state of ``groups``.
 
-        A Tensor state runs the taped ops on the parameter tensors; an
-        ndarray state runs the same kernels on the parameter arrays, adding
-        biases and residuals in place: the same sums without fresh arrays.
-        With ``groups``, each gemm and the attention run per group on its
-        [b, t, .] block, as they run on a [b, t, d_model] state, and every
-        other kernel runs once over all rows.
+        A Tensor state runs the taped ops on the parameter tensors, one
+        tape node per projection and per attention; an ndarray state runs
+        the same kernels on the parameter arrays, adding residuals in
+        place: the same sums without fresh arrays. With ``groups``, each
+        gemm and the attention run per group on its [b, t, .] block, as
+        they run on a [b, t, d_model] state, and every other kernel,
+        projection biases included, runs once over all rows.
         """
         cfg = self.config
         pre = self._block_prefix(layer_index)
         taped = isinstance(h, T.Tensor)
         ops, p = self._ops(taped)
-        nh, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
-
-        def attend(q, k, v):
-            """One group's [b, t, d_model] context from its projections."""
-            b, t, d = q.shape
-
-            def heads(x, axes=(0, 2, 1, 3)):
-                """[b, nh, t, hd] per head, or [b, nh, hd, t] with ``axes`` (0, 2, 3, 1)."""
-                return ops.transpose(x.reshape((b, t, nh, hd)), axes)
-
-            scores = ops.matmul(heads(q), heads(k, (0, 2, 3, 1))) * (1.0 / np.sqrt(hd))
-            if attn_mask is not None:
-                scores = scores + attn_mask
-            ctx = ops.matmul(ops.softmax(scores, axis=-1), heads(v))
-            return ops.transpose(ctx, (0, 2, 1, 3)).reshape((b, t, d))
 
         def linear(x, w, bias):
             w, bias = p[f"{pre}.{w}"], p[f"{pre}.{bias}"]
-            if taped:
-                return ops.matmul(x, w) + bias
             if groups is None:
-                y = ops.matmul(x, w)
-            else:
-                y = np.empty((groups.n_rows, w.shape[1]))
-                for lo, hi, b, t in groups.spans:
-                    ops.matmul(x[lo:hi].reshape((b, t, -1)), w, out=y[lo:hi].reshape((b, t, -1)))
+                return ops.linear(x, w, bias)
+            y = np.empty((groups.n_rows, w.shape[1]))
+            for lo, hi, b, t in groups.spans:
+                ops.matmul(x[lo:hi].reshape((b, t, -1)), w, out=y[lo:hi].reshape((b, t, -1)))
             y += bias
             return y
 
         def attention(q, k, v):
             if groups is None:
-                return attend(q, k, v)
+                return ops.attention(q, k, v, cfg.n_heads, attn_mask)
             ctx = np.empty_like(q)
             for lo, hi, b, t in groups.spans:
-                ctx[lo:hi] = attend(*(x[lo:hi].reshape((b, t, -1)) for x in (q, k, v))).reshape((hi - lo, -1))
+                qkv = (x[lo:hi].reshape((b, t, -1)) for x in (q, k, v))
+                ctx[lo:hi] = ops.attention(*qkv, cfg.n_heads).reshape((hi - lo, -1))
             return ctx
 
         def add_norm(x, y, ln):
@@ -380,11 +368,11 @@ class MultiExitModel:
         Returns per-layer class probabilities [b, k] and per-layer
         confidence values [b], both as tensors attached to the tape.
         """
-        mask_t = self._attention_mask(pad_mask, self.config.n_heads)
+        mask = self._attention_mask(pad_mask)
         h = self.embed(ids, taped=True)
         probs, confs = [], []
         for layer in range(1, self.config.n_layers + 1):
-            h = self._block(h, layer, mask_t)
+            h = self._block(h, layer, mask)
             probs.append(self._exit_probs(h, layer))
             confs.append(self._confidence(h, layer))
         return probs, confs

@@ -147,7 +147,9 @@ def run_exit(
     policy still running at layer ``n_layers`` gets the final-layer
     fallback there. ``layers`` is never read past the exit. Returns the
     exit layer's prob and the trace: one :class:`TraceEntry` per executed
-    layer, the last holding the halting decision.
+    layer, the last holding the halting decision. A stream that ends
+    before the policy halts, at or before layer ``n_layers``, raises
+    ``ValueError``.
     """
     policy.reset()
     entries = []
@@ -157,8 +159,8 @@ def run_exit(
             decision = ExitDecision(True, FINAL_FALLBACK)
         entries.append(TraceEntry(layer, prob.prediction(), policy.last_score, policy.pat, decision))
         if decision.halt:
-            break
-    return prob, ExitTrace(tuple(entries), layer, decision.reason)
+            return prob, ExitTrace(tuple(entries), layer, decision.reason)
+    raise ValueError(f"layer stream ended after {len(entries)} layers without a halt (n_layers={n_layers})")
 
 
 class FPabee(ExitPolicy):

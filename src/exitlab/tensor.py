@@ -14,6 +14,14 @@ return plain ndarrays and record nothing. Tensor results are always
 C-contiguous, and so are the kernels' results (``transpose`` copies), so
 both namespaces run numpy and BLAS on the same layouts and give the same
 bits.
+
+A model's projections and attentions are one node each: :func:`linear`
+is the gemm with the bias added in place, and :func:`attention` the head
+split, scaled and masked scores, softmax and context. Each keeps only
+what its backward reads, and that backward runs the backward rules of
+the equivalent chain of ``matmul``, ``transpose``, ``softmax`` and
+arithmetic nodes op for op, so it gives their gradients bit for bit
+while the tape holds none of their intermediate results.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ __all__ = [
     "Tensor",
     "TapeNode",
     "matmul",
+    "linear",
+    "attention",
     "softmax",
     "sigmoid",
     "log",
@@ -216,14 +226,29 @@ def _mul(a: Tensor, b) -> Tensor:
     return _result("mul", out, (a, b), back)
 
 
+def _matmul_grads(aa: np.ndarray, ba: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of ``np.matmul(aa, ba)`` w.r.t. both operands, given the
+    output gradient ``g``: :func:`matmul`'s backward rule."""
+    if ba.ndim == 2:
+        a2 = aa.reshape(-1, aa.shape[-1])
+        g2 = g.reshape(-1, ba.shape[-1])
+        return (g2 @ ba.T).reshape(aa.shape), a2.T @ g2
+    ga = np.matmul(g, np.swapaxes(ba, -1, -2))
+    gb = np.matmul(np.swapaxes(aa, -1, -2), g)
+    ga = ga.sum(axis=tuple(range(ga.ndim - aa.ndim)))
+    gb = gb.sum(axis=tuple(range(gb.ndim - ba.ndim)))
+    return ga, gb
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with optional leading batch dims on either operand.
 
     Supported: 2D @ 2D, ND @ 2D (shared right matrix), and ND @ ND with
     identical leading dims. The backward of ND @ 2D runs as one 2-D gemm
     per gradient over the leading dims flattened into rows. The forward
-    stays ``np.matmul``: at the model's shapes its per-batch gemms are as
-    fast as one flattened gemm or faster.
+    stays ``np.matmul``, whose per-batch gemms give each sample the bits
+    it gets at batch 1, which one flattened gemm over rows of several
+    samples may not.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} and {b.shape}")
@@ -231,26 +256,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dims disagree: {a.shape} @ {b.shape}")
-    out = np.matmul(a.array, b.array)
     aa, ba = a.array, b.array
+    return _result("matmul", np.matmul(aa, ba), (a, b), lambda g: _matmul_grads(aa, ba, g))
 
-    if b.ndim == 2:
 
-        def back(g):
-            a2 = aa.reshape(-1, aa.shape[-1])
-            g2 = g.reshape(-1, ba.shape[-1])
-            return (g2 @ ba.T).reshape(aa.shape), a2.T @ g2
+def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the bias is added in place: the same sums as np.matmul(x, w) + b
+    y = np.matmul(x, w)
+    y += b
+    return y
 
-    else:
 
-        def back(g):
-            ga = np.matmul(g, np.swapaxes(ba, -1, -2))
-            gb = np.matmul(np.swapaxes(aa, -1, -2), g)
-            ga = ga.sum(axis=tuple(range(ga.ndim - aa.ndim)))
-            gb = gb.sum(axis=tuple(range(gb.ndim - ba.ndim)))
-            return ga, gb
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for x [..., d_in], w [d_in, d_out] and b [d_out], as one node.
 
-    return _result("matmul", out, (a, b), back)
+    It gives the bits of ``matmul(x, w) + b`` and the gradients of
+    ``matmul``'s and ``add``'s backward rules, but the tape keeps only the
+    result, not the product before the bias.
+    """
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs [..., d_in] @ [d_in, d_out] + [d_out], "
+                         f"got {x.shape} @ {w.shape} + {b.shape}")
+    xa, wa = x.array, w.array
+
+    def back(g):
+        gx, gw = _matmul_grads(xa, wa, g)
+        return gx, gw, _unbroadcast(g, b.shape)
+
+    return _result("linear", _linear_fwd(xa, wa, b.array), (x, w, b), back)
 
 
 # -- shape --------------------------------------------------------------
@@ -339,12 +372,63 @@ def _softmax_fwd(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along ``axis``: positive entries summing to 1."""
     out = _softmax_fwd(a.array, axis)
+    return _result("softmax", out, (a,), lambda g: (_softmax_grad(out, g, axis),))
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The input gradient of a softmax with result ``out``, given the output gradient ``g``."""
+    dot = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - dot)
+
+
+def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+                   mask: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """The [b, t, d] context of :func:`attention`, then the head-split
+    q [b, h, t, hd], transposed k [b, h, hd, t], v [b, h, t, hd] and the
+    softmax [b, h, t, t] that its backward reads."""
+    b, t, d = q.shape
+    hd = d // n_heads
+
+    def heads(x, axes=(0, 2, 1, 3)):
+        return _transpose_fwd(x.reshape((b, t, n_heads, hd)), axes)
+
+    qh, kt, vh = heads(q), heads(k, (0, 2, 3, 1)), heads(v)
+    scores = np.matmul(qh, kt)
+    scores *= 1.0 / np.sqrt(hd)
+    if mask is not None:
+        scores += mask
+    p = _softmax_fwd(scores)
+    return _transpose_fwd(np.matmul(p, vh), (0, 2, 1, 3)).reshape((b, t, d)), qh, kt, vh, p
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention over [b, t, d] projections, as one node.
+
+    Each of ``n_heads`` heads attends over its d / n_heads columns:
+    softmax(q k^T / sqrt(d / n_heads) + mask) v, with ``mask`` an optional
+    additive float array that broadcasts against the [b, h, t, t] scores
+    (a [b, 1, 1, t] key mask, say) and gets no gradient. The tape keeps
+    the head-split q, k, v and the softmax; the backward replays the
+    backward rules of the reshape, transpose, matmul, scale, mask-add and
+    softmax chain that computes the same forward, in reverse, so the
+    gradients are that chain's bit for bit.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
+        raise ShapeError(f"attention needs equal [b, t, d] q, k and v with d divisible by "
+                         f"{n_heads} heads, got {q.shape}, {k.shape} and {v.shape}")
+    b, t, d = q.shape
+    hd = d // n_heads
+    out, qh, kt, vh, p = _attention_fwd(q.array, k.array, v.array, n_heads, mask)
+    scale = 1.0 / np.sqrt(hd)
 
     def back(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        g = g.reshape((b, t, n_heads, hd)).transpose((0, 2, 1, 3))
+        gp, gv = _matmul_grads(p, vh, g)
+        gq, gk = _matmul_grads(qh, kt, _softmax_grad(p, gp) * scale)
+        return tuple(x.transpose(axes).reshape((b, t, d))
+                     for x, axes in ((gq, (0, 2, 1, 3)), (gk, (0, 3, 1, 2)), (gv, (0, 2, 1, 3))))
 
-    return _result("softmax", out, (a,), back)
+    return _result("attention", out, (q, k, v), back)
 
 
 def _sigmoid_fwd(x: np.ndarray) -> np.ndarray:
@@ -422,8 +506,22 @@ def gelu(a: Tensor) -> Tensor:
     out, t = _gelu_fwd(x)
 
     def back(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du),)
+        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) du) with du = c (1 + 3a x^2),
+        # in place: the same products and sums in the same order
+        du = x * x
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        s = t * t
+        np.subtract(1.0, s, out=s)
+        gx = 0.5 * x
+        gx *= s
+        gx *= du
+        half = np.add(t, 1.0, out=s)
+        half *= 0.5
+        gx += half
+        gx *= g
+        return (gx,)
 
     return _result("gelu", out, (a,), back)
 
@@ -462,11 +560,16 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out, xhat, inv = _layer_norm_fwd(a.array, gain.array, bias.array, eps)
 
     def back(g):
-        gx_hat = g * gain.array
-        gmean = np.add.reduce(gx_hat, axis=-1, keepdims=True) / d
-        gdot = np.add.reduce(gx_hat * xhat, axis=-1, keepdims=True) / d
-        gx = inv * (gx_hat - gmean - xhat * gdot)
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        # inv (gx_hat - gmean - xhat gdot) with gx_hat = g gain, in place:
+        # the same products and sums in the same order
+        gx = g * gain.array
+        gmean = np.add.reduce(gx, axis=-1, keepdims=True) / d
+        tmp = gx * xhat
+        gdot = np.add.reduce(tmp, axis=-1, keepdims=True) / d
+        gx -= gmean
+        gx -= np.multiply(xhat, gdot, out=tmp)
+        gx *= inv
+        ggain = np.multiply(g, xhat, out=tmp).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 
@@ -497,7 +600,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 arrays = SimpleNamespace(
     matmul=np.matmul,
-    transpose=_transpose_fwd,
+    linear=_linear_fwd,
+    attention=lambda q, k, v, n_heads, mask=None: _attention_fwd(q, k, v, n_heads, mask)[0],
     softmax=_softmax_fwd,
     sigmoid=_sigmoid_fwd,
     gelu=lambda x: _gelu_fwd(x)[0],

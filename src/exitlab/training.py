@@ -205,6 +205,18 @@ def _confidence_loss(confs: list[T.Tensor], correct: np.ndarray) -> T.Tensor:
     return total * (1.0 / len(terms))
 
 
+def _objective(model: MultiExitModel, ids: np.ndarray, mask: np.ndarray,
+               targets: np.ndarray) -> tuple[T.Tensor, list[float], np.ndarray]:
+    """One padded batch's taped training objective, the depth-weighted exit
+    loss plus the weighted confidence loss, with the values of the per-layer
+    losses and the [n_layers, b] correctness matrix of :func:`_batch_losses`.
+    Only the objective holds the tape."""
+    probs, confs = model.forward_batch(ids, mask)
+    losses, correct = _batch_losses(model, probs, targets)
+    objective = _weighted_total(losses) + _confidence_loss(confs, correct) * CONFIDENCE_LOSS_WEIGHT
+    return objective, [loss.item() for loss in losses], correct
+
+
 def train(
     model: MultiExitModel,
     dataset: Dataset,
@@ -232,13 +244,11 @@ def train(
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
             ids, mask = _pad_batch([encoded[i] for i in idx])
-            probs, confs = model.forward_batch(ids, mask)
-            losses, correct = _batch_losses(model, probs, gold[idx])
-            objective = (_weighted_total(losses)
-                         + _confidence_loss(confs, correct) * CONFIDENCE_LOSS_WEIGHT)
+            objective, losses, correct = _objective(model, ids, mask, gold[idx])
             grads = T.backward(objective, wrt=wrt)
+            del objective  # the step's tape, which the next step's forward would hold too
             optimizer.step(grads)
-            sum_losses += [loss.item() * len(idx) for loss in losses]
+            sum_losses += [loss * len(idx) for loss in losses]
             sum_correct += correct.sum(axis=1)
             count += len(idx)
         per_layer = (sum_losses / count).tolist()

@@ -67,8 +67,9 @@ class TestJsonl:
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"text": "a", "label": 5}\n')
-        with pytest.raises(DataError, match="n_classes"):
+        with pytest.raises(DataError) as e:
             load_jsonl(path, "slc", n_classes=3)
+        assert str(e.value) == f"{path}: example 0 has label 5 outside [0, 3)"
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="no such"):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitlab import tensor as T
-from exitlab.data import SyntheticSpec, Vocab, build_vocab, generate_synthetic
+from exitlab.data import SyntheticSpec, Vocab, build_vocab, encode_dataset, generate_synthetic
 from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
 from exitlab.policies import (CONFIDENCE, FINAL_FALLBACK, EntropyThreshold, FixedExit, FPabee,
                               LearnedConfidence, MaxProb)
 from exitlab.similarity import SLC, ProbDist, SimilarityMeasure, entropy
-from exitlab.training import TrainConfig, train
+from exitlab.training import TrainConfig, _objective, _pad_batch, train
 
 
 def tiny_config(**kw):
@@ -473,3 +474,30 @@ class TestParameterBuffer:
             assert digests[-1] == ref.param_hash(), value
         assert len(set(digests)) == 5  # the second 0.0 restores the first digest
         assert digests[0] == digests[2]
+
+
+def tape_ops(loss):
+    """How many tape nodes of each op the graph behind ``loss`` holds."""
+    counts, seen, stack = Counter(), set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t.node is None:
+            continue
+        seen.add(id(t))
+        counts[t.node.op] += 1
+        stack.extend(t.node.parents)
+    return counts
+
+
+def test_training_tape_holds_one_node_per_projection_and_attention():
+    """Each block tapes six projections, one attention, two layer norms and one
+    GELU as one node each, so the tape keeps no gemm before its bias add, no
+    head split and no raw, scaled or masked scores."""
+    model, train_split, vocab = fixture_model("slc", False)
+    ids, mask = _pad_batch(encode_dataset(train_split, vocab, model.config.max_seq_len)[:32])
+    assert mask.min() == 0.0  # the batch is padded, so the attention takes a key mask
+    objective = _objective(model, ids, mask, train_split.gold()[:32])[0]
+    counts = tape_ops(objective)
+    n = model.config.n_layers
+    assert {op: counts[op] for op in ("linear", "attention", "layer_norm", "gelu", "transpose")} == {
+        "linear": 6 * n, "attention": n, "layer_norm": 2 * n, "gelu": n, "transpose": 0}

@@ -351,3 +351,10 @@ class TestRunExit:
         assert [e.prediction for e in trace.entries] == [1 - j % 2 for j in layers_run]
         assert prob is dists[exit_layer - 1]
         assert requested == layers_run
+
+    @pytest.mark.parametrize("n_given", [0, 2])
+    def test_stream_that_ends_before_a_halt_names_its_length(self, n_given):
+        layers = [(DUMMY, None)] * n_given
+        with pytest.raises(ValueError) as e:
+            run_exit(FixedExit(3), layers, 3)
+        assert str(e.value) == f"layer stream ended after {n_given} layers without a halt (n_layers=3)"

@@ -226,6 +226,18 @@ class TestGradchecks:
         a, b = randt(self.rng, 2, 2, 3, 4), randt(self.rng, 2, 2, 4, 3)
         assert_gradcheck(lambda: T.matmul(a, b).sum(), [a, b])
 
+    def test_linear_nd_by_2d(self):
+        x, w, b = randt(self.rng, 2, 3, 4), randt(self.rng, 4, 5), randt(self.rng, 5)
+        assert_gradcheck(lambda: (T.linear(x, w, b) * T.linear(x, w, b)).mean(), [x, w, b])
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_attention(self, padded):
+        q, k, v = (randt(self.rng, 2, 3, 4) for _ in range(3))
+        w = T.Tensor(self.rng.normal(size=(2, 3, 4)))
+        # the second sample's last key is padding
+        mask = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1e9]).reshape(2, 1, 1, 3) if padded else None
+        assert_gradcheck(lambda: (T.attention(q, k, v, 2, mask) * w).sum(), [q, k, v])
+
     def test_transpose_default_and_permutation(self):
         a = randt(self.rng, 2, 3, 4)
         assert_gradcheck(lambda: (a.transpose() * a.transpose()).sum(), [a])
@@ -373,3 +385,79 @@ class TestSigmoidKernel:
         x = np.array(SIGMOID_EDGES)
         assert T._sigmoid_fwd(x).tobytes() == masked_sigmoid(x).tobytes()
         assert np.isnan(T._sigmoid_fwd(x)).sum() == 2
+
+
+def chain_attention(q, k, v, n_heads, mask=None):
+    """Attention as a chain of reshape, transpose, matmul, scale, mask-add and
+    softmax nodes, with a dense [b, h, t, t] mask."""
+    b, t, d = q.shape
+    hd = d // n_heads
+
+    def heads(x, axes=(0, 2, 1, 3)):
+        return T.transpose(x.reshape((b, t, n_heads, hd)), axes)
+
+    scores = T.matmul(heads(q), heads(k, (0, 2, 3, 1))) * (1.0 / np.sqrt(hd))
+    if mask is not None:
+        scores = scores + T.Tensor(np.broadcast_to(mask, (b, n_heads, t, t)).copy())
+    ctx = T.matmul(T.softmax(scores, axis=-1), heads(v))
+    return T.transpose(ctx, (0, 2, 1, 3)).reshape((b, t, d))
+
+
+def padding_mask(rng, b, t):
+    """An additive [b, 1, 1, t] key mask: each sample keeps a random prefix of 1..t keys."""
+    keep = np.arange(t) < rng.integers(1, t + 1, size=(b, 1))
+    return ((1.0 - keep) * -1e9)[:, None, None, :]
+
+
+class TestFusedOps:
+    """``linear`` and ``attention`` against ``arrays`` and against the op chains they replace."""
+
+    @pytest.mark.parametrize("b, t, d, n", [(1, 1, 8, 8), (4, 7, 16, 32), (32, 14, 64, 256), (3, 5, 64, 1)])
+    def test_linear_values_and_gradients_bit_equal(self, b, t, d, n):
+        rng = np.random.default_rng(b * t)
+        x, w, bias = (T.Tensor(rng.normal(size=s), requires_grad=True) for s in ((b, t, d), (d, n), (n,)))
+        g = T.Tensor(rng.normal(size=(b, t, n)))
+        out = T.linear(x, w, bias)
+        want = T.matmul(x, w) + bias
+        assert out.array.tobytes() == want.array.tobytes()
+        assert T.arrays.linear(x.array, w.array, bias.array).tobytes() == want.array.tobytes()
+        assert len(out.node.parents) == 3 and out.node.op == "linear"
+        got, ref = T.backward((out * g).sum()), T.backward((want * g).sum())
+        for p in (x, w, bias):
+            assert got[p].tobytes() == ref[p].tobytes()
+
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("b, t, d, n_heads", [(1, 1, 8, 2), (4, 7, 16, 4), (32, 10, 64, 4), (3, 5, 12, 1)])
+    def test_attention_values_and_gradients_bit_equal(self, b, t, d, n_heads, padded):
+        rng = np.random.default_rng(b * t + padded)
+        q, k, v = (T.Tensor(rng.normal(size=(b, t, d)), requires_grad=True) for _ in range(3))
+        mask = padding_mask(rng, b, t) if padded else None
+        g = T.Tensor(rng.normal(size=(b, t, d)))
+        out = T.attention(q, k, v, n_heads, mask)
+        want = chain_attention(q, k, v, n_heads, mask)
+        assert out.array.tobytes() == want.array.tobytes()
+        assert T.arrays.attention(q.array, k.array, v.array, n_heads, mask).tobytes() == want.array.tobytes()
+        got, ref = T.backward((out * g).sum()), T.backward((want * g).sum())
+        for p in (q, k, v):
+            assert got[p].tobytes() == ref[p].tobytes()
+
+    def test_shape_errors_name_the_shapes(self):
+        x, w = T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((4, 5)))
+        with pytest.raises(T.ShapeError, match=r"\(2, 3, 4\) @ \(4, 5\) \+ \(4,\)"):
+            T.linear(x, w, T.Tensor(np.zeros(4)))
+        with pytest.raises(T.ShapeError, match=r"3 heads.*\(2, 3, 4\)"):
+            T.attention(x, x, x, 3)
+
+
+class TestGeluBackward:
+    @settings(max_examples=100)
+    @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 3.0, 1e3]))
+    def test_bit_equal_to_the_out_of_place_formula(self, shape, seed, scale):
+        rng = np.random.default_rng(seed)
+        x, g = rng.normal(size=shape) * scale, rng.normal(size=shape)
+        out = T.gelu(T.Tensor(x, requires_grad=True))
+        t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x)))
+        du = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * x**2)
+        want = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+        assert out.node.backward(g)[0].tobytes() == want.tobytes()
