@@ -16,8 +16,11 @@ inference runs the same code on plain float64 ndarrays through
 :data:`exitlab.tensor.arrays`, the same forward kernels with nothing
 recorded, and gives the same bits as the taped ops. A block is six
 ``linear`` projections, one ``attention``, two residual layer norms and a
-GELU in both modes, so training's tape holds one node for each, and the
-padding mask is a [b, 1, 1, t] key mask that the attention broadcasts.
+GELU in both modes, so training's tape holds one node for each. Training
+computes no padded position: :meth:`MultiExitModel.forward_batch` runs a
+padded batch as the unpadded rows of its :class:`LengthGroups`, each
+projection as one 2-D gemm over all rows and the attention group by group,
+so no attention takes a mask.
 
 Every parameter lives in one contiguous float64 buffer, in init order:
 ``params[name].array`` is a view into it. Optimizers, checkpoint loading
@@ -111,7 +114,9 @@ class LengthGroups:
     group's [b, t, d_model] block in turn, so sample by sample it holds
     every token position; the ids it embeds are laid out the same way,
     [rows]. ``spans`` gives each group's rows as (lo, hi, b, t) and
-    ``first_rows`` each sample's first-token row, in sample order.
+    ``first_rows`` each sample's first-token row, in sample order: the
+    order the groups hold them, or, from :meth:`by_length`, the order of
+    its input.
     """
 
     def __init__(self, shapes):
@@ -124,6 +129,19 @@ class LengthGroups:
         self.positions = np.concatenate([np.tile(np.arange(t), b) for b, t in self.shapes])
         self.n_rows = bounds[-1]
         self.max_len = max(t for _, t in self.shapes)
+
+    @classmethod
+    def by_length(cls, lengths) -> tuple[LengthGroups, np.ndarray]:
+        """The layout of samples of these token counts, grouped by length in
+        first-appearance order as the harness records a split, and the index
+        into ``lengths`` of the sample each slot of the groups holds."""
+        by_length: dict[int, list[int]] = {}
+        for i, t in enumerate(lengths):
+            by_length.setdefault(int(t), []).append(i)
+        groups = cls([(len(part), t) for t, part in by_length.items()])
+        members = np.array([i for part in by_length.values() for i in part])
+        groups.first_rows = groups.first_rows[np.argsort(members)]
+        return groups, members
 
 
 @dataclass
@@ -246,8 +264,8 @@ class MultiExitModel:
               groups: LengthGroups | None = None) -> np.ndarray | T.Tensor:
         """Token + position embeddings, a plain array or, with ``taped``, a Tensor.
 
-        1-D input of length t gives [t, d_model]; 2-D [b, t] input (already
-        padded) gives [b, t, d_model]. With ``groups``, the input is the
+        1-D input of length t gives [t, d_model]; 2-D [b, t] input, b inputs
+        of one length, gives [b, t, d_model]. With ``groups``, the input is the
         [rows] ids of every group's samples in turn, and gives [rows, d_model].
         """
         ids = np.asarray(tokens, dtype=np.int64)
@@ -273,25 +291,19 @@ class MultiExitModel:
         pos = ops.embedding_lookup(p["embed.pos"], positions)
         return tok + pos
 
-    def _attention_mask(self, pad_mask: np.ndarray) -> np.ndarray:
-        """Additive key mask [b, 1, 1, t]: large negative where the key is padding.
-
-        It broadcasts over the heads and query rows of the [b, h, t, t]
-        scores, with the sums a dense mask would give."""
-        return (1.0 - pad_mask[:, None, None, :]) * -1e9
-
-    def _block(self, h, layer_index: int, attn_mask: np.ndarray | None,
-               groups: LengthGroups | None = None):
+    def _block(self, h, layer_index: int, groups: LengthGroups | None = None):
         """One transformer block on a [b, t, d_model] state, or on the
         [rows, d_model] state of ``groups``.
 
         A Tensor state runs the taped ops on the parameter tensors, one
-        tape node per projection and per attention; an ndarray state runs
-        the same kernels on the parameter arrays, adding residuals in
-        place: the same sums without fresh arrays. With ``groups``, each
-        gemm and the attention run per group on its [b, t, .] block, as
-        they run on a [b, t, d_model] state, and every other kernel,
-        projection biases included, runs once over all rows.
+        tape node per projection and per attention, and each projection of
+        a group state is one 2-D gemm over all rows: training needs the same
+        bits from run to run, not batch-1 bits. An ndarray state runs the
+        same kernels on the parameter arrays, adding residuals in place: the
+        same sums without fresh arrays. There each gemm of a group state runs
+        per group on its [b, t, .] block, as on a [b, t, d_model] state, so
+        every row keeps its batch-1 bits. In both modes the attention runs
+        per group, and every other kernel once over all rows.
         """
         cfg = self.config
         pre = self._block_prefix(layer_index)
@@ -300,7 +312,7 @@ class MultiExitModel:
 
         def linear(x, w, bias):
             w, bias = p[f"{pre}.{w}"], p[f"{pre}.{bias}"]
-            if groups is None:
+            if groups is None or taped:
                 return ops.linear(x, w, bias)
             y = np.empty((groups.n_rows, w.shape[1]))
             for lo, hi, b, t in groups.spans:
@@ -309,13 +321,11 @@ class MultiExitModel:
             return y
 
         def attention(q, k, v):
-            if groups is None:
-                return ops.attention(q, k, v, cfg.n_heads, attn_mask)
-            ctx = np.empty_like(q)
-            for lo, hi, b, t in groups.spans:
-                qkv = (x[lo:hi].reshape((b, t, -1)) for x in (q, k, v))
-                ctx[lo:hi] = ops.attention(*qkv, cfg.n_heads).reshape((hi - lo, -1))
-            return ctx
+            if groups is not None:
+                return ops.attention(q, k, v, cfg.n_heads, groups.spans)
+            b, t, d = q.shape  # one group of b samples
+            rows = (x.reshape((b * t, d)) for x in (q, k, v))
+            return ops.attention(*rows, cfg.n_heads, ((0, b * t, b, t),)).reshape((b, t, d))
 
         def add_norm(x, y, ln):
             """Layer norm ``ln`` of the residual sum x + y; an array y is overwritten."""
@@ -331,14 +341,19 @@ class MultiExitModel:
         """Head ``name``'s logits [b, k] from the first-token rows of a [b, t, d_model]
         state, or [samples, k] from those of the [rows, d_model] state of ``groups``.
 
-        Taped, the head is one [b, d] @ [d, k] gemm. Untaped, it runs as
-        [b, 1, d] @ [d, k], one product per row, so every row gets the bits
-        it gets at batch 1: a 2-D gemm over b > 1 rows may round differently.
+        Taped, a row gather (``embedding_lookup`` on the state) picks the
+        first-token rows, and the head is one [b, d] @ [d, k] gemm. Untaped,
+        it runs as [b, 1, d] @ [d, k], one product per row, so every row gets
+        the bits it gets at batch 1: a 2-D gemm over b > 1 rows may round
+        differently.
         """
         ops, p = self._ops(isinstance(h, T.Tensor))
         w, bias = p[f"{name}.w"], p[f"{name}.b"]
         if ops is T:
-            return ops.matmul(ops.select(h, axis=1, index=0), w) + bias
+            if groups is None:  # a [b, t, d_model] state is one group
+                b, t, d = h.shape
+                h, groups = h.reshape((b * t, d)), LengthGroups([(b, t)])
+            return ops.matmul(ops.embedding_lookup(h, groups.first_rows), w) + bias
         first = h[:, :1] if groups is None else h[groups.first_rows][:, None]
         return (ops.matmul(first, w) + bias)[:, 0]
 
@@ -363,18 +378,33 @@ class MultiExitModel:
     # -- training-side forward -------------------------------------------
 
     def forward_batch(self, ids: np.ndarray, pad_mask: np.ndarray) -> tuple[list[T.Tensor], list[T.Tensor]]:
-        """Tape-recording pass over a padded batch.
+        """Tape-recording pass over a padded [b, t] batch that computes no padded position.
 
-        Returns per-layer class probabilities [b, k] and per-layer
-        confidence values [b], both as tensors attached to the tape.
+        Each ``pad_mask`` row marks its sample's tokens as one or more ones
+        followed by zeros; a mask of another shape or row raises ValueError.
+        The samples run unpadded, as the one [rows, d_model] state of their
+        :class:`LengthGroups` by length, and each head reads a taped gather
+        of the first-token rows in batch order. Returns per-layer class
+        probabilities [b, k] and per-layer confidence values [b], both as
+        tensors attached to the tape.
         """
-        mask = self._attention_mask(pad_mask)
-        h = self.embed(ids, taped=True)
+        ids, pad_mask = np.asarray(ids), np.asarray(pad_mask)
+        if ids.ndim != 2 or ids.size == 0 or pad_mask.shape != ids.shape:
+            raise ValueError(f"forward_batch needs non-empty [b, t] ids and a pad_mask of their shape, "
+                             f"got {ids.shape} and {pad_mask.shape}")
+        lengths = (pad_mask == 1).sum(axis=1)
+        bad = (pad_mask != (np.arange(ids.shape[1]) < lengths[:, None])).any(axis=1) | (lengths == 0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"pad_mask row {row} is not one or more ones followed by zeros: "
+                             f"{pad_mask[row].tolist()}")
+        groups, members = LengthGroups.by_length(lengths)
+        h = self.embed(ids[members][pad_mask[members] == 1], taped=True, groups=groups)
         probs, confs = [], []
         for layer in range(1, self.config.n_layers + 1):
-            h = self._block(h, layer, mask)
-            probs.append(self._exit_probs(h, layer))
-            confs.append(self._confidence(h, layer))
+            h = self._block(h, layer, groups)
+            probs.append(self._exit_probs(h, layer, groups))
+            confs.append(self._confidence(h, layer, groups))
         return probs, confs
 
     # -- inference-side forward ---------------------------------------
@@ -395,7 +425,7 @@ class MultiExitModel:
         if not 1 <= layer_index <= self.config.n_layers:
             raise ValueError(f"layer_index {layer_index} outside [1, {self.config.n_layers}]")
         one = h_prev.ndim == 2 and groups is None
-        h = self._block(h_prev[None] if one else h_prev, layer_index, None, groups)
+        h = self._block(h_prev[None] if one else h_prev, layer_index, groups)
         probs = self._exit_probs(h, layer_index, groups)
         if one:
             return h[0], self._to_probdist(probs[0])

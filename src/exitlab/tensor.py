@@ -17,9 +17,10 @@ bits.
 
 A model's projections and attentions are one node each: :func:`linear`
 is the gemm with the bias added in place, and :func:`attention` the head
-split, scaled and masked scores, softmax and context. Each keeps only
-what its backward reads, and that backward runs the backward rules of
-the equivalent chain of ``matmul``, ``transpose``, ``softmax`` and
+split, scaled scores, softmax and context of each length group of rows
+in turn, so no position is padding and no mask is needed. Each keeps
+only what its backward reads, and that backward runs the backward rules
+of the equivalent chain of ``matmul``, ``transpose``, ``softmax`` and
 arithmetic nodes op for op, so it gives their gradients bit for bit
 while the tape holds none of their intermediate results.
 """
@@ -47,7 +48,6 @@ __all__ = [
     "layer_norm",
     "embedding_lookup",
     "transpose",
-    "select",
     "backward",
     "arrays",
 ]
@@ -235,9 +235,7 @@ def _matmul_grads(aa: np.ndarray, ba: np.ndarray, g: np.ndarray) -> tuple[np.nda
         return (g2 @ ba.T).reshape(aa.shape), a2.T @ g2
     ga = np.matmul(g, np.swapaxes(ba, -1, -2))
     gb = np.matmul(np.swapaxes(aa, -1, -2), g)
-    ga = ga.sum(axis=tuple(range(ga.ndim - aa.ndim)))
-    gb = gb.sum(axis=tuple(range(gb.ndim - ba.ndim)))
-    return ga, gb
+    return _unbroadcast(ga, aa.shape), _unbroadcast(gb, ba.shape)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -321,20 +319,6 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     return _result("transpose", out, (a,), back)
 
 
-def select(a: Tensor, axis: int, index: int) -> Tensor:
-    """Pick a single index along ``axis``, dropping that axis."""
-    out = np.take(a.array, index, axis=axis)
-    in_shape = a.shape
-
-    def back(g):
-        full = np.zeros(in_shape)
-        slicer = (slice(None),) * (axis % len(in_shape)) + (index,)
-        full[slicer] = g
-        return (full,)
-
-    return _result("select", out, (a,), back)
-
-
 def _reduce(a: Tensor, axis: int | None, keepdims: bool, kind: str) -> Tensor:
     if kind == "sum":
         out = a.array.sum(axis=axis, keepdims=keepdims)
@@ -382,51 +366,60 @@ def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                   mask: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """The [b, t, d] context of :func:`attention`, then the head-split
-    q [b, h, t, hd], transposed k [b, h, hd, t], v [b, h, t, hd] and the
-    softmax [b, h, t, t] that its backward reads."""
-    b, t, d = q.shape
-    hd = d // n_heads
+                   spans: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarray, list]:
+    """The [rows, d] context of :func:`attention`, then, per span, the
+    head-split q [b, h, t, hd], transposed k [b, h, hd, t], v [b, h, t, hd]
+    and the softmax [b, h, t, t] that its backward reads."""
+    hd = q.shape[1] // n_heads
+    scale = 1.0 / np.sqrt(hd)
+    ctx = np.empty(q.shape)
+    saved = []
+    for lo, hi, b, t in spans:
+        qh, kt, vh = (_transpose_fwd(x[lo:hi].reshape((b, t, n_heads, hd)), axes)
+                      for x, axes in ((q, (0, 2, 1, 3)), (k, (0, 2, 3, 1)), (v, (0, 2, 1, 3))))
+        scores = np.matmul(qh, kt)
+        scores *= scale
+        p = _softmax_fwd(scores)
+        np.copyto(ctx[lo:hi].reshape((b, t, n_heads, hd)), np.matmul(p, vh).transpose((0, 2, 1, 3)))
+        saved.append((qh, kt, vh, p))
+    return ctx, saved
 
-    def heads(x, axes=(0, 2, 1, 3)):
-        return _transpose_fwd(x.reshape((b, t, n_heads, hd)), axes)
 
-    qh, kt, vh = heads(q), heads(k, (0, 2, 3, 1)), heads(v)
-    scores = np.matmul(qh, kt)
-    scores *= 1.0 / np.sqrt(hd)
-    if mask is not None:
-        scores += mask
-    p = _softmax_fwd(scores)
-    return _transpose_fwd(np.matmul(p, vh), (0, 2, 1, 3)).reshape((b, t, d)), qh, kt, vh, p
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              spans: Sequence[tuple[int, int, int, int]]) -> Tensor:
+    """Multi-head scaled dot-product attention within groups of rows, as one node.
 
-
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention over [b, t, d] projections, as one node.
-
-    Each of ``n_heads`` heads attends over its d / n_heads columns:
-    softmax(q k^T / sqrt(d / n_heads) + mask) v, with ``mask`` an optional
-    additive float array that broadcasts against the [b, h, t, t] scores
-    (a [b, 1, 1, t] key mask, say) and gets no gradient. The tape keeps
-    the head-split q, k, v and the softmax; the backward replays the
-    backward rules of the reshape, transpose, matmul, scale, mask-add and
-    softmax chain that computes the same forward, in reverse, so the
-    gradients are that chain's bit for bit.
+    q, k and v are [rows, d] projections. ``spans`` tiles the rows in order
+    as (lo, hi, b, t): rows lo..hi hold b samples of t tokens each, and each
+    sample attends over its own t rows only, so no position is padding and
+    no mask is needed. Each of ``n_heads`` heads attends over its
+    d / n_heads columns: softmax(q k^T / sqrt(d / n_heads)) v. The tape
+    keeps each group's head-split q, k, v and softmax; the backward replays,
+    group by group, the backward rules of the reshape, transpose, matmul,
+    scale and softmax chain that computes the same forward, in reverse, so
+    the gradients are that chain's bit for bit.
     """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % n_heads:
-        raise ShapeError(f"attention needs equal [b, t, d] q, k and v with d divisible by "
-                         f"{n_heads} heads, got {q.shape}, {k.shape} and {v.shape}")
-    b, t, d = q.shape
-    hd = d // n_heads
-    out, qh, kt, vh, p = _attention_fwd(q.array, k.array, v.array, n_heads, mask)
+    starts = [0] + [hi for _, hi, _, _ in spans]
+    if (q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[1] % n_heads
+            or starts[-1] != q.shape[0] or not spans
+            or any(lo != start or hi - lo != b * t or min(b, t) < 1
+                   for (lo, hi, b, t), start in zip(spans, starts))):
+        raise ShapeError(f"attention needs equal [rows, d] q, k and v with d divisible by {n_heads} heads "
+                         f"and spans (lo, hi, b, t) tiling the rows, got {q.shape}, {k.shape} and "
+                         f"{v.shape} with spans {tuple(spans)}")
+    hd = q.shape[1] // n_heads
+    out, saved = _attention_fwd(q.array, k.array, v.array, n_heads, spans)
     scale = 1.0 / np.sqrt(hd)
 
     def back(g):
-        g = g.reshape((b, t, n_heads, hd)).transpose((0, 2, 1, 3))
-        gp, gv = _matmul_grads(p, vh, g)
-        gq, gk = _matmul_grads(qh, kt, _softmax_grad(p, gp) * scale)
-        return tuple(x.transpose(axes).reshape((b, t, d))
-                     for x, axes in ((gq, (0, 2, 1, 3)), (gk, (0, 3, 1, 2)), (gv, (0, 2, 1, 3))))
+        grads = tuple(np.empty(g.shape) for _ in range(3))
+        for (lo, hi, b, t), (qh, kt, vh, p) in zip(spans, saved):
+            gh = g[lo:hi].reshape((b, t, n_heads, hd)).transpose((0, 2, 1, 3))
+            gp, gv = _matmul_grads(p, vh, gh)
+            gq, gk = _matmul_grads(qh, kt, _softmax_grad(p, gp) * scale)
+            for grad, x, axes in zip(grads, (gq, gk, gv), ((0, 2, 1, 3), (0, 3, 1, 2), (0, 2, 1, 3))):
+                np.copyto(grad[lo:hi].reshape((b, t, n_heads, hd)), x.transpose(axes))
+        return grads
 
     return _result("attention", out, (q, k, v), back)
 
@@ -601,7 +594,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 arrays = SimpleNamespace(
     matmul=np.matmul,
     linear=_linear_fwd,
-    attention=lambda q, k, v, n_heads, mask=None: _attention_fwd(q, k, v, n_heads, mask)[0],
+    attention=lambda q, k, v, n_heads, spans: _attention_fwd(q, k, v, n_heads, spans)[0],
     softmax=_softmax_fwd,
     sigmoid=_sigmoid_fwd,
     gelu=lambda x: _gelu_fwd(x)[0],

@@ -230,13 +230,13 @@ class TestGradchecks:
         x, w, b = randt(self.rng, 2, 3, 4), randt(self.rng, 4, 5), randt(self.rng, 5)
         assert_gradcheck(lambda: (T.linear(x, w, b) * T.linear(x, w, b)).mean(), [x, w, b])
 
-    @pytest.mark.parametrize("padded", [False, True])
-    def test_attention(self, padded):
-        q, k, v = (randt(self.rng, 2, 3, 4) for _ in range(3))
-        w = T.Tensor(self.rng.normal(size=(2, 3, 4)))
-        # the second sample's last key is padding
-        mask = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1e9]).reshape(2, 1, 1, 3) if padded else None
-        assert_gradcheck(lambda: (T.attention(q, k, v, 2, mask) * w).sum(), [q, k, v])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_attention(self, grouped):
+        # two samples of 3 tokens, or two of 1 token, one of 8 and two of 3
+        spans = ((0, 2, 2, 1), (2, 10, 1, 8), (10, 16, 2, 3)) if grouped else ((0, 6, 2, 3),)
+        q, k, v = (randt(self.rng, spans[-1][1], 4) for _ in range(3))
+        w = T.Tensor(self.rng.normal(size=(spans[-1][1], 4)))
+        assert_gradcheck(lambda: (T.attention(q, k, v, 2, spans) * w).sum(), [q, k, v])
 
     def test_transpose_default_and_permutation(self):
         a = randt(self.rng, 2, 3, 4)
@@ -247,9 +247,13 @@ class TestGradchecks:
         a = randt(self.rng, 2, 6)
         assert_gradcheck(lambda: (a.reshape((3, 4)) * a.reshape((3, 4))).sum(), [a])
 
-    def test_select(self):
-        a = randt(self.rng, 3, 4, 5)
-        assert_gradcheck(lambda: (T.select(a, axis=1, index=2) * 3.0).sum(), [a])
+    def test_first_row_gather(self):
+        """A head over each sample's first-token row, gathered in batch order
+        from a [rows, d] state of length groups, as training runs it."""
+        h, w = randt(self.rng, 10, 4), randt(self.rng, 4, 3)
+        first_rows = np.array([8, 0, 2, 5])
+        g = T.Tensor(self.rng.normal(size=(4, 3)))
+        assert_gradcheck(lambda: (T.matmul(T.embedding_lookup(h, first_rows), w) * g).sum(), [h, w])
 
     def test_softmax(self):
         a = randt(self.rng, 3, 5)
@@ -387,9 +391,9 @@ class TestSigmoidKernel:
         assert np.isnan(T._sigmoid_fwd(x)).sum() == 2
 
 
-def chain_attention(q, k, v, n_heads, mask=None):
-    """Attention as a chain of reshape, transpose, matmul, scale, mask-add and
-    softmax nodes, with a dense [b, h, t, t] mask."""
+def chain_attention(q, k, v, n_heads):
+    """Attention over [b, t, d] projections as a chain of reshape, transpose,
+    matmul, scale and softmax nodes."""
     b, t, d = q.shape
     hd = d // n_heads
 
@@ -397,16 +401,26 @@ def chain_attention(q, k, v, n_heads, mask=None):
         return T.transpose(x.reshape((b, t, n_heads, hd)), axes)
 
     scores = T.matmul(heads(q), heads(k, (0, 2, 3, 1))) * (1.0 / np.sqrt(hd))
-    if mask is not None:
-        scores = scores + T.Tensor(np.broadcast_to(mask, (b, n_heads, t, t)).copy())
     ctx = T.matmul(T.softmax(scores, axis=-1), heads(v))
     return T.transpose(ctx, (0, 2, 1, 3)).reshape((b, t, d))
 
 
-def padding_mask(rng, b, t):
-    """An additive [b, 1, 1, t] key mask: each sample keeps a random prefix of 1..t keys."""
-    keep = np.arange(t) < rng.integers(1, t + 1, size=(b, 1))
-    return ((1.0 - keep) * -1e9)[:, None, None, :]
+def length_spans(rng, b, t):
+    """Spans (lo, hi, b, t) of b samples of random lengths 1..t, grouped by
+    length in first-appearance order."""
+    counts = {}
+    for n in rng.integers(1, t + 1, size=b).tolist():
+        counts[n] = counts.get(n, 0) + 1
+    spans, lo = [], 0
+    for n, count in counts.items():
+        spans.append((lo, lo + count * n, count, n))
+        lo += count * n
+    return tuple(spans)
+
+
+def group_leaves(x, spans):
+    """Each span's rows of ``x`` as a fresh [b, t, d] leaf tensor."""
+    return [T.Tensor(x.array[lo:hi].reshape((b, t, -1)), requires_grad=True) for lo, hi, b, t in spans]
 
 
 class TestFusedOps:
@@ -426,27 +440,55 @@ class TestFusedOps:
         for p in (x, w, bias):
             assert got[p].tobytes() == ref[p].tobytes()
 
-    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("grouped", [False, True])
     @pytest.mark.parametrize("b, t, d, n_heads", [(1, 1, 8, 2), (4, 7, 16, 4), (32, 10, 64, 4), (3, 5, 12, 1)])
-    def test_attention_values_and_gradients_bit_equal(self, b, t, d, n_heads, padded):
-        rng = np.random.default_rng(b * t + padded)
-        q, k, v = (T.Tensor(rng.normal(size=(b, t, d)), requires_grad=True) for _ in range(3))
-        mask = padding_mask(rng, b, t) if padded else None
-        g = T.Tensor(rng.normal(size=(b, t, d)))
-        out = T.attention(q, k, v, n_heads, mask)
-        want = chain_attention(q, k, v, n_heads, mask)
-        assert out.array.tobytes() == want.array.tobytes()
-        assert T.arrays.attention(q.array, k.array, v.array, n_heads, mask).tobytes() == want.array.tobytes()
-        got, ref = T.backward((out * g).sum()), T.backward((want * g).sum())
-        for p in (q, k, v):
-            assert got[p].tobytes() == ref[p].tobytes()
+    def test_attention_values_and_gradients_bit_equal(self, b, t, d, n_heads, grouped):
+        """Over one [b, t] group, or b samples of random lengths, each group's
+        rows equal the op chain's on that group alone."""
+        rng = np.random.default_rng(b * t + grouped)
+        spans = length_spans(rng, b, t) if grouped else ((0, b * t, b, t),)
+        rows = spans[-1][1]
+        q, k, v = (T.Tensor(rng.normal(size=(rows, d)), requires_grad=True) for _ in range(3))
+        g = T.Tensor(rng.normal(size=(rows, d)))
+        out = T.attention(q, k, v, n_heads, spans)
+        assert T.arrays.attention(q.array, k.array, v.array, n_heads, spans).tobytes() == out.array.tobytes()
+        got = T.backward((out * g).sum())
+        for (lo, hi, _, _), qkv, gg in zip(spans, zip(*(group_leaves(x, spans) for x in (q, k, v))),
+                                           group_leaves(g, spans)):
+            want = chain_attention(*qkv, n_heads)
+            assert out.array[lo:hi].tobytes() == want.array.tobytes()
+            ref = T.backward((want * gg).sum())
+            for p, leaf in zip((q, k, v), qkv):
+                assert got[p][lo:hi].tobytes() == ref[leaf].tobytes()
+
+    @pytest.mark.parametrize("b, t, d, n_heads", [(6, 4, 8, 2), (32, 14, 64, 4), (9, 9, 12, 3)])
+    def test_attention_over_spans_equals_separate_group_calls(self, b, t, d, n_heads):
+        rng = np.random.default_rng(b + t)
+        spans = length_spans(rng, b, t)
+        rows = spans[-1][1]
+        q, k, v = (T.Tensor(rng.normal(size=(rows, d)), requires_grad=True) for _ in range(3))
+        g = rng.normal(size=(rows, d))
+        out = T.attention(q, k, v, n_heads, spans)
+        got = out.node.backward(g)
+        for lo, hi, gb, gt in spans:
+            part = [T.Tensor(x.array[lo:hi], requires_grad=True) for x in (q, k, v)]
+            alone = T.attention(*part, n_heads, ((0, hi - lo, gb, gt),))
+            assert out.array[lo:hi].tobytes() == alone.array.tobytes()
+            for whole, single in zip(got, alone.node.backward(g[lo:hi])):
+                assert whole[lo:hi].tobytes() == single.tobytes()
 
     def test_shape_errors_name_the_shapes(self):
         x, w = T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((4, 5)))
         with pytest.raises(T.ShapeError, match=r"\(2, 3, 4\) @ \(4, 5\) \+ \(4,\)"):
             T.linear(x, w, T.Tensor(np.zeros(4)))
         with pytest.raises(T.ShapeError, match=r"3 heads.*\(2, 3, 4\)"):
-            T.attention(x, x, x, 3)
+            T.attention(x, x, x, 3, ((0, 6, 2, 3),))
+        rows = T.Tensor(np.zeros((6, 4)))
+        # no span, rows left over, overlapping spans, b * t != hi - lo, an empty group
+        for spans in ((), ((0, 4, 1, 4),), ((0, 3, 1, 3), (2, 6, 1, 4)), ((0, 6, 2, 2),),
+                      ((0, 0, 0, 1), (0, 6, 2, 3))):
+            with pytest.raises(T.ShapeError, match=r"spans \(lo, hi, b, t\) tiling the rows"):
+                T.attention(rows, rows, rows, 2, spans)
 
 
 class TestGeluBackward:
