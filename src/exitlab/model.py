@@ -20,7 +20,8 @@ GELU in both modes, so training's tape holds one node for each. Training
 computes no padded position: :meth:`MultiExitModel.forward_batch` runs a
 padded batch as the unpadded rows of its :class:`LengthGroups`, each
 projection as one 2-D gemm over all rows and the attention group by group,
-so no attention takes a mask.
+so no attention takes a mask. Each layer gathers its first-token rows once,
+and both heads read them, each as one ``linear`` node.
 
 Every parameter lives in one contiguous float64 buffer, in init order:
 ``params[name].array`` is a view into it. Optimizers, checkpoint loading
@@ -210,10 +211,6 @@ class MultiExitModel:
             self._param(f"conf{i}.w", np.zeros((cfg.d_model, 1)))
             self._param(f"conf{i}.b", np.zeros(1))
 
-    def parameters(self) -> dict[str, T.Tensor]:
-        """Named parameter tensors (shared blocks appear once)."""
-        return dict(self.params)
-
     def derived(self) -> dict:
         """A dict for values derived from the current parameters, emptied
         whenever any parameter changed since the last call.
@@ -337,37 +334,28 @@ class MultiExitModel:
         ff = linear(ops.gelu(linear(h, "w1", "b1")), "w2", "b2")
         return add_norm(h, ff, "ln2")
 
-    def _pooled_head(self, h, name: str, groups: LengthGroups | None = None):
-        """Head ``name``'s logits [b, k] from the first-token rows of a [b, t, d_model]
-        state, or [samples, k] from those of the [rows, d_model] state of ``groups``.
+    def _head(self, first, name: str):
+        """Head ``name``'s logits [b, k] from the first-token rows [b, d_model].
 
-        Taped, a row gather (``embedding_lookup`` on the state) picks the
-        first-token rows, and the head is one [b, d] @ [d, k] gemm. Untaped,
-        it runs as [b, 1, d] @ [d, k], one product per row, so every row gets
-        the bits it gets at batch 1: a 2-D gemm over b > 1 rows may round
-        differently.
+        Taped, the head is one ``linear`` node. Untaped, it runs as
+        [b, 1, d] @ [d, k], one product per row, so every row gets the bits
+        it gets at batch 1: a 2-D gemm over b > 1 rows may round differently.
         """
-        ops, p = self._ops(isinstance(h, T.Tensor))
+        ops, p = self._ops(isinstance(first, T.Tensor))
         w, bias = p[f"{name}.w"], p[f"{name}.b"]
-        if ops is T:
-            if groups is None:  # a [b, t, d_model] state is one group
-                b, t, d = h.shape
-                h, groups = h.reshape((b * t, d)), LengthGroups([(b, t)])
-            return ops.matmul(ops.embedding_lookup(h, groups.first_rows), w) + bias
-        first = h[:, :1] if groups is None else h[groups.first_rows][:, None]
-        return (ops.matmul(first, w) + bias)[:, 0]
+        return ops.linear(first, w, bias) if ops is T else ops.linear(first[:, None], w, bias)[:, 0]
 
-    def _exit_probs(self, h, layer_index: int, groups: LengthGroups | None = None):
-        """Exit ``layer_index``'s class probabilities [b, k] from a state (see
-        :meth:`_pooled_head`): softmax for slc, per-label sigmoid for mlc."""
-        ops = self._ops(isinstance(h, T.Tensor))[0]
-        logits = self._pooled_head(h, f"head{layer_index - 1}", groups)
+    def _exit_probs(self, first, layer_index: int):
+        """Exit ``layer_index``'s class probabilities [b, k] from the first-token
+        rows (see :meth:`_head`): softmax for slc, per-label sigmoid for mlc."""
+        ops = self._ops(isinstance(first, T.Tensor))[0]
+        logits = self._head(first, f"head{layer_index - 1}")
         return ops.softmax(logits, axis=-1) if self.config.task == SLC else ops.sigmoid(logits)
 
-    def _confidence(self, h, layer_index: int, groups: LengthGroups | None = None):
+    def _confidence(self, first, layer_index: int):
         """Exit ``layer_index``'s confidence values [b] in (0, 1)."""
-        ops = self._ops(isinstance(h, T.Tensor))[0]
-        logits = self._pooled_head(h, f"conf{layer_index - 1}", groups)
+        ops = self._ops(isinstance(first, T.Tensor))[0]
+        logits = self._head(first, f"conf{layer_index - 1}")
         return ops.sigmoid(logits.reshape((logits.shape[0],)))
 
     def _to_probdist(self, prob_row: np.ndarray) -> ProbDist:
@@ -383,10 +371,10 @@ class MultiExitModel:
         Each ``pad_mask`` row marks its sample's tokens as one or more ones
         followed by zeros; a mask of another shape or row raises ValueError.
         The samples run unpadded, as the one [rows, d_model] state of their
-        :class:`LengthGroups` by length, and each head reads a taped gather
-        of the first-token rows in batch order. Returns per-layer class
-        probabilities [b, k] and per-layer confidence values [b], both as
-        tensors attached to the tape.
+        :class:`LengthGroups` by length. Each layer's two heads read one
+        taped gather of its first-token rows, in batch order. Returns
+        per-layer class probabilities [b, k] and per-layer confidence values
+        [b], both as tensors attached to the tape.
         """
         ids, pad_mask = np.asarray(ids), np.asarray(pad_mask)
         if ids.ndim != 2 or ids.size == 0 or pad_mask.shape != ids.shape:
@@ -403,8 +391,9 @@ class MultiExitModel:
         probs, confs = [], []
         for layer in range(1, self.config.n_layers + 1):
             h = self._block(h, layer, groups)
-            probs.append(self._exit_probs(h, layer, groups))
-            confs.append(self._confidence(h, layer, groups))
+            first = T.embedding_lookup(h, groups.first_rows)
+            probs.append(self._exit_probs(first, layer))
+            confs.append(self._confidence(first, layer))
         return probs, confs
 
     # -- inference-side forward ---------------------------------------
@@ -426,7 +415,7 @@ class MultiExitModel:
             raise ValueError(f"layer_index {layer_index} outside [1, {self.config.n_layers}]")
         one = h_prev.ndim == 2 and groups is None
         h = self._block(h_prev[None] if one else h_prev, layer_index, groups)
-        probs = self._exit_probs(h, layer_index, groups)
+        probs = self._exit_probs(h[:, 0] if groups is None else h[groups.first_rows], layer_index)
         if one:
             return h[0], self._to_probdist(probs[0])
         if self.config.task == MLC:
@@ -441,7 +430,8 @@ class MultiExitModel:
         :meth:`forward_layer`). ValueError if any value is NaN, which a NaN
         head weight gives and no threshold would halt on."""
         one = h.ndim == 2 and groups is None
-        conf = self._confidence(h[None] if one else h, layer_index, groups)
+        first = h[:1] if one else h[:, 0] if groups is None else h[groups.first_rows]
+        conf = self._confidence(first, layer_index)
         if not np.minimum.reduce(conf) > 0.0:  # a NaN fails: the sigmoid keeps the rest in (0, 1)
             raise ValueError("confidence values must lie in (0, 1)")
         return float(conf[0]) if one else conf

@@ -147,9 +147,6 @@ class Tensor:
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         return _reshape(self, tuple(shape))
 
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        return transpose(self, axes)
-
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         return _reduce(self, axis, keepdims, "sum")
 
@@ -304,7 +301,8 @@ def _transpose_fwd(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute axes; the default swaps the last two."""
+    """Permute axes; the default swaps the last two. Only the reference op
+    chain that the tests check :func:`attention` against calls it."""
     if axes is None:
         if a.ndim < 2:
             raise ShapeError(f"transpose needs >=2-D input, got shape {a.shape}")

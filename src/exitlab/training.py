@@ -10,6 +10,7 @@ cross-entropy (averaged over labels). Each layer's confidence head is
 trained jointly with a small auxiliary BCE term whose target is whether
 that exit's prediction, by the rule of ``ProbDist.prediction()``, matches
 the answer key ``Dataset.gold()``, which also gives the loss targets.
+:class:`AdamW` updates the model's one parameter buffer once per step.
 """
 
 from __future__ import annotations
@@ -115,33 +116,39 @@ def total_loss(per_layer: list[float], n: int) -> float:
 
 
 class AdamW:
-    """Adam with decoupled weight decay; state keyed by parameter name.
+    """Adam with decoupled weight decay, over a model's one parameter buffer.
 
-    The moment decays and epsilon are the constants ``BETA1``, ``BETA2``
-    and ``ADAM_EPS``; the config gives the learning rate and weight decay.
+    ``m`` and ``v`` have the buffer's layout. A step takes a gradient for
+    every parameter, as ``backward`` with ``wrt`` gives them, and updates the
+    whole buffer once, in place, with the products of the per-parameter
+    update in the same order, so it gives its bits. The moment decays and
+    epsilon are ``BETA1``, ``BETA2`` and ``ADAM_EPS``; the config gives the
+    learning rate and weight decay.
     """
 
-    def __init__(self, params: dict[str, T.Tensor], config: TrainConfig):
-        self.params = dict(params)
+    def __init__(self, model: MultiExitModel, config: TrainConfig):
+        self.params = list(model.params.values())
+        self.buffer = model._buffer
         self.cfg = config
         self.step_count = 0
-        self.m = {name: np.zeros(t.shape) for name, t in self.params.items()}
-        self.v = {name: np.zeros(t.shape) for name, t in self.params.items()}
+        # the moments, then the gathered gradient and a scratch array: kept,
+        # since fresh buffer-sized arrays would be page-faulted in every step
+        self.m, self.v, self._g, self._s = (np.zeros_like(self.buffer) for _ in range(4))
 
     def step(self, grads: dict[T.Tensor, np.ndarray]) -> None:
-        c = self.cfg
+        c, m, v, g, s, p = self.cfg, self.m, self.v, self._g, self._s, self.buffer
         self.step_count += 1
         bc1 = 1.0 - BETA1**self.step_count
         bc2 = 1.0 - BETA2**self.step_count
-        for name in sorted(self.params):
-            p = self.params[name]
-            g = grads.get(p)
-            if g is None:
-                continue
-            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * g * g
-            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + ADAM_EPS)
-            p.array[...] -= c.learning_rate * (update + c.weight_decay * p.array)
+        np.concatenate([grads[t].reshape(-1) for t in self.params], out=g)
+        m *= BETA1  # m = b1 m + (1 - b1) g
+        m += np.multiply(g, 1.0 - BETA1, out=s)
+        v *= BETA2  # v = b2 v + (1 - b2) g g
+        v += np.multiply(np.multiply(g, 1.0 - BETA2, out=s), g, out=s)
+        update = np.divide(m, bc1, out=g)  # (m / bc1) / (sqrt(v / bc2) + eps)
+        update /= np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), ADAM_EPS, out=s)
+        decay = np.multiply(p, c.weight_decay, out=s)  # p -= lr (update + wd p)
+        p -= np.multiply(np.add(decay, update, out=s), c.learning_rate, out=s)
 
 
 # -- batching ----------------------------------------------------------------
@@ -231,8 +238,7 @@ def train(
     if dataset.task != SLC:
         gold = gold.astype(np.float64)  # the Bernoulli targets of the mlc loss
     encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
-    optimizer = AdamW(model.parameters(), config)
-    wrt = list(model.parameters().values())
+    optimizer = AdamW(model, config)
     rng = np.random.default_rng(config.seed)
     n_layers = model.config.n_layers
     history: list[LossReport] = []
@@ -245,7 +251,9 @@ def train(
             idx = order[start : start + config.batch_size]
             ids, mask = _pad_batch([encoded[i] for i in idx])
             objective, losses, correct = _objective(model, ids, mask, gold[idx])
-            grads = T.backward(objective, wrt=wrt)
+            # grads stays bound until the next backward: freed with the tape, glibc trims
+            # the heap top, and the next forward page-faults it back in (twice the faults)
+            grads = T.backward(objective, wrt=optimizer.params)
             del objective  # the step's tape, which the next step's forward would hold too
             optimizer.step(grads)
             sum_losses += [loss * len(idx) for loss in losses]

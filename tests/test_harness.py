@@ -702,13 +702,13 @@ def six_policy_specs(draw, task):
 
 def count_confidence_rows(monkeypatch):
     """Wrap ``MultiExitModel._confidence``; the returned list grows by one layer
-    index per sample-layer whose confidence was computed."""
+    index per sample-layer whose confidence was computed: one per first-token row."""
     calls = []
     original = MultiExitModel._confidence
 
-    def counted(model, h, layer_index, groups=None):
-        calls.extend([layer_index] * samples_of(h, groups))
-        return original(model, h, layer_index, groups)
+    def counted(model, first, layer_index):
+        calls.extend([layer_index] * len(first))
+        return original(model, first, layer_index)
 
     monkeypatch.setattr(MultiExitModel, "_confidence", counted)
     return calls

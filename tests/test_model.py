@@ -181,9 +181,10 @@ class TestArrayInference:
         for layer, (h, prob, conf) in enumerate(model.iter_layers(tokens), start=1):
             ref = model._block(ref, layer, None)
             assert isinstance(h, np.ndarray) and np.array_equal(h, ref.array.reshape((t, d)))
-            expected = make(model._exit_probs(ref, layer).array[0])
+            first = T.embedding_lookup(ref.reshape((t, d)), [0])  # as forward_batch pools
+            expected = make(model._exit_probs(first, layer).array[0])
             assert np.array_equal(prob.probs, expected.probs)
-            assert conf == float(model._confidence(ref, layer).array[0])
+            assert conf == float(model._confidence(first, layer).array[0])
             layers += 1
         assert layers == model.config.n_layers
 
@@ -495,16 +496,21 @@ def tape_results(loss):
 def test_training_tape_holds_one_node_per_projection_and_attention():
     """Each block tapes six projections, one attention, two layer norms and one
     GELU as one node each, so the tape keeps no gemm before its bias add, no
-    head split and no raw or scaled scores. The batch is padded, and each
-    attention runs on its real token rows only."""
+    head split and no raw or scaled scores. Each layer gathers its first-token
+    rows once (one ``embedding`` node besides the token and position lookups),
+    and its exit and confidence heads are one ``linear`` each. The batch is
+    padded, and each attention runs on its real token rows only."""
     model, train_split, vocab = fixture_model("slc", False)
     ids, mask = _pad_batch(encode_dataset(train_split, vocab, model.config.max_seq_len)[:32])
     assert mask.min() == 0.0
     results = tape_results(_objective(model, ids, mask, train_split.gold()[:32])[0])
     counts = Counter(t.node.op for t in results)
     n = model.config.n_layers
-    assert {op: counts[op] for op in ("linear", "attention", "layer_norm", "gelu", "transpose")} == {
-        "linear": 6 * n, "attention": n, "layer_norm": 2 * n, "gelu": n, "transpose": 0}
+    ops = ("linear", "attention", "layer_norm", "gelu", "embedding", "matmul", "transpose")
+    assert {op: counts[op] for op in ops} == {
+        "linear": 8 * n, "attention": n, "layer_norm": 2 * n, "gelu": n, "embedding": n + 2, "matmul": 0,
+        "transpose": 0}
+    assert len(results) == 226
     assert {t.shape for t in results if t.node.op == "attention"} == {(mask.sum(), model.config.d_model)}
 
 

@@ -37,7 +37,7 @@ def test_tracer_installs_and_restores_every_swapped_name(monkeypatch):
 
 
 @pytest.mark.parametrize("trace", [0, 1])
-@pytest.mark.parametrize("workload", ["sweep_mlc", "eval_slc"])
+@pytest.mark.parametrize("workload", ["sweep_mlc", "eval_slc", "train_slc"])
 def test_smoke_run_passes_its_checks(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--smoke", "--seconds", "1",

@@ -240,20 +240,25 @@ class TestGradchecks:
 
     def test_transpose_default_and_permutation(self):
         a = randt(self.rng, 2, 3, 4)
-        assert_gradcheck(lambda: (a.transpose() * a.transpose()).sum(), [a])
-        assert_gradcheck(lambda: (a.transpose((2, 0, 1)) * 2.0).sum(), [a])
+        assert_gradcheck(lambda: (T.transpose(a) * T.transpose(a)).sum(), [a])
+        assert_gradcheck(lambda: (T.transpose(a, (2, 0, 1)) * 2.0).sum(), [a])
 
     def test_reshape(self):
         a = randt(self.rng, 2, 6)
         assert_gradcheck(lambda: (a.reshape((3, 4)) * a.reshape((3, 4))).sum(), [a])
 
     def test_first_row_gather(self):
-        """A head over each sample's first-token row, gathered in batch order
-        from a [rows, d] state of length groups, as training runs it."""
-        h, w = randt(self.rng, 10, 4), randt(self.rng, 4, 3)
+        """Two heads over each sample's first-token row, gathered once in batch
+        order from a [rows, d] state of length groups, as training runs them."""
+        h, w, b, wc, bc = (randt(self.rng, *shape) for shape in ((10, 4), (4, 3), (3,), (4, 1), (1,)))
         first_rows = np.array([8, 0, 2, 5])
-        g = T.Tensor(self.rng.normal(size=(4, 3)))
-        assert_gradcheck(lambda: (T.matmul(T.embedding_lookup(h, first_rows), w) * g).sum(), [h, w])
+        g, gc = T.Tensor(self.rng.normal(size=(4, 3))), T.Tensor(self.rng.normal(size=(4, 1)))
+
+        def loss():
+            first = T.embedding_lookup(h, first_rows)
+            return (T.linear(first, w, b) * g).sum() + (T.linear(first, wc, bc) * gc).sum()
+
+        assert_gradcheck(loss, [h, w, b, wc, bc])
 
     def test_softmax(self):
         a = randt(self.rng, 3, 5)

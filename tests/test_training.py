@@ -14,6 +14,9 @@ from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel
 from exitlab.similarity import ProbDist
 from exitlab.training import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     AdamW,
     TrainConfig,
     load_train_config,
@@ -251,18 +254,64 @@ class TestConfigFile:
             load_train_config(path)
 
 
+def tiny_model(shared=False):
+    return MultiExitModel(ModelConfig(vocab_size=7, n_classes=3, n_layers=3, d_model=4, n_heads=2, d_ff=6,
+                                      max_seq_len=5, seed=2, share_layer_params=shared))
+
+
+def reference_adamw_step(params, m, v, step_count, grads, config):
+    """AdamW parameter by parameter: the four expressions that the flat step
+    over the buffer must reproduce bit for bit."""
+    bc1 = 1.0 - BETA1**step_count
+    bc2 = 1.0 - BETA2**step_count
+    for name, p in params.items():
+        g = grads[p]
+        m[name] = BETA1 * m[name] + (1.0 - BETA1) * g
+        v[name] = BETA2 * v[name] + (1.0 - BETA2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
+        p.array[...] -= config.learning_rate * (update + config.weight_decay * p.array)
+
+
 class TestAdamW:
     def test_weight_decay_shrinks_unused_parameter(self):
-        p = T.Tensor(np.full(3, 10.0), requires_grad=True)
-        opt = AdamW({"p": p}, TrainConfig(learning_rate=0.1, weight_decay=0.5))
-        opt.step({p: np.zeros(3)})
-        np.testing.assert_allclose(p.array, 10.0 - 0.1 * 0.5 * 10.0)
+        model = tiny_model()
+        model._buffer[...] = 10.0
+        opt = AdamW(model, TrainConfig(learning_rate=0.1, weight_decay=0.5))
+        opt.step({p: np.zeros(p.shape) for p in model.params.values()})
+        np.testing.assert_allclose(model._buffer, 10.0 - 0.1 * 0.5 * 10.0)
 
     def test_step_direction_follows_negative_gradient(self):
-        p = T.Tensor(np.zeros(2), requires_grad=True)
-        opt = AdamW({"p": p}, TrainConfig(learning_rate=0.01, weight_decay=0.0))
-        opt.step({p: np.array([1.0, -1.0])})
-        assert p.array[0] < 0 < p.array[1]
+        model = tiny_model()
+        opt = AdamW(model, TrainConfig(learning_rate=0.01, weight_decay=0.0))
+        grads = {p: np.zeros(p.shape) for p in model.params.values()}
+        bias = model.params["head0.b"]
+        grads[bias] = np.array([1.0, -1.0, 0.0])
+        opt.step(grads)
+        assert bias.array[0] < 0 < bias.array[1] and bias.array[2] == 0.0
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["bert", "albert"])
+    def test_flat_step_matches_per_parameter_update_bit_for_bit(self, shared):
+        """Over several steps, with nonzero weight decay, gradients over many
+        scales, parameters whose gradient is zero and one all-zero step."""
+        config = TrainConfig(learning_rate=3e-2, weight_decay=0.05)
+        flat, ref = tiny_model(shared), tiny_model(shared)
+        rng = np.random.default_rng(0)
+        flat._buffer[...] = ref._buffer[...] = rng.normal(size=flat._buffer.size)
+        opt = AdamW(flat, config)
+        m = {name: np.zeros(p.shape) for name, p in ref.params.items()}
+        v = {name: np.zeros(p.shape) for name, p in ref.params.items()}
+        for step in range(1, 8):
+            grads = {}
+            for i, name in enumerate(ref.params):
+                shape = ref.params[name].shape
+                g = rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 2, size=shape)
+                grads[name] = np.zeros(shape) if step == 4 or i % 3 == 0 else g
+            opt.step({flat.params[name]: g for name, g in grads.items()})
+            reference_adamw_step(ref.params, m, v, step, {ref.params[n]: g for n, g in grads.items()},
+                                 config)
+            assert flat._buffer.tobytes() == ref._buffer.tobytes(), step
+            assert opt.m.tobytes() == np.concatenate([a.reshape(-1) for a in m.values()]).tobytes()
+            assert opt.v.tobytes() == np.concatenate([a.reshape(-1) for a in v.values()]).tobytes()
 
 
 class TestGridSearch:
