@@ -16,12 +16,14 @@ inference runs the same code on plain float64 ndarrays through
 :data:`exitlab.tensor.arrays`, the same forward kernels with nothing
 recorded, and gives the same bits as the taped ops. A block is six
 ``linear`` projections, one ``attention``, two residual layer norms and a
-GELU in both modes, so training's tape holds one node for each. Training
-computes no padded position: :meth:`MultiExitModel.forward_batch` runs a
-padded batch as the unpadded rows of its :class:`LengthGroups`, each
-projection as one 2-D gemm over all rows and the attention group by group,
-so no attention takes a mask. Each layer gathers its first-token rows once,
-and both heads read them, each as one ``linear`` node.
+GELU in both modes, so training's tape holds one node for each: a taped
+residual layer norm adds its two addends itself, and the tape keeps no
+sum. Training computes no padded position:
+:meth:`MultiExitModel.forward_batch` runs a padded batch as the unpadded
+rows of its :class:`LengthGroups`, each projection as one 2-D gemm over
+all rows and the attention group by group, so no attention takes a mask.
+Each layer gathers its first-token rows once, and both heads read them,
+each as one ``linear`` node.
 
 Every parameter lives in one contiguous float64 buffer, in init order:
 ``params[name].array`` is a view into it. Optimizers, checkpoint loading
@@ -325,9 +327,12 @@ class MultiExitModel:
             return ops.attention(*rows, cfg.n_heads, ((0, b * t, b, t),)).reshape((b, t, d))
 
         def add_norm(x, y, ln):
-            """Layer norm ``ln`` of the residual sum x + y; an array y is overwritten."""
-            total = x + y if taped else np.add(x, y, out=y)
-            return ops.layer_norm(total, p[f"{pre}.{ln}.g"], p[f"{pre}.{ln}.b"])
+            """Layer norm ``ln`` of the residual sum x + y: taped, one node that
+            keeps no sum; on arrays, the sum overwrites y."""
+            gain, bias = p[f"{pre}.{ln}.g"], p[f"{pre}.{ln}.b"]
+            if taped:
+                return ops.layer_norm(y, gain, bias, residual=x)
+            return ops.layer_norm(np.add(x, y, out=y), gain, bias)
 
         q, k, v = linear(h, "wq", "wbq"), linear(h, "wk", "wbk"), linear(h, "wv", "wbv")
         h = add_norm(h, linear(attention(q, k, v), "wo", "wbo"), "ln1")

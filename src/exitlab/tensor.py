@@ -18,11 +18,16 @@ bits.
 A model's projections and attentions are one node each: :func:`linear`
 is the gemm with the bias added in place, and :func:`attention` the head
 split, scaled scores, softmax and context of each length group of rows
-in turn, so no position is padding and no mask is needed. Each keeps
-only what its backward reads, and that backward runs the backward rules
-of the equivalent chain of ``matmul``, ``transpose``, ``softmax`` and
+in turn, so no position is padding and no mask is needed. A residual sum
+and its layer norm are one node too, :func:`layer_norm` with a
+``residual``. Each backward runs the backward rules of the equivalent
+chain of ``matmul``, ``transpose``, ``softmax``, ``layer_norm`` and
 arithmetic nodes op for op, so it gives their gradients bit for bit
-while the tape holds none of their intermediate results.
+while the tape holds none of their intermediate results. A node keeps
+only what its backward reads and its parents do not hold already:
+``attention`` keeps its softmax and splits the heads of its parents'
+arrays again in its backward, and a residual layer norm never keeps the
+sum it normalizes.
 """
 
 from __future__ import annotations
@@ -363,23 +368,31 @@ def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
     return out * (g - dot)
 
 
+def _split_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+                 span: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One span's head-split q [b, h, t, hd], transposed k [b, h, hd, t] and v [b, h, t, hd]."""
+    lo, hi, b, t = span
+    hd = q.shape[1] // n_heads
+    return tuple(_transpose_fwd(x[lo:hi].reshape((b, t, n_heads, hd)), axes)
+                 for x, axes in ((q, (0, 2, 1, 3)), (k, (0, 2, 3, 1)), (v, (0, 2, 1, 3))))
+
+
 def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
                    spans: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarray, list]:
     """The [rows, d] context of :func:`attention`, then, per span, the
-    head-split q [b, h, t, hd], transposed k [b, h, hd, t], v [b, h, t, hd]
-    and the softmax [b, h, t, t] that its backward reads."""
+    softmax [b, h, t, t] that its backward reads."""
     hd = q.shape[1] // n_heads
     scale = 1.0 / np.sqrt(hd)
     ctx = np.empty(q.shape)
     saved = []
-    for lo, hi, b, t in spans:
-        qh, kt, vh = (_transpose_fwd(x[lo:hi].reshape((b, t, n_heads, hd)), axes)
-                      for x, axes in ((q, (0, 2, 1, 3)), (k, (0, 2, 3, 1)), (v, (0, 2, 1, 3))))
+    for span in spans:
+        lo, hi, b, t = span
+        qh, kt, vh = _split_heads(q, k, v, n_heads, span)
         scores = np.matmul(qh, kt)
         scores *= scale
         p = _softmax_fwd(scores)
         np.copyto(ctx[lo:hi].reshape((b, t, n_heads, hd)), np.matmul(p, vh).transpose((0, 2, 1, 3)))
-        saved.append((qh, kt, vh, p))
+        saved.append(p)
     return ctx, saved
 
 
@@ -392,7 +405,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     sample attends over its own t rows only, so no position is padding and
     no mask is needed. Each of ``n_heads`` heads attends over its
     d / n_heads columns: softmax(q k^T / sqrt(d / n_heads)) v. The tape
-    keeps each group's head-split q, k, v and softmax; the backward replays,
+    keeps only each group's softmax; the backward splits the heads of the
+    parents' q, k and v again with the forward's copies, then replays,
     group by group, the backward rules of the reshape, transpose, matmul,
     scale and softmax chain that computes the same forward, in reverse, so
     the gradients are that chain's bit for bit.
@@ -411,7 +425,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
     def back(g):
         grads = tuple(np.empty(g.shape) for _ in range(3))
-        for (lo, hi, b, t), (qh, kt, vh, p) in zip(spans, saved):
+        for span, p in zip(spans, saved):
+            lo, hi, b, t = span
+            qh, kt, vh = _split_heads(q.array, k.array, v.array, n_heads, span)
             gh = g[lo:hi].reshape((b, t, n_heads, hd)).transpose((0, 2, 1, 3))
             gp, gv = _matmul_grads(p, vh, gh)
             gq, gk = _matmul_grads(qh, kt, _softmax_grad(p, gp) * scale)
@@ -537,18 +553,27 @@ def _layer_norm_fwd(x, gain, bias, eps=1e-5) -> tuple[np.ndarray, np.ndarray, np
     return out, xhat, inv
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
+               residual: Tensor | None = None) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
     ``gain`` and ``bias`` have the last-axis shape; variance is the biased
-    estimator, eps is fixed at 1e-5 for reproducibility.
+    estimator, eps is fixed at 1e-5 for reproducibility. With a
+    ``residual`` of ``a``'s shape, the input is the sum ``residual + a``,
+    and the node gives the bits of an ``add`` node followed by a
+    ``layer_norm`` node, with their gradients: its backward hands both
+    addends the input gradient, as ``add``'s does. The sum is a temporary
+    that the tape does not keep.
     """
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} must be ({d},) for input {a.shape}"
         )
-    out, xhat, inv = _layer_norm_fwd(a.array, gain.array, bias.array, eps)
+    if residual is not None and residual.shape != a.shape:
+        raise ShapeError(f"layer_norm: residual {residual.shape} must have the input's shape {a.shape}")
+    x = a.array if residual is None else residual.array + a.array
+    out, xhat, inv = _layer_norm_fwd(x, gain.array, bias.array, eps)
 
     def back(g):
         # inv (gx_hat - gmean - xhat gdot) with gx_hat = g gain, in place:
@@ -562,9 +587,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gx *= inv
         ggain = np.multiply(g, xhat, out=tmp).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
-        return gx, ggain, gbias
+        return (gx, ggain, gbias) if residual is None else (gx, gx, ggain, gbias)
 
-    return _result("layer_norm", out, (a, gain, bias), back)
+    # the addends lead, in the order of the sum, as the add node's parents
+    # would: backward() then visits the graph in the chain's order
+    parents = (a, gain, bias) if residual is None else (residual, a, gain, bias)
+    return _result("layer_norm", out, parents, back)
 
 
 def _embedding_fwd(table: np.ndarray, ids) -> np.ndarray:

@@ -10,7 +10,9 @@ cross-entropy (averaged over labels). Each layer's confidence head is
 trained jointly with a small auxiliary BCE term whose target is whether
 that exit's prediction, by the rule of ``ProbDist.prediction()``, matches
 the answer key ``Dataset.gold()``, which also gives the loss targets.
-:class:`AdamW` updates the model's one parameter buffer once per step.
+:class:`AdamW` updates the model's one parameter buffer once per step,
+in cache-sized chunks of whole parameters, with the bits of the
+per-parameter update.
 """
 
 from __future__ import annotations
@@ -115,15 +117,37 @@ def total_loss(per_layer: list[float], n: int) -> float:
     return float((layer_weights(n) * np.asarray(per_layer, dtype=np.float64)).sum())
 
 
+ADAMW_CHUNK = 32768
+"""Elements per chunk of :class:`AdamW`'s update. A chunk's slices of the
+buffer and both moments, with its two scratch rows, take 1.25 MiB, which
+stays in a 2 MiB L2 cache through the update's 16 passes."""
+
+
+def _chunk_plan(params: list[T.Tensor], size: int) -> list[tuple[int, int, list[T.Tensor]]]:
+    """The buffer as runs of whole consecutive parameters of at most ``size``
+    elements each, as (lo, hi, parameters) in buffer order; a parameter of
+    more than ``size`` elements is a run of its own."""
+    chunks, lo, hi, run = [], 0, 0, []
+    for t in params:
+        if run and hi + t.size - lo > size:
+            chunks.append((lo, hi, run))
+            lo, run = hi, []
+        run.append(t)
+        hi += t.size
+    chunks.append((lo, hi, run))
+    return chunks
+
+
 class AdamW:
     """Adam with decoupled weight decay, over a model's one parameter buffer.
 
     ``m`` and ``v`` have the buffer's layout. A step takes a gradient for
     every parameter, as ``backward`` with ``wrt`` gives them, and updates the
-    whole buffer once, in place, with the products of the per-parameter
-    update in the same order, so it gives its bits. The moment decays and
-    epsilon are ``BETA1``, ``BETA2`` and ``ADAM_EPS``; the config gives the
-    learning rate and weight decay.
+    buffer in place, chunk by chunk (:func:`_chunk_plan`), so that each
+    chunk's passes run in cache. Every element gets the products of the
+    per-parameter update in the same order, so the step gives its bits. The
+    moment decays and epsilon are ``BETA1``, ``BETA2`` and ``ADAM_EPS``; the
+    config gives the learning rate and weight decay.
     """
 
     def __init__(self, model: MultiExitModel, config: TrainConfig):
@@ -131,24 +155,29 @@ class AdamW:
         self.buffer = model._buffer
         self.cfg = config
         self.step_count = 0
-        # the moments, then the gathered gradient and a scratch array: kept,
-        # since fresh buffer-sized arrays would be page-faulted in every step
-        self.m, self.v, self._g, self._s = (np.zeros_like(self.buffer) for _ in range(4))
+        self.m, self.v = np.zeros_like(self.buffer), np.zeros_like(self.buffer)
+        self.chunks = _chunk_plan(self.params, ADAMW_CHUNK)
+        # a chunk's gathered gradient and a scratch row: kept, since fresh
+        # arrays would be page-faulted in every step
+        self._scratch = np.empty((2, max(hi - lo for lo, hi, _ in self.chunks)))
 
     def step(self, grads: dict[T.Tensor, np.ndarray]) -> None:
-        c, m, v, g, s, p = self.cfg, self.m, self.v, self._g, self._s, self.buffer
+        c = self.cfg
         self.step_count += 1
         bc1 = 1.0 - BETA1**self.step_count
         bc2 = 1.0 - BETA2**self.step_count
-        np.concatenate([grads[t].reshape(-1) for t in self.params], out=g)
-        m *= BETA1  # m = b1 m + (1 - b1) g
-        m += np.multiply(g, 1.0 - BETA1, out=s)
-        v *= BETA2  # v = b2 v + (1 - b2) g g
-        v += np.multiply(np.multiply(g, 1.0 - BETA2, out=s), g, out=s)
-        update = np.divide(m, bc1, out=g)  # (m / bc1) / (sqrt(v / bc2) + eps)
-        update /= np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), ADAM_EPS, out=s)
-        decay = np.multiply(p, c.weight_decay, out=s)  # p -= lr (update + wd p)
-        p -= np.multiply(np.add(decay, update, out=s), c.learning_rate, out=s)
+        for lo, hi, run in self.chunks:
+            m, v, p = self.m[lo:hi], self.v[lo:hi], self.buffer[lo:hi]
+            g, s = self._scratch[:, :hi - lo]
+            np.concatenate([grads[t].reshape(-1) for t in run], out=g)
+            m *= BETA1  # m = b1 m + (1 - b1) g
+            m += np.multiply(g, 1.0 - BETA1, out=s)
+            v *= BETA2  # v = b2 v + (1 - b2) g g
+            v += np.multiply(np.multiply(g, 1.0 - BETA2, out=s), g, out=s)
+            update = np.divide(m, bc1, out=g)  # (m / bc1) / (sqrt(v / bc2) + eps)
+            update /= np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), ADAM_EPS, out=s)
+            decay = np.multiply(p, c.weight_decay, out=s)  # p -= lr (update + wd p)
+            p -= np.multiply(np.add(decay, update, out=s), c.learning_rate, out=s)
 
 
 # -- batching ----------------------------------------------------------------

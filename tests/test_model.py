@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from exitlab.model import ModelConfig, MultiExitModel, load_checkpoint, save_che
 from exitlab.policies import (CONFIDENCE, FINAL_FALLBACK, EntropyThreshold, FixedExit, FPabee,
                               LearnedConfidence, MaxProb)
 from exitlab.similarity import SLC, ProbDist, SimilarityMeasure, entropy
-from exitlab.training import TrainConfig, _objective, _pad_batch, train
+from exitlab.training import AdamW, TrainConfig, _objective, _pad_batch, train
 
 
 def tiny_config(**kw):
@@ -493,25 +494,64 @@ def tape_results(loss):
     return results
 
 
-def test_training_tape_holds_one_node_per_projection_and_attention():
-    """Each block tapes six projections, one attention, two layer norms and one
-    GELU as one node each, so the tape keeps no gemm before its bias add, no
-    head split and no raw or scaled scores. Each layer gathers its first-token
-    rows once (one ``embedding`` node besides the token and position lookups),
-    and its exit and confidence heads are one ``linear`` each. The batch is
-    padded, and each attention runs on its real token rows only."""
+def fixture_batch():
+    """(model, ids, mask, gold): the slc fixture model and its first 32
+    training examples as one padded batch."""
     model, train_split, vocab = fixture_model("slc", False)
     ids, mask = _pad_batch(encode_dataset(train_split, vocab, model.config.max_seq_len)[:32])
+    return model, ids, mask, train_split.gold()[:32]
+
+
+def test_training_tape_holds_one_node_per_projection_and_attention():
+    """Each block tapes six projections, one attention, two residual layer
+    norms and one GELU as one node each, so the tape keeps no gemm before its
+    bias add, no head split, no raw or scaled scores and no residual sum.
+    Each layer gathers its first-token rows once (one ``embedding`` node
+    besides the token and position lookups), and its exit and confidence
+    heads are one ``linear`` each. The 3n ``add`` nodes are the embedding
+    sum and the loss sums. The batch is padded, and each attention runs on
+    its real token rows only."""
+    model, ids, mask, gold = fixture_batch()
     assert mask.min() == 0.0
-    results = tape_results(_objective(model, ids, mask, train_split.gold()[:32])[0])
+    results = tape_results(_objective(model, ids, mask, gold)[0])
     counts = Counter(t.node.op for t in results)
     n = model.config.n_layers
-    ops = ("linear", "attention", "layer_norm", "gelu", "embedding", "matmul", "transpose")
+    ops = ("linear", "attention", "layer_norm", "gelu", "embedding", "add", "matmul", "transpose")
     assert {op: counts[op] for op in ops} == {
-        "linear": 8 * n, "attention": n, "layer_norm": 2 * n, "gelu": n, "embedding": n + 2, "matmul": 0,
-        "transpose": 0}
-    assert len(results) == 226
+        "linear": 8 * n, "attention": n, "layer_norm": 2 * n, "gelu": n, "embedding": n + 2, "add": 3 * n,
+        "matmul": 0, "transpose": 0}
+    assert len(results) == 214
     assert {t.shape for t in results if t.node.op == "attention"} == {(mask.sum(), model.config.d_model)}
+    # each layer norm's parents: the residual and the sublayer output it adds, gain, bias
+    assert {len(t.node.parents) for t in results if t.node.op == "layer_norm"} == {4}
+
+
+def traced_bytes(make):
+    """``make()``'s result and the bytes, as tracemalloc counts them, that
+    were allocated during the call and are still held when it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = make()
+        return kept, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_memory_stays_within_bounds():
+    """One fixture batch's tape holds 18.8 MB: each attention keeps its
+    softmax but not its head-split q, k and v, which its parents hold, and
+    each residual sum is freed once its layer norm has read it. A tape that
+    kept both held 22.9 MB. AdamW holds the two moments and a two-row
+    scratch of one chunk, 5.4 MB; with a gathered gradient and a scratch of
+    the buffer's size it held 9.8 MB."""
+    model, ids, mask, gold = fixture_batch()
+    _objective(model, ids, mask, gold)  # first-call allocations stay out of the count
+    objective, tape = traced_bytes(lambda: _objective(model, ids, mask, gold)[0])
+    assert objective.node is not None and tape < 20.8e6
+    optimizer, resident = traced_bytes(lambda: AdamW(model, TrainConfig()))
+    assert resident < 7.6e6
+    assert resident >= optimizer.m.nbytes + optimizer.v.nbytes
 
 
 class TestForwardBatch:

@@ -429,7 +429,8 @@ def group_leaves(x, spans):
 
 
 class TestFusedOps:
-    """``linear`` and ``attention`` against ``arrays`` and against the op chains they replace."""
+    """``linear``, ``attention`` and ``layer_norm`` with a residual against
+    ``arrays`` and against the op chains they replace."""
 
     @pytest.mark.parametrize("b, t, d, n", [(1, 1, 8, 8), (4, 7, 16, 32), (32, 14, 64, 256), (3, 5, 64, 1)])
     def test_linear_values_and_gradients_bit_equal(self, b, t, d, n):
@@ -481,6 +482,27 @@ class TestFusedOps:
             assert out.array[lo:hi].tobytes() == alone.array.tobytes()
             for whole, single in zip(got, alone.node.backward(g[lo:hi])):
                 assert whole[lo:hi].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 8), (2, 7, 16), (12, 64)])
+    def test_layer_norm_with_residual_equals_add_then_layer_norm(self, shape):
+        """The value and the gradients of both addends, gain and bias bit
+        for bit, and a gradcheck."""
+        rng = np.random.default_rng(sum(shape))
+        d = shape[-1]
+        r, a = (T.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(2))
+        gain = T.Tensor(rng.normal(1.0, 0.1, size=d), requires_grad=True)
+        bias = T.Tensor(rng.normal(0.0, 0.1, size=d), requires_grad=True)
+        g = T.Tensor(rng.normal(size=shape))
+        out = T.layer_norm(a, gain, bias, residual=r)
+        want = T.layer_norm(r + a, gain, bias)
+        assert out.array.tobytes() == want.array.tobytes()
+        assert out.node.op == "layer_norm" and out.node.parents == (r, a, gain, bias)
+        got, ref = T.backward((out * g).sum()), T.backward((want * g).sum())
+        for p in (r, a, gain, bias):
+            assert got[p].tobytes() == ref[p].tobytes()
+        assert_gradcheck(lambda: (T.layer_norm(a, gain, bias, residual=r) * g).sum(), [r, a, gain, bias])
+        with pytest.raises(T.ShapeError, match=r"residual \(.*\) must have the input's shape"):
+            T.layer_norm(a, gain, bias, residual=T.Tensor(np.zeros((*shape[:-1], d + 1))))
 
     def test_shape_errors_name_the_shapes(self):
         x, w = T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((4, 5)))

@@ -2,13 +2,15 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exitlab import tensor as T
+from exitlab import training
 from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_synthetic
 from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel
@@ -272,6 +274,41 @@ def reference_adamw_step(params, m, v, step_count, grads, config):
         p.array[...] -= config.learning_rate * (update + config.weight_decay * p.array)
 
 
+def adamw_steps(flat, ref, opt, config, rng, n_steps=7):
+    """``n_steps`` steps of ``opt`` on ``flat`` and of the per-parameter
+    reference on ``ref``, which starts from the same buffer. The gradients
+    span many scales; every third parameter's is zero, and all are at step 4.
+    After each step, ``flat``'s buffer and ``opt``'s moments must equal the
+    reference's bytes."""
+    m = {name: np.zeros(p.shape) for name, p in ref.params.items()}
+    v = {name: np.zeros(p.shape) for name, p in ref.params.items()}
+    for step in range(1, n_steps + 1):
+        grads = {}
+        for i, name in enumerate(ref.params):
+            shape = ref.params[name].shape
+            g = rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 2, size=shape)
+            grads[name] = np.zeros(shape) if step == 4 or i % 3 == 0 else g
+        opt.step({flat.params[name]: g for name, g in grads.items()})
+        reference_adamw_step(ref.params, m, v, step, {ref.params[n]: g for n, g in grads.items()}, config)
+        assert flat._buffer.tobytes() == ref._buffer.tobytes(), step
+        assert opt.m.tobytes() == np.concatenate([a.reshape(-1) for a in m.values()]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([a.reshape(-1) for a in v.values()]).tobytes()
+
+
+@st.composite
+def adamw_cases(draw):
+    """A small BERT- or ALBERT-style config and a chunk size that some of its
+    parameters exceed."""
+    n_heads = draw(st.integers(1, 3))
+    config = ModelConfig(vocab_size=draw(st.integers(1, 12)), n_classes=draw(st.integers(2, 5)),
+                         task=draw(st.sampled_from(["slc", "mlc"])), n_layers=draw(st.integers(2, 4)),
+                         d_model=n_heads * draw(st.integers(1, 3)), n_heads=n_heads,
+                         d_ff=draw(st.integers(1, 12)), max_seq_len=draw(st.integers(1, 6)),
+                         share_layer_params=draw(st.booleans()))
+    largest = max(p.size for p in MultiExitModel(config).params.values())
+    return config, draw(st.integers(1, largest - 1)), draw(st.integers(0, 2**32 - 1))
+
+
 class TestAdamW:
     def test_weight_decay_shrinks_unused_parameter(self):
         model = tiny_model()
@@ -298,20 +335,30 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         flat._buffer[...] = ref._buffer[...] = rng.normal(size=flat._buffer.size)
         opt = AdamW(flat, config)
-        m = {name: np.zeros(p.shape) for name, p in ref.params.items()}
-        v = {name: np.zeros(p.shape) for name, p in ref.params.items()}
-        for step in range(1, 8):
-            grads = {}
-            for i, name in enumerate(ref.params):
-                shape = ref.params[name].shape
-                g = rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 2, size=shape)
-                grads[name] = np.zeros(shape) if step == 4 or i % 3 == 0 else g
-            opt.step({flat.params[name]: g for name, g in grads.items()})
-            reference_adamw_step(ref.params, m, v, step, {ref.params[n]: g for n, g in grads.items()},
-                                 config)
-            assert flat._buffer.tobytes() == ref._buffer.tobytes(), step
-            assert opt.m.tobytes() == np.concatenate([a.reshape(-1) for a in m.values()]).tobytes()
-            assert opt.v.tobytes() == np.concatenate([a.reshape(-1) for a in v.values()]).tobytes()
+        adamw_steps(flat, ref, opt, config, rng)
+
+    @settings(max_examples=60)
+    @given(case=adamw_cases())
+    def test_chunks_tile_the_buffer_and_give_the_per_parameter_bits(self, case):
+        """The chunk plan tiles the buffer in parameter order with maximal runs
+        of whole parameters, and the chunked step gives the buffer and moment
+        bytes of the per-parameter update."""
+        model_config, chunk, seed = case
+        config = TrainConfig(learning_rate=3e-2, weight_decay=0.05)
+        flat, ref = MultiExitModel(model_config), MultiExitModel(model_config)
+        rng = np.random.default_rng(seed)
+        flat._buffer[...] = ref._buffer[...] = rng.normal(size=flat._buffer.size)
+        with mock.patch.object(training, "ADAMW_CHUNK", chunk):
+            opt = AdamW(flat, config)
+        assert [t for _, _, run in opt.chunks for t in run] == opt.params
+        assert opt.chunks[0][0] == 0 and opt.chunks[-1][1] == flat._buffer.size
+        for (lo, hi, run), after in zip(opt.chunks, opt.chunks[1:] + [None]):
+            assert hi - lo == sum(t.size for t in run) and (hi - lo <= chunk or len(run) == 1)
+            assert run[0].array.ctypes.data == flat._buffer.ctypes.data + 8 * lo
+            if after is not None:
+                assert after[0] == hi and hi - lo + after[2][0].size > chunk
+        assert any(len(run) == 1 and hi - lo > chunk for lo, hi, run in opt.chunks)
+        adamw_steps(flat, ref, opt, config, rng, n_steps=5)
 
 
 class TestGridSearch:
