@@ -15,17 +15,19 @@ recording, a [samples, n, ...] probability array plus each sample-layer's
 first-token row. A split is recorded once per parameter state: the model
 keeps the last recording (:meth:`MultiExitModel.derived`), and a call on
 the same encoded split under bitwise-unchanged parameters runs no layer.
-The samples run in chunks of up to ``_CHUNK_ROWS`` token rows of mixed
-lengths, one layer call per chunk: the gemms and attention run per length
-group and everything else once over the chunk's rows, with no padding, so
-every row keeps its batch-1 bits. The confidence head runs over the
-recorded first-token rows the first time a ``learned`` spec reads it. Every policy but
-``fixed`` halts at the first layer whose key, the max of its signed
+The samples run in the order of ``LengthGroups.by_length``, cut into
+chunks of up to ``_CHUNK_ROWS`` token rows of mixed lengths, one layer
+call per chunk: the gemms and attention run per length group and
+everything else once over the chunk's rows, with no padding, so every row
+keeps its batch-1 bits. The confidence head runs over the recorded
+first-token rows the first time a ``learned`` spec reads it. Every policy
+but ``fixed`` halts at the first layer whose key, the max of its signed
 scores over the last ``patience`` layers (fpabee, pabee) or one layer
-(the others), is below its signed threshold. The scores are the formulas
-each policy's ``step`` applies to one row, applied to the whole array in
-one call per policy family, so they give the exits of every grid point
-and knob of the call (:meth:`_LayerCache.scores`, :func:`_exits`).
+(the others), is below its signed threshold (signed by the policy's
+``ExitPolicy.sign``, as its ``step`` compares). The scores are the
+formulas each policy's ``step`` applies to one row, applied to the whole
+array in one call per policy family, so they give the exits of every grid
+point and knob of the call (:meth:`_LayerCache.scores`, :func:`_exits`).
 Stopping at layer j reproduces the first j layers of a full pass bit for
 bit, so these are the live exits and predictions. ``evaluate`` runs
 ``forward_early_exit`` on each sample; both paths score their exits with
@@ -225,9 +227,9 @@ class _Recording:
 class _LayerCache:
     """Every layer of one model over one dataset, recorded once per parameter state.
 
-    Samples are grouped by encoded length, and the groups are packed in
-    order into chunks of at most ``_CHUNK_ROWS`` token rows (:func:`_chunks`;
-    a group that overflows continues in the next chunk). Each chunk runs
+    The samples, in ``LengthGroups.by_length`` order of their encoded
+    lengths, are cut greedily into chunks of at most ``_CHUNK_ROWS`` token
+    rows (:func:`_record`; a longer sample is a chunk of its own). Each chunk runs
     :meth:`MultiExitModel.iter_layers` once, as one unpadded state of its
     :class:`~exitlab.model.LengthGroups` whose rows keep their batch-1
     bits, so each sample-layer runs exactly once, in one ``forward_layer``
@@ -257,7 +259,7 @@ class _LayerCache:
         memo = model.derived()
         rec = memo.get("recording")
         if rec is None or not (np.array_equal(rec.lengths, lengths) and np.array_equal(rec.ids, ids)):
-            probs, pooled = _record(model, encoded, _row_shape(dataset))
+            probs, pooled = _record(model, encoded, lengths, _row_shape(dataset))
             rec = memo["recording"] = _Recording(*map(_read_only, (lengths, ids, probs, pooled)))
         self._rec = rec
         self.probs = rec.probs
@@ -278,11 +280,10 @@ class _LayerCache:
         """The signed score ``spec``'s policy compares at every recorded layer, [samples, n].
 
         The score is the policy's ``step`` ``last_score``, from the same
-        formula applied to every layer at once; a layer where nothing is
-        compared (layer 1 of fpabee and pabee) scores ``inf``. maxprob and
-        learned halt on a score above their threshold, so their scores are
-        negated (see :meth:`keys`). Computed once per policy family (policy,
-        measure, ``kl_mode``) per recording.
+        formula applied to every layer at once, times its class's
+        ``ExitPolicy.sign`` (see :meth:`keys`); a layer where nothing is
+        compared (layer 1 of fpabee and pabee) scores ``inf``. Computed once
+        per policy family (policy, measure, ``kl_mode``) per recording.
         """
         family = (spec.policy, spec.measure, spec.kl_mode)
         scores = self._rec.scores.get(family)
@@ -301,10 +302,10 @@ class _LayerCache:
         elif spec.policy == "entropy":
             scores = entropies(kind, probs)
         elif spec.policy == "maxprob":
-            scores = -max_probs(kind, probs)
+            scores = max_probs(kind, probs)
         else:
-            scores = -self.confidences
-        self._rec.scores[family] = _read_only(scores)
+            scores = self.confidences
+        self._rec.scores[family] = scores = _read_only(_POLICY_CLASSES[spec.policy].sign * scores)
         return scores
 
     def keys(self, spec: PolicySpec) -> tuple[np.ndarray, float]:
@@ -314,10 +315,10 @@ class _LayerCache:
         sign * its threshold. The key is the max of the signed
         :meth:`scores` at the last ``patience`` layers for fpabee and pabee,
         and the signed score at that layer otherwise; a layer with fewer
-        scores up to it never halts. maxprob and learned halt on a score
-        above their threshold, so their sign is -1.
+        scores up to it never halts. The sign is the policy class's
+        ``ExitPolicy.sign``: -1 for maxprob and learned, which halt above it.
         """
-        sign = -1.0 if spec.policy in ("maxprob", "learned") else 1.0
+        sign = _POLICY_CLASSES[spec.policy].sign
         window = min(spec.patience, self.n_layers) if "patience" in POLICY_FIELDS[spec.policy] else 1
         scores = self.scores(spec)
         keys = scores.copy()
@@ -327,56 +328,33 @@ class _LayerCache:
         return keys, sign
 
 
-def _record(model: MultiExitModel, encoded: list[np.ndarray],
+def _record(model: MultiExitModel, encoded: list[np.ndarray], lengths: np.ndarray,
             row_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Every layer of every encoded sample, run in chunks of length groups:
     the exit distributions [samples, n, *row_shape] and first-token rows
     [samples, n, d_model] (see :class:`_LayerCache`)."""
     n = model.config.n_layers
-    by_length: dict[int, list[int]] = {}
-    for i, ids in enumerate(encoded):
-        by_length.setdefault(len(ids), []).append(i)
     probs = np.empty((len(encoded), n) + row_shape)
     pooled = np.empty((len(encoded), n, model.config.d_model))
-    for chunk in _chunks(by_length, _CHUNK_ROWS):
-        members = [i for _, part in chunk for i in part]
-        layout = LengthGroups([(len(part), t) for t, part in chunk])
-        ids = np.concatenate([encoded[i] for i in members])
+    chunks, rows = [], 0
+    for i in LengthGroups.by_length(lengths)[1] if len(encoded) else ():
+        if not chunks or rows + lengths[i] > _CHUNK_ROWS:  # the next sample starts a chunk
+            chunks.append([])
+            rows = 0
+        chunks[-1].append(i)
+        rows += lengths[i]
+    for chunk in map(np.array, chunks):
+        layout, members = LengthGroups.by_length(lengths[chunk])
+        ids = np.concatenate([encoded[i] for i in chunk[members]])
         for j, (h, layer_probs, _) in enumerate(model.iter_layers(ids, False, layout)):
-            probs[members, j] = layer_probs
-            pooled[members, j] = h[layout.first_rows]
+            probs[chunk, j] = layer_probs
+            pooled[chunk, j] = h[layout.first_rows]
     return probs, pooled
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def _chunks(by_length: dict[int, list[int]], budget: int) -> list[list[tuple[int, list[int]]]]:
-    """The length groups ``{t: sample indices}`` packed in order into chunks
-    of at most ``budget`` token rows, each chunk a list of ``(t, indices)``.
-
-    A chunk takes whole groups while they fit and as many samples of the
-    next one as fit; the rest of that group starts the next chunk. A sample
-    longer than the budget is a chunk of its own.
-    """
-    chunks, chunk, rows = [], [], 0
-    for t, members in by_length.items():
-        start = 0
-        while start < len(members):
-            take = (budget - rows) // t
-            if take < 1 and chunk:
-                chunks.append(chunk)
-                chunk, rows = [], 0
-                continue
-            part = members[start:start + max(take, 1)]
-            chunk.append((t, part))
-            rows += t * len(part)
-            start += len(part)
-    if chunk:
-        chunks.append(chunk)
-    return chunks
 
 
 def _exits(cache: _LayerCache, spec: PolicySpec) -> np.ndarray:

@@ -54,7 +54,7 @@ import hashlib
 import json
 import zipfile
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from . import tensor as T
 from .data import Dataset
 from .errors import ConfigError, DataError
 from .policies import ExitPolicy, ExitTrace, run_exit
-from .similarity import MLC, SLC, ProbDist, check_probs
+from .similarity import MLC, SLC, ProbDist, check_probs, mlc_pairs
 
 __all__ = [
     "ModelConfig",
@@ -93,6 +93,13 @@ class ModelConfig:
     share_layer_params: bool = False
 
     def __post_init__(self):
+        for f in (f for f in fields(self) if f.type == "int"):  # a checkpoint's JSON may hold any type
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, int(value))  # the hash and checkpoint JSON take no numpy int
+        if not isinstance(self.share_layer_params, bool):
+            raise ConfigError(f"share_layer_params must be a bool, got {self.share_layer_params!r}")
         if self.task not in (SLC, MLC):
             raise ConfigError(f"task must be {SLC!r} or {MLC!r}, got {self.task!r}")
         if self.n_layers < 2:
@@ -136,8 +143,9 @@ class LengthGroups:
     @classmethod
     def by_length(cls, lengths) -> tuple[LengthGroups, np.ndarray]:
         """The layout of samples of these token counts, grouped by length in
-        first-appearance order as the harness records a split, and the index
-        into ``lengths`` of the sample each slot of the groups holds."""
+        first-appearance order (the one grouping rule: training batches and
+        the harness's recording chunks read it), and the index into
+        ``lengths`` of the sample each slot of the groups holds."""
         by_length: dict[int, list[int]] = {}
         for i, t in enumerate(lengths):
             by_length.setdefault(int(t), []).append(i)
@@ -363,11 +371,6 @@ class MultiExitModel:
         logits = self._head(first, f"conf{layer_index - 1}")
         return ops.sigmoid(logits.reshape((logits.shape[0],)))
 
-    def _to_probdist(self, prob_row: np.ndarray) -> ProbDist:
-        if self.config.task == SLC:
-            return ProbDist.slc(prob_row)
-        return ProbDist.mlc(prob_row)
-
     # -- training-side forward -------------------------------------------
 
     def forward_batch(self, ids: np.ndarray, pad_mask: np.ndarray) -> tuple[list[T.Tensor], list[T.Tensor]]:
@@ -421,10 +424,10 @@ class MultiExitModel:
         one = h_prev.ndim == 2 and groups is None
         h = self._block(h_prev[None] if one else h_prev, layer_index, groups)
         probs = self._exit_probs(h[:, 0] if groups is None else h[groups.first_rows], layer_index)
-        if one:
-            return h[0], self._to_probdist(probs[0])
         if self.config.task == MLC:
-            probs = np.stack([probs, 1.0 - probs], axis=-1)  # ProbDist.mlc's pairs
+            probs = mlc_pairs(probs)
+        if one:
+            return h[0], ProbDist(self.config.task, probs[0])
         check_probs(self.config.task, probs, lead=1)
         return h, probs
 
@@ -533,6 +536,9 @@ def load_checkpoint(path) -> tuple[MultiExitModel, list[str] | None]:
             # an unknown or missing field, or a value of the wrong type or range
             raise DataError(f"{path}: bad model config in checkpoint: {e}") from e
         model = MultiExitModel(config)
+        unexpected = [name for name in data.files if name != "__meta__" and name not in model.params]
+        if unexpected:
+            raise DataError(f"{path}: checkpoint holds parameter {unexpected[0]!r}, which its config does not name")
         for name, t in model.params.items():
             if name not in data:
                 raise DataError(f"{path}: checkpoint is missing parameter {name!r}")

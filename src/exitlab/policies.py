@@ -16,7 +16,8 @@ strictly below a threshold, resets the counter on a score >= the
 threshold, and halts once the counter reaches the patience value. The
 classic patience policy (:class:`Pabee`) is the same recurrence scoring
 whether ``ProbDist.prediction()`` changed. Confidence baselines (entropy,
-max-prob, learned head) and a fixed-layer policy round out the set.
+max-prob, learned head) and a fixed-layer policy round out the set; each
+class's ``sign`` says which way its threshold cuts (see :class:`ExitPolicy`).
 
 All policies are deterministic functions of the prediction stream and
 their parameters.
@@ -123,11 +124,15 @@ class ExitPolicy:
     ``pat`` is the patience counter. :func:`run_exit` records both per step.
     ``reads_confidence`` says whether ``step`` reads the confidence-head
     value; a policy that does not is stepped with ``confidence=None``, so
-    the model never computes the head for it.
+    the model never computes the head for it. A score s passes threshold t
+    when ``sign * s < sign * t``; ``step`` and the harness's array scores
+    read ``sign``, -1.0 for max-prob and learned (for floats, ``-s < -t`` is
+    exactly ``s > t``).
     """
 
     name = "base"
     reads_confidence = False
+    sign = 1.0
     last_score: float | None = None
     pat: int | None = None
 
@@ -218,7 +223,7 @@ class EntropyThreshold(ExitPolicy):
 
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
         self.last_score = entropy(probs)
-        halt = self.last_score < self.threshold
+        halt = self.sign * self.last_score < self.sign * self.threshold
         return ExitDecision(halt, CONFIDENCE if halt else None)
 
 
@@ -229,13 +234,14 @@ class MaxProb(ExitPolicy):
     """
 
     name = "maxprob"
+    sign = -1.0
 
     def __init__(self, threshold: float):
         self.threshold = float(threshold)
 
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
         self.last_score = float(max_probs(probs.kind, probs.probs))
-        halt = self.last_score > self.threshold
+        halt = self.sign * self.last_score < self.sign * self.threshold
         return ExitDecision(halt, CONFIDENCE if halt else None)
 
 
@@ -244,6 +250,7 @@ class LearnedConfidence(ExitPolicy):
 
     name = "learned"
     reads_confidence = True
+    sign = -1.0
 
     def __init__(self, threshold: float):
         self.threshold = float(threshold)
@@ -252,7 +259,7 @@ class LearnedConfidence(ExitPolicy):
         if confidence is None:
             raise ValueError("learned-confidence policy needs the per-layer confidence value")
         self.last_score = confidence
-        halt = self.last_score > self.threshold
+        halt = self.sign * self.last_score < self.sign * self.threshold
         return ExitDecision(halt, CONFIDENCE if halt else None)
 
 

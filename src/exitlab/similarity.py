@@ -17,11 +17,11 @@ Set ``subtract_self_entropy`` on a measure to get the KL-style variant
 Multi-label distributions are treated as k independent binary problems
 and the per-label scores are summed.
 
-Every formula here (the prediction rule, the validity check, the four
-measures and :func:`entropies`) works on arrays of any leading shape in
-the :class:`ProbDist` layout and reduces over the last axis, so a batch of
-rows gets each row's own bits; :class:`ProbDist`, :func:`score` and
-:func:`entropy` apply them to one row.
+Every formula here (the mlc pairs, the prediction rule, the validity
+check, the four measures and :func:`entropies`) works on arrays of any
+leading shape in the :class:`ProbDist` layout, so a batch of rows gets
+each row's own bits; :class:`ProbDist`, :func:`score` and
+:func:`entropy` apply them to one row, the model and training to batches.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "SimilarityMeasure",
     "VARIANTS",
     "check_probs",
+    "mlc_pairs",
     "predictions",
     "score",
     "entropy",
@@ -46,7 +47,7 @@ MLC = "mlc"
 VARIANTS = ("kd", "rekd", "symkd", "jskd")
 
 _SUM_TOL = 1e-9
-_LOG_FLOOR = 1e-12  # a zero probability costs about 27.6 nats, not inf
+LOG_FLOOR = 1e-12  # a zero probability costs about 27.6 nats, not inf, in scores and losses
 
 
 def check_probs(kind: str, probs: np.ndarray, lead: int = 0) -> None:
@@ -74,6 +75,11 @@ def check_probs(kind: str, probs: np.ndarray, lead: int = 0) -> None:
         valid = (gaps.max() if gaps.ndim else gaps) <= _SUM_TOL  # max() of one row's scalar only slows
     if not valid:
         raise ValueError(message)
+
+
+def mlc_pairs(positive: np.ndarray) -> np.ndarray:
+    """The [..., k, 2] pairs (p, 1 - p) of positive-label probabilities [..., k]."""
+    return np.stack([positive, 1.0 - positive], axis=-1)
 
 
 def predictions(kind: str, probs: np.ndarray) -> np.ndarray:
@@ -107,8 +113,7 @@ class ProbDist:
     @classmethod
     def mlc(cls, positive_probs) -> "ProbDist":
         """Build Bernoulli pairs from per-label positive-class probabilities."""
-        p = np.asarray(positive_probs, dtype=np.float64)
-        return cls(MLC, np.stack([p, 1.0 - p], axis=-1))
+        return cls(MLC, mlc_pairs(np.asarray(positive_probs, dtype=np.float64)))
 
     @property
     def k(self) -> int:
@@ -176,7 +181,7 @@ def _check_pair(prev: ProbDist, cur: ProbDist) -> None:
 
 def _cross_entropy(w: np.ndarray, q: np.ndarray, subtract_self_entropy: bool) -> np.ndarray:
     """kd over the last axis: -sum w ln q, less w's own cross-entropy in KL mode."""
-    s = -(w * np.log(np.maximum(q, _LOG_FLOOR))).sum(axis=-1)
+    s = -(w * np.log(np.maximum(q, LOG_FLOOR))).sum(axis=-1)
     if subtract_self_entropy:
         s = s - _cross_entropy(w, w, False)
     return s
@@ -191,7 +196,7 @@ def score(measure: SimilarityMeasure, prev: ProbDist, cur: ProbDist) -> float:
 def entropies(kind: str, probs: np.ndarray) -> np.ndarray:
     """Shannon entropy in nats of every [..., k] row (slc); the mean per-label
     binary entropy of every [..., k, 2] set of pairs (mlc)."""
-    per_row = -(probs * np.log(np.maximum(probs, _LOG_FLOOR))).sum(axis=-1)
+    per_row = -(probs * np.log(np.maximum(probs, LOG_FLOOR))).sum(axis=-1)
     return per_row if kind == SLC else per_row.mean(axis=-1)
 
 

@@ -533,7 +533,10 @@ def gelu(a: Tensor) -> Tensor:
     return _result("gelu", out, (a,), back)
 
 
-def _layer_norm_fwd(x, gain, bias, eps=1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+LN_EPS = 1e-5  # every layer norm's variance epsilon, fixed for reproducibility
+
+
+def _layer_norm_fwd(x, gain, bias) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of ``x`` plus the normalized input and the inverse
     deviation, which its backward reuses.
 
@@ -545,7 +548,7 @@ def _layer_norm_fwd(x, gain, bias, eps=1e-5) -> tuple[np.ndarray, np.ndarray, np
     d = x.shape[-1]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc
     xhat *= inv
     out = gain * xhat
@@ -553,12 +556,11 @@ def _layer_norm_fwd(x, gain, bias, eps=1e-5) -> tuple[np.ndarray, np.ndarray, np
     return out, xhat, inv
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
-               residual: Tensor | None = None) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, *, residual: Tensor | None = None) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
     ``gain`` and ``bias`` have the last-axis shape; variance is the biased
-    estimator, eps is fixed at 1e-5 for reproducibility. With a
+    estimator, and its epsilon is :data:`LN_EPS`. With a
     ``residual`` of ``a``'s shape, the input is the sum ``residual + a``,
     and the node gives the bits of an ``add`` node followed by a
     ``layer_norm`` node, with their gradients: its backward hands both
@@ -573,7 +575,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
     if residual is not None and residual.shape != a.shape:
         raise ShapeError(f"layer_norm: residual {residual.shape} must have the input's shape {a.shape}")
     x = a.array if residual is None else residual.array + a.array
-    out, xhat, inv = _layer_norm_fwd(x, gain.array, bias.array, eps)
+    out, xhat, inv = _layer_norm_fwd(x, gain.array, bias.array)
 
     def back(g):
         # inv (gx_hat - gmean - xhat gdot) with gx_hat = g gain, in place:
@@ -624,7 +626,7 @@ arrays = SimpleNamespace(
     softmax=_softmax_fwd,
     sigmoid=_sigmoid_fwd,
     gelu=lambda x: _gelu_fwd(x)[0],
-    layer_norm=lambda x, gain, bias, eps=1e-5: _layer_norm_fwd(x, gain, bias, eps)[0],
+    layer_norm=lambda x, gain, bias: _layer_norm_fwd(x, gain, bias)[0],
     embedding_lookup=_embedding_fwd,
 )
 """The forward kernels on plain float64 ndarrays, under the taped ops' names.

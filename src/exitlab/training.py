@@ -8,8 +8,8 @@ so deeper classifiers weigh linearly more. Single-label heads use
 softmax + cross-entropy, multi-label heads sigmoid + binary
 cross-entropy (averaged over labels). Each layer's confidence head is
 trained jointly with a small auxiliary BCE term whose target is whether
-that exit's prediction, by the rule of ``ProbDist.prediction()``, matches
-the answer key ``Dataset.gold()``, which also gives the loss targets.
+that exit's ``similarity.predictions`` matches the answer key
+``Dataset.gold()``, which also gives the loss targets.
 :class:`AdamW` updates the model's one parameter buffer once per step,
 in cache-sized chunks of whole parameters, with the bits of the
 per-parameter update.
@@ -27,7 +27,7 @@ from .data import Dataset, DataSplits, Vocab, encode_dataset, text_lines
 from .errors import ConfigError
 from .harness import PolicySpec, _evaluate, _LayerCache
 from .model import MultiExitModel
-from .similarity import SLC
+from .similarity import LOG_FLOOR, SLC, mlc_pairs, predictions
 
 __all__ = [
     "TrainConfig",
@@ -41,7 +41,6 @@ __all__ = [
     "GridSearchResult",
 ]
 
-_LOG_FLOOR = 1e-12
 CONFIDENCE_LOSS_WEIGHT = 0.1
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -195,8 +194,8 @@ def _pad_batch(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 def _bce(p: T.Tensor, target: T.Tensor) -> T.Tensor:
     """Elementwise binary cross-entropy of probabilities ``p`` against 0/1 ``target``."""
-    return -(target * T.log(T.clamp_min(p, _LOG_FLOOR))
-             + (1.0 - target) * T.log(T.clamp_min(1.0 - p, _LOG_FLOOR)))
+    return -(target * T.log(T.clamp_min(p, LOG_FLOOR))
+             + (1.0 - target) * T.log(T.clamp_min(1.0 - p, LOG_FLOOR)))
 
 
 def _batch_losses(
@@ -206,22 +205,22 @@ def _batch_losses(
 ) -> tuple[list[T.Tensor], np.ndarray]:
     """Per-layer mean loss tensors plus a [n_layers, b] correctness matrix.
 
-    The one definition of the per-layer loss: -ln p[target] for slc, the
-    label-averaged binary cross-entropy for mlc, each averaged over the batch.
+    ``targets`` are the batch's ``Dataset.gold()`` rows: class indices (slc)
+    or label masks (mlc, bools or 0/1 floats). The one definition of the
+    per-layer loss: -ln p[target] for slc, the label-averaged binary
+    cross-entropy for mlc, each averaged over the batch. The matrix is 1.0
+    where a layer's ``similarity.predictions`` equals the sample's gold.
     """
-    losses: list[T.Tensor] = []
-    correct = np.zeros((len(probs), probs[0].shape[0]))
-    if model.config.task == SLC:
-        onehot = np.eye(model.config.n_classes)[targets]
-        for i, p in enumerate(probs):
-            picked = (T.log(T.clamp_min(p, _LOG_FLOOR)) * T.Tensor(onehot)).sum(axis=-1)
-            losses.append(-picked.mean())
-            correct[i] = p.array.argmax(axis=-1) == targets
+    task = model.config.task
+    if task == SLC:
+        onehot = T.Tensor(np.eye(model.config.n_classes)[targets])
+        losses = [-(T.log(T.clamp_min(p, LOG_FLOOR)) * onehot).sum(axis=-1).mean() for p in probs]
     else:
         t = T.Tensor(targets)
-        for i, p in enumerate(probs):
-            losses.append(_bce(p, t).mean(axis=-1).mean())
-            correct[i] = ((p.array > 0.5) == (targets > 0.5)).all(axis=-1)
+        losses = [_bce(p, t).mean(axis=-1).mean() for p in probs]
+    layers = np.stack([p.array for p in probs])
+    hits = predictions(task, layers if task == SLC else mlc_pairs(layers)) == targets
+    correct = (hits if task == SLC else hits.all(axis=-1)).astype(np.float64)
     return losses, correct
 
 
@@ -264,8 +263,6 @@ def train(
     Returns one report per epoch; the model is updated in place.
     """
     gold = model.check_dataset(dataset)
-    if dataset.task != SLC:
-        gold = gold.astype(np.float64)  # the Bernoulli targets of the mlc loss
     encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
     optimizer = AdamW(model, config)
     rng = np.random.default_rng(config.seed)

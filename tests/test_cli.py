@@ -216,15 +216,21 @@ def _meta_json(**fields):
     return json.dumps({"format": "exitlab-checkpoint", "version": CHECKPOINT_VERSION, **fields})
 
 
-def _checkpoint_bytes(vocab, nan_bias=False):
+VOCAB9 = ["<pad>", "<unk>", "<cls>"] + [f"w{i}" for i in range(6)]  # _checkpoint_bytes' vocab_size
+
+
+def _checkpoint_bytes(vocab, nan_bias=False, extra_array=False, **config):
     """A well-formed checkpoint with the given metadata vocab, and a NaN in
-    one head bias if ``nan_bias``."""
+    one head bias if ``nan_bias``, an array its config does not name if
+    ``extra_array``, and ``config``'s values in place of its config's."""
     model = MultiExitModel(ModelConfig(vocab_size=9, n_classes=3, n_layers=2, d_model=4,
                                        n_heads=2, d_ff=4, max_seq_len=24))
     arrays = {name: t.array.copy() for name, t in model.params.items()}
     if nan_bias:
         arrays["head1.b"][0] = np.nan
-    return _npz_bytes(_meta_json(config=asdict(model.config), vocab=vocab), **arrays)
+    if extra_array:
+        arrays["block2.wq"] = arrays["block1.wq"]
+    return _npz_bytes(_meta_json(config={**asdict(model.config), **config}, vocab=vocab), **arrays)
 
 
 class TestBadInputs:
@@ -291,6 +297,13 @@ class TestBadInputs:
                      id="int-vocab-checkpoint"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _checkpoint_bytes({"a": 1}), 2,
                      id="dict-vocab-checkpoint"),
+        # an edited checkpoint: each config value must have its field's type
+        *[pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"],
+                       _checkpoint_bytes(VOCAB9, **{field: value}), 2, id=f"{field}-{value}-checkpoint")
+          for field, value in [("n_layers", 2.0), ("d_model", 4.0), ("max_seq_len", 24.0),
+                               ("vocab_size", True), ("seed", 0.5), ("share_layer_params", "no")]],
+        pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "1"], _checkpoint_bytes(VOCAB9, extra_array=True),
+                     2, id="extra-array-checkpoint"),
         pytest.param(["eval", "--policy", "fixed", "--fixed-layer", "4"], None, 1,
                      id="fixed-layer-above-n"),
         pytest.param(["sweep", "--policy", "fixed", "--layer-grid", "1,4", "--out", os.devnull], None, 1,

@@ -7,6 +7,7 @@ import tempfile
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -36,7 +37,7 @@ from exitlab.harness import (
     pareto_curve,
     sweep,
 )
-from exitlab.model import ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
+from exitlab.model import LengthGroups, ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
 from exitlab.policies import FIXED_LAYER, ExitDecision, ExitPolicy, FPabee, Pabee, run_exit
 from exitlab.similarity import VARIANTS, SimilarityMeasure
 from exitlab.training import dev_accuracy
@@ -929,6 +930,43 @@ class TestRaggedRecording:
         calls = count_layer_calls(model, monkeypatch)
         cache = _LayerCache(model, Dataset(task, data.n_classes, []), vocab)
         assert calls == [] and cache.probs.shape[:2] == cache.confidences.shape == (0, 3)
+
+
+class ChunkStub:
+    """A one-layer stand-in model for ``harness._record`` whose state is each
+    token row's sample index. It keeps each chunk's length groups and the
+    samples its slots hold, in slot order."""
+
+    config = SimpleNamespace(n_layers=1, d_model=1)
+
+    def __init__(self):
+        self.chunks = []
+
+    def iter_layers(self, ids, confidence, groups):
+        slots = np.concatenate([ids[lo:hi:t] for lo, hi, _, t in groups.spans])
+        self.chunks.append((groups.shapes, slots.tolist()))
+        h = ids[:, None].astype(np.float64)
+        yield h, h[groups.first_rows], None
+
+
+@settings(max_examples=300)
+@given(lengths=st.lists(st.integers(1, 6) | st.integers(1, 100), max_size=40), budget=st.integers(1, 80))
+def test_recorded_chunks_cut_the_by_length_order_at_the_budget(lengths, budget):
+    """Joined in order, the chunks hold the samples in ``LengthGroups.by_length``
+    order, each chunk laid out by ``by_length``; a chunk fits the budget or is
+    one longer sample, and closes only when its next sample would not fit."""
+    stub, lengths = ChunkStub(), np.array(lengths, dtype=np.int64)
+    encoded = [np.full(t, i) for i, t in enumerate(lengths)]
+    with mock.patch.object(harness, "_CHUNK_ROWS", budget):
+        probs, pooled = harness._record(stub, encoded, lengths, (1,))
+    order = LengthGroups.by_length(lengths)[1].tolist() if len(lengths) else []
+    assert [i for _, members in stub.chunks for i in members] == order
+    assert all(shapes == LengthGroups.by_length(lengths[members])[0].shapes for shapes, members in stub.chunks)
+    rows = [int(lengths[members].sum()) for _, members in stub.chunks]
+    assert all(r <= budget or len(members) == 1 for r, (_, members) in zip(rows, stub.chunks))
+    assert all(r + lengths[nxt[0]] > budget for r, (_, nxt) in zip(rows, stub.chunks[1:]))
+    # each sample's layer lands in its own row of the recording
+    assert probs[:, 0, 0].tolist() == pooled[:, 0, 0].tolist() == list(range(len(lengths)))
 
 
 @functools.lru_cache(maxsize=None)

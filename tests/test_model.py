@@ -62,6 +62,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(task="regression")
 
+    @pytest.mark.parametrize("field, value", [("n_layers", 2.0), ("d_model", 8.0), ("max_seq_len", 64.0),
+                                              ("vocab_size", True), ("seed", 0.5), ("n_heads", "2"),
+                                              ("share_layer_params", "no"), ("share_layer_params", 1)])
+    def test_rejects_a_value_of_the_wrong_type(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            tiny_config(**{field: value})
+
+    def test_takes_numpy_integers_as_ints(self, tmp_path):
+        config = tiny_config(n_layers=np.int64(3), seed=np.uint8(2))
+        assert config == tiny_config(n_layers=3, seed=2) and type(config.n_layers) is int
+        save_checkpoint(MultiExitModel(config), tmp_path / "m.npz")  # the config's JSON takes it
+
 
 class TestEmbed:
     def test_empty_sequence_rejected(self, model):
@@ -362,6 +374,25 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             np.savez(fh, **data)
         with pytest.raises(DataError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["extra-array", "bert-file-claims-shared-blocks"])
+    def test_rejects_an_array_the_config_does_not_name(self, tmp_path, trained_like_model, shared):
+        import json
+
+        path = tmp_path / "model.npz"
+        save_checkpoint(trained_like_model, path)
+        data = dict(np.load(path, allow_pickle=False))
+        if shared:  # the config now builds block0 alone, so block1's arrays are unexpected
+            meta = json.loads(str(data["__meta__"]))
+            meta["config"]["share_layer_params"] = True
+            data["__meta__"] = np.array(json.dumps(meta))
+        else:
+            data["block9.wq"] = np.zeros(1)
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+        unexpected = "block1.wq" if shared else "block9.wq"
+        with pytest.raises(DataError, match=rf"holds parameter '{unexpected}', which its config does not name$"):
             load_checkpoint(path)
 
     def test_param_hash_changes_with_weights(self, model):

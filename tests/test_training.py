@@ -14,7 +14,7 @@ from exitlab import training
 from exitlab.data import Dataset, Example, SyntheticSpec, build_vocab, generate_synthetic
 from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel
-from exitlab.similarity import ProbDist
+from exitlab.similarity import ProbDist, mlc_pairs, predictions
 from exitlab.training import (
     ADAM_EPS,
     BETA1,
@@ -118,6 +118,23 @@ def test_correctness_matrix_is_the_prediction_rule(batch):
             else:
                 pred, gold = ProbDist.mlc(row).prediction(), frozenset(np.flatnonzero(targets[i]).tolist())
             assert correct[layer, i] == (pred == gold), (layer, i)
+
+
+@given(scored_batch())
+def test_correctness_matrix_is_predictions_against_gold(batch):
+    """Row by row, each layer's correctness is ``predictions(...) == gold`` of its
+    exit distributions, with ``gold`` as ``Dataset.gold()`` gives it: class
+    indices, or bool label masks. mlc probabilities of exactly 0.5 are drawn
+    often and predict no label; slc ties go to the first maximum."""
+    task, probs, targets = batch
+    gold = targets if task == "slc" else targets == 1.0
+    cfg = ModelConfig(vocab_size=1, n_classes=probs.shape[-1], task=task, n_layers=len(probs),
+                      d_model=2, n_heads=1, d_ff=2, max_seq_len=1)
+    _, correct = _batch_losses(MultiExitModel(cfg), [T.Tensor(p) for p in probs], gold)
+    for layer, rows in enumerate(probs):
+        dists = rows if task == "slc" else mlc_pairs(rows)
+        want = [float(np.all(predictions(task, dist) == answer)) for dist, answer in zip(dists, gold)]
+        assert correct[layer].tolist() == want, layer
 
 
 class TestTotalLoss:
