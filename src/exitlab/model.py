@@ -15,10 +15,13 @@ One definition serves training and inference. Training runs
 inference runs the same code on plain float64 ndarrays through
 :data:`exitlab.tensor.arrays`, the same forward kernels with nothing
 recorded, and gives the same bits as the taped ops. A block is six
-``linear`` projections, one ``attention``, two residual layer norms and a
-GELU in both modes, so training's tape holds one node for each: a taped
-residual layer norm adds its two addends itself, and the tape keeps no
-sum. Training computes no padded position:
+projections, one attention, a GELU and two residual layer norms in both
+modes. Training tapes them as six nodes: the q, k and v projections one
+``linear`` each, the attention one ``attention``, the w1 projection and
+its GELU one ``linear_gelu``, and each of the wo and w2 projections with
+the residual sum and layer norm after it one ``linear_layer_norm``. So
+the tape keeps no GELU pre-activation, no projection that a layer norm
+reads and no residual sum. Training computes no padded position:
 :meth:`MultiExitModel.forward_batch` runs a padded batch as the unpadded
 rows of its :class:`LengthGroups`, each projection as one 2-D gemm over
 all rows and the attention group by group, so no attention takes a mask.
@@ -136,7 +139,7 @@ class LengthGroups:
         bounds = np.cumsum([0] + [b * t for b, t in self.shapes]).tolist()
         self.spans = tuple((lo, hi, b, t) for lo, hi, (b, t) in zip(bounds, bounds[1:], self.shapes))
         self.first_rows = np.concatenate([np.arange(lo, hi, t) for lo, hi, _, t in self.spans])
-        self.positions = np.concatenate([np.tile(np.arange(t), b) for b, t in self.shapes])
+        self.positions = np.concatenate([np.arange(b * t) % t for b, t in self.shapes])
         self.n_rows = bounds[-1]
         self.max_len = max(t for _, t in self.shapes)
 
@@ -302,15 +305,17 @@ class MultiExitModel:
         """One transformer block on a [b, t, d_model] state, or on the
         [rows, d_model] state of ``groups``.
 
-        A Tensor state runs the taped ops on the parameter tensors, one
-        tape node per projection and per attention, and each projection of
-        a group state is one 2-D gemm over all rows: training needs the same
-        bits from run to run, not batch-1 bits. An ndarray state runs the
-        same kernels on the parameter arrays, adding residuals in place: the
-        same sums without fresh arrays. There each gemm of a group state runs
-        per group on its [b, t, .] block, as on a [b, t, d_model] state, so
-        every row keeps its batch-1 bits. In both modes the attention runs
-        per group, and every other kernel once over all rows.
+        A Tensor state runs the taped ops on the parameter tensors: one tape
+        node per q, k and v projection and per attention, and one that folds
+        each of the other three projections into the GELU or the residual
+        layer norm after it. Each projection of a group state is one 2-D gemm
+        over all rows: training needs the same bits from run to run, not
+        batch-1 bits. An ndarray state runs the same kernels in the same
+        order on the parameter arrays, adding residuals in place: the same
+        sums without fresh arrays. There each gemm of a group state runs per
+        group on its [b, t, .] block, as on a [b, t, d_model] state, so every
+        row keeps its batch-1 bits. In both modes the attention runs per
+        group, and every other kernel once over all rows.
         """
         cfg = self.config
         pre = self._block_prefix(layer_index)
@@ -334,18 +339,26 @@ class MultiExitModel:
             rows = (x.reshape((b * t, d)) for x in (q, k, v))
             return ops.attention(*rows, cfg.n_heads, ((0, b * t, b, t),)).reshape((b, t, d))
 
-        def add_norm(x, y, ln):
-            """Layer norm ``ln`` of the residual sum x + y: taped, one node that
-            keeps no sum; on arrays, the sum overwrites y."""
-            gain, bias = p[f"{pre}.{ln}.g"], p[f"{pre}.{ln}.b"]
+        def linear_gelu(x):
+            """GELU of the projection w1 of x: taped, one node."""
             if taped:
-                return ops.layer_norm(y, gain, bias, residual=x)
-            return ops.layer_norm(np.add(x, y, out=y), gain, bias)
+                return ops.linear_gelu(x, p[f"{pre}.w1"], p[f"{pre}.b1"])
+            return ops.gelu(linear(x, "w1", "b1"))
+
+        def linear_add_norm(x, w, bias, residual, ln):
+            """Layer norm ``ln`` of the residual sum residual + (x w + bias):
+            taped, one node that keeps neither the projection nor the sum; on
+            arrays, the sum overwrites the projection."""
+            gain, shift = p[f"{pre}.{ln}.g"], p[f"{pre}.{ln}.b"]
+            if taped:
+                return ops.linear_layer_norm(x, p[f"{pre}.{w}"], p[f"{pre}.{bias}"], gain, shift,
+                                             residual=residual)
+            y = linear(x, w, bias)
+            return ops.layer_norm(np.add(residual, y, out=y), gain, shift)
 
         q, k, v = linear(h, "wq", "wbq"), linear(h, "wk", "wbk"), linear(h, "wv", "wbv")
-        h = add_norm(h, linear(attention(q, k, v), "wo", "wbo"), "ln1")
-        ff = linear(ops.gelu(linear(h, "w1", "b1")), "w2", "b2")
-        return add_norm(h, ff, "ln2")
+        h = linear_add_norm(attention(q, k, v), "wo", "wbo", h, "ln1")
+        return linear_add_norm(linear_gelu(h), "w2", "b2", h, "ln2")
 
     def _head(self, first, name: str):
         """Head ``name``'s logits [b, k] from the first-token rows [b, d_model].

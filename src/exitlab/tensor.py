@@ -18,15 +18,19 @@ bits.
 A model's projections and attentions are one node each: :func:`linear`
 is the gemm with the bias added in place, and :func:`attention` the head
 split, scaled scores, softmax and context of each length group of rows
-in turn, so no position is padding and no mask is needed. A residual sum
-and its layer norm are one node too, :func:`layer_norm` with a
-``residual``. Each backward runs the backward rules of the equivalent
-chain of ``matmul``, ``transpose``, ``softmax``, ``layer_norm`` and
-arithmetic nodes op for op, so it gives their gradients bit for bit
-while the tape holds none of their intermediate results. A node keeps
-only what its backward reads and its parents do not hold already:
-``attention`` keeps its softmax and splits the heads of its parents'
-arrays again in its backward, and a residual layer norm never keeps the
+in turn, so no position is padding and no mask is needed. A projection
+and the GELU after it are one node, :func:`linear_gelu`, and so are a
+projection and the residual sum and layer norm after it,
+:func:`linear_layer_norm`; :func:`layer_norm` with a ``residual`` is the
+sum and layer norm alone. Each backward runs the backward rules of the
+equivalent chain of ``matmul``, ``transpose``, ``softmax``, ``gelu``,
+``layer_norm`` and arithmetic nodes op for op, so it gives their
+gradients bit for bit while the tape holds none of their intermediate
+results. A node keeps only what its backward reads and its parents do
+not hold already: ``attention`` keeps its softmax and splits the heads
+of its parents' arrays again in its backward, ``linear_gelu`` keeps
+GELU's derivative, which its forward computes, and a layer norm keeps
+its normalized input and inverse deviation, never the projection or the
 sum it normalizes.
 """
 
@@ -44,6 +48,8 @@ __all__ = [
     "TapeNode",
     "matmul",
     "linear",
+    "linear_gelu",
+    "linear_layer_norm",
     "attention",
     "softmax",
     "sigmoid",
@@ -267,6 +273,19 @@ def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
+def _check_linear(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op} needs [..., d_in] @ [d_in, d_out] + [d_out], "
+                         f"got {x.shape} @ {w.shape} + {b.shape}")
+
+
+def _linear_grads(xa: np.ndarray, wa: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The gradients of ``_linear_fwd(xa, wa, b)`` w.r.t. x, w and b, given
+    the output gradient ``g``: :func:`linear`'s backward rule."""
+    gx, gw = _matmul_grads(xa, wa, g)
+    return gx, gw, _unbroadcast(g, wa.shape[1:])
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for x [..., d_in], w [d_in, d_out] and b [d_out], as one node.
 
@@ -274,16 +293,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ``matmul``'s and ``add``'s backward rules, but the tape keeps only the
     result, not the product before the bias.
     """
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear needs [..., d_in] @ [d_in, d_out] + [d_out], "
-                         f"got {x.shape} @ {w.shape} + {b.shape}")
+    _check_linear("linear", x, w, b)
     xa, wa = x.array, w.array
-
-    def back(g):
-        gx, gw = _matmul_grads(xa, wa, g)
-        return gx, gw, _unbroadcast(g, b.shape)
-
-    return _result("linear", _linear_fwd(xa, wa, b.array), (x, w, b), back)
+    return _result("linear", _linear_fwd(xa, wa, b.array), (x, w, b), lambda g: _linear_grads(xa, wa, g))
 
 
 # -- shape --------------------------------------------------------------
@@ -503,6 +515,28 @@ def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, t
 
 
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The derivative of GELU at ``x``, given the tanh that its forward computed.
+
+    0.5 (1 + t) + 0.5 x (1 - t^2) du with du = c (1 + 3a x^2), in place:
+    the same products and sums in the same order as the out-of-place
+    expression, from three fresh arrays.
+    """
+    du = x * x
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    d = 0.5 * x
+    d *= s
+    d *= du
+    half = np.add(t, 1.0, out=s)
+    half *= 0.5
+    d += half
+    return d
+
+
 def gelu(a: Tensor) -> Tensor:
     """GELU in the tanh approximation.
 
@@ -513,24 +547,27 @@ def gelu(a: Tensor) -> Tensor:
     out, t = _gelu_fwd(x)
 
     def back(g):
-        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) du) with du = c (1 + 3a x^2),
-        # in place: the same products and sums in the same order
-        du = x * x
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C
-        s = t * t
-        np.subtract(1.0, s, out=s)
-        gx = 0.5 * x
-        gx *= s
-        gx *= du
-        half = np.add(t, 1.0, out=s)
-        half *= 0.5
-        gx += half
+        gx = _gelu_grad(x, t)
         gx *= g
         return (gx,)
 
     return _result("gelu", out, (a,), back)
+
+
+def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``gelu(linear(x, w, b))`` as one node, with its bits and gradients.
+
+    The forward also computes GELU's derivative, as :func:`gelu`'s
+    backward does, and the tape keeps only that: neither the projection
+    nor the tanh. The backward multiplies the output gradient by it into
+    one fresh array, then runs :func:`linear`'s rule.
+    """
+    _check_linear("linear_gelu", x, w, b)
+    xa, wa = x.array, w.array
+    y = _linear_fwd(xa, wa, b.array)
+    out, t = _gelu_fwd(y)
+    d = _gelu_grad(y, t)
+    return _result("linear_gelu", out, (x, w, b), lambda g: _linear_grads(xa, wa, g * d))
 
 
 LN_EPS = 1e-5  # every layer norm's variance epsilon, fixed for reproducibility
@@ -556,6 +593,27 @@ def _layer_norm_fwd(x, gain, bias) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out, xhat, inv
 
 
+def _layer_norm_grads(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                      inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients of a layer norm w.r.t. its input, gain and bias, given
+    the output gradient ``g`` and the forward's ``xhat`` and ``inv``.
+
+    inv (gx_hat - gmean - xhat gdot) with gx_hat = g gain, in place: the
+    same products and sums in the same order as the out-of-place formula.
+    """
+    d = g.shape[-1]
+    gx = g * gain
+    gmean = np.add.reduce(gx, axis=-1, keepdims=True) / d
+    tmp = gx * xhat
+    gdot = np.add.reduce(tmp, axis=-1, keepdims=True) / d
+    gx -= gmean
+    gx -= np.multiply(xhat, gdot, out=tmp)
+    gx *= inv
+    ggain = np.multiply(g, xhat, out=tmp).reshape(-1, d).sum(axis=0)
+    gbias = g.reshape(-1, d).sum(axis=0)
+    return gx, ggain, gbias
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, *, residual: Tensor | None = None) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
@@ -578,23 +636,44 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, *, residual: Tensor | None
     out, xhat, inv = _layer_norm_fwd(x, gain.array, bias.array)
 
     def back(g):
-        # inv (gx_hat - gmean - xhat gdot) with gx_hat = g gain, in place:
-        # the same products and sums in the same order
-        gx = g * gain.array
-        gmean = np.add.reduce(gx, axis=-1, keepdims=True) / d
-        tmp = gx * xhat
-        gdot = np.add.reduce(tmp, axis=-1, keepdims=True) / d
-        gx -= gmean
-        gx -= np.multiply(xhat, gdot, out=tmp)
-        gx *= inv
-        ggain = np.multiply(g, xhat, out=tmp).reshape(-1, d).sum(axis=0)
-        gbias = g.reshape(-1, d).sum(axis=0)
+        gx, ggain, gbias = _layer_norm_grads(g, gain.array, xhat, inv)
         return (gx, ggain, gbias) if residual is None else (gx, gx, ggain, gbias)
 
     # the addends lead, in the order of the sum, as the add node's parents
     # would: backward() then visits the graph in the chain's order
     parents = (a, gain, bias) if residual is None else (residual, a, gain, bias)
     return _result("layer_norm", out, parents, back)
+
+
+def linear_layer_norm(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, *,
+                      residual: Tensor) -> Tensor:
+    """``layer_norm(linear(x, w, b), gain, bias, residual=residual)`` as one
+    node, with its bits and gradients.
+
+    The projection gets the residual added in place, the bits of
+    ``residual + projection``, and is then normalized; the tape keeps only
+    the layer norm's ``xhat`` and ``inv``, neither the projection nor the
+    sum. The backward runs :func:`layer_norm`'s rule, hands the residual
+    its input gradient, and runs :func:`linear`'s rule on the same one.
+    """
+    _check_linear("linear_layer_norm", x, w, b)
+    d = w.shape[1]
+    if gain.shape != (d,) or bias.shape != (d,) or residual.shape != x.shape[:-1] + (d,):
+        raise ShapeError(f"linear_layer_norm: gain {gain.shape}, bias {bias.shape} and residual "
+                         f"{residual.shape} must fit the projection {x.shape} @ {w.shape}")
+    xa, wa = x.array, w.array
+    y = _linear_fwd(xa, wa, b.array)
+    y += residual.array
+    out, xhat, inv = _layer_norm_fwd(y, gain.array, bias.array)
+
+    def back(g):
+        gy, ggain, gbias = _layer_norm_grads(g, gain.array, xhat, inv)
+        return (gy, *_linear_grads(xa, wa, gy), ggain, gbias)
+
+    # the residual leads and the projection's parents follow, as the add
+    # node's addends and then the linear node's parents would: backward()
+    # then visits the graph in the chain's order
+    return _result("linear_layer_norm", out, (residual, x, w, b, gain, bias), back)
 
 
 def _embedding_fwd(table: np.ndarray, ids) -> np.ndarray:

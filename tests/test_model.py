@@ -534,27 +534,31 @@ def fixture_batch():
 
 
 def test_training_tape_holds_one_node_per_projection_and_attention():
-    """Each block tapes six projections, one attention, two residual layer
-    norms and one GELU as one node each, so the tape keeps no gemm before its
-    bias add, no head split, no raw or scaled scores and no residual sum.
-    Each layer gathers its first-token rows once (one ``embedding`` node
-    besides the token and position lookups), and its exit and confidence
-    heads are one ``linear`` each. The 3n ``add`` nodes are the embedding
-    sum and the loss sums. The batch is padded, and each attention runs on
-    its real token rows only."""
+    """Each block tapes its q, k and v projections as one ``linear`` node
+    each, its attention as one ``attention`` node, the w1 projection and its
+    GELU as one ``linear_gelu`` node, and each of the wo and w2 projections
+    with the residual layer norm after it as one ``linear_layer_norm``
+    node. So the tape keeps no gemm before its bias add, no head split, no
+    raw or scaled scores, no GELU pre-activation or tanh, and no
+    projection or residual sum before a layer norm. Each layer gathers its
+    first-token rows once (one ``embedding`` node besides the token and
+    position lookups), and its exit and confidence heads are one ``linear``
+    each. The 3n ``add`` nodes are the embedding sum and the loss sums. The
+    batch is padded, and each attention runs on its real token rows only."""
     model, ids, mask, gold = fixture_batch()
     assert mask.min() == 0.0
     results = tape_results(_objective(model, ids, mask, gold)[0])
     counts = Counter(t.node.op for t in results)
     n = model.config.n_layers
-    ops = ("linear", "attention", "layer_norm", "gelu", "embedding", "add", "matmul", "transpose")
+    ops = ("linear", "linear_gelu", "linear_layer_norm", "attention", "layer_norm", "gelu", "embedding", "add",
+           "matmul", "transpose")
     assert {op: counts[op] for op in ops} == {
-        "linear": 8 * n, "attention": n, "layer_norm": 2 * n, "gelu": n, "embedding": n + 2, "add": 3 * n,
-        "matmul": 0, "transpose": 0}
-    assert len(results) == 214
+        "linear": 5 * n, "linear_gelu": n, "linear_layer_norm": 2 * n, "attention": n, "layer_norm": 0,
+        "gelu": 0, "embedding": n + 2, "add": 3 * n, "matmul": 0, "transpose": 0}
+    assert len(results) == 196
     assert {t.shape for t in results if t.node.op == "attention"} == {(mask.sum(), model.config.d_model)}
-    # each layer norm's parents: the residual and the sublayer output it adds, gain, bias
-    assert {len(t.node.parents) for t in results if t.node.op == "layer_norm"} == {4}
+    # each fused layer norm's parents: the residual, the projection's input, weight and bias, gain, bias
+    assert {len(t.node.parents) for t in results if t.node.op == "linear_layer_norm"} == {6}
 
 
 def traced_bytes(make):
@@ -570,16 +574,19 @@ def traced_bytes(make):
 
 
 def test_training_memory_stays_within_bounds():
-    """One fixture batch's tape holds 18.8 MB: each attention keeps its
-    softmax but not its head-split q, k and v, which its parents hold, and
-    each residual sum is freed once its layer norm has read it. A tape that
-    kept both held 22.9 MB. AdamW holds the two moments and a two-row
-    scratch of one chunk, 5.4 MB; with a gathered gradient and a scratch of
-    the buffer's size it held 9.8 MB."""
+    """One fixture batch's tape holds 14.0 MB: each attention keeps its
+    softmax but not its head-split q, k and v, which its parents hold; each
+    GELU keeps its derivative but not its pre-activation or tanh; and no
+    projection before a layer norm, nor the residual sum, outlives the
+    layer norm that reads it. A tape that kept the projections, the
+    pre-activations and the tanhs held 18.8 MB, and one that also kept the
+    head splits and the sums 22.9 MB. AdamW holds the two moments and a
+    two-row scratch of one chunk, 5.4 MB; with a gathered gradient and a
+    scratch of the buffer's size it held 9.8 MB."""
     model, ids, mask, gold = fixture_batch()
     _objective(model, ids, mask, gold)  # first-call allocations stay out of the count
     objective, tape = traced_bytes(lambda: _objective(model, ids, mask, gold)[0])
-    assert objective.node is not None and tape < 20.8e6
+    assert objective.node is not None and tape < 15e6
     optimizer, resident = traced_bytes(lambda: AdamW(model, TrainConfig()))
     assert resident < 7.6e6
     assert resident >= optimizer.m.nbytes + optimizer.v.nbytes

@@ -428,9 +428,29 @@ def group_leaves(x, spans):
     return [T.Tensor(x.array[lo:hi].reshape((b, t, -1)), requires_grad=True) for lo, hi, b, t in spans]
 
 
+def chain_block_ffn(h, w1, b1, w2, b2, gain, bias):
+    """The feed-forward half of a block, ``layer_norm(linear(gelu(linear(h))),
+    residual=h)``, as a chain of ``linear``, ``gelu`` and ``layer_norm`` nodes."""
+    return T.layer_norm(T.linear(T.gelu(T.linear(h, w1, b1)), w2, b2), gain, bias, residual=h)
+
+
+def fused_block_ffn(h, w1, b1, w2, b2, gain, bias):
+    """:func:`chain_block_ffn` as one ``linear_gelu`` and one ``linear_layer_norm`` node."""
+    return T.linear_layer_norm(T.linear_gelu(h, w1, b1), w2, b2, gain, bias, residual=h)
+
+
+def ffn_params(rng, d, n):
+    """Leaf w1 [d, n], b1 [n], w2 [n, d], b2 [d], gain [d] and bias [d]."""
+    shapes = ((d, n), (n,), (n, d), (d,))
+    return [T.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes] + [
+        T.Tensor(rng.normal(1.0, 0.1, size=d), requires_grad=True),
+        T.Tensor(rng.normal(0.0, 0.1, size=d), requires_grad=True)]
+
+
 class TestFusedOps:
-    """``linear``, ``attention`` and ``layer_norm`` with a residual against
-    ``arrays`` and against the op chains they replace."""
+    """``linear``, ``attention``, ``layer_norm`` with a residual, ``linear_gelu``
+    and ``linear_layer_norm`` against ``arrays`` and against the op chains
+    they replace."""
 
     @pytest.mark.parametrize("b, t, d, n", [(1, 1, 8, 8), (4, 7, 16, 32), (32, 14, 64, 256), (3, 5, 64, 1)])
     def test_linear_values_and_gradients_bit_equal(self, b, t, d, n):
@@ -504,10 +524,79 @@ class TestFusedOps:
         with pytest.raises(T.ShapeError, match=r"residual \(.*\) must have the input's shape"):
             T.layer_norm(a, gain, bias, residual=T.Tensor(np.zeros((*shape[:-1], d + 1))))
 
+    @pytest.mark.parametrize("b, t, d, n", [(1, 1, 8, 8), (4, 7, 16, 32), (32, 14, 64, 256), (3, 5, 64, 1)])
+    def test_linear_gelu_values_and_gradients_bit_equal(self, b, t, d, n):
+        rng = np.random.default_rng(b * t + 1)
+        x, w, bias = (T.Tensor(rng.normal(size=s), requires_grad=True) for s in ((b * t, d), (d, n), (n,)))
+        g = T.Tensor(rng.normal(size=(b * t, n)))
+        out = T.linear_gelu(x, w, bias)
+        want = T.gelu(T.linear(x, w, bias))
+        assert out.array.tobytes() == want.array.tobytes()
+        assert out.node.op == "linear_gelu" and out.node.parents == (x, w, bias)
+        got, ref = T.backward((out * g).sum()), T.backward((want * g).sum())
+        for p in (x, w, bias):
+            assert got[p].tobytes() == ref[p].tobytes()
+
+    @pytest.mark.parametrize("b, t, d, n", [(1, 1, 8, 8), (4, 7, 16, 32), (32, 14, 64, 256), (3, 5, 64, 1)])
+    def test_linear_layer_norm_values_and_gradients_bit_equal(self, b, t, d, n):
+        """Against ``linear`` then ``layer_norm(residual=)``: every parent's
+        gradient, the residual's included."""
+        rng = np.random.default_rng(b * t + 2)
+        x, w, bias, r = (T.Tensor(rng.normal(size=s), requires_grad=True)
+                         for s in ((b * t, d), (d, n), (n,), (b * t, n)))
+        gain = T.Tensor(rng.normal(1.0, 0.1, size=n), requires_grad=True)
+        shift = T.Tensor(rng.normal(0.0, 0.1, size=n), requires_grad=True)
+        g = T.Tensor(rng.normal(size=(b * t, n)))
+        out = T.linear_layer_norm(x, w, bias, gain, shift, residual=r)
+        want = T.layer_norm(T.linear(x, w, bias), gain, shift, residual=r)
+        assert out.array.tobytes() == want.array.tobytes()
+        assert out.node.op == "linear_layer_norm" and out.node.parents == (r, x, w, bias, gain, shift)
+        got, ref = T.backward((out * g).sum()), T.backward((want * g).sum())
+        for p in (r, x, w, bias, gain, shift):
+            assert got[p].tobytes() == ref[p].tobytes()
+
+    @pytest.mark.parametrize("rows, d, n, depth", [(1, 4, 8, 3), (10, 16, 32, 4), (37, 64, 256, 6)])
+    def test_shared_weights_accumulate_as_the_chain_does(self, rows, d, n, depth):
+        """ALBERT style: one set of feed-forward weights applied ``depth``
+        times, each output the next input and residual, so every leaf and
+        every state sums several gradients in the chain's order."""
+        rng = np.random.default_rng(rows + depth)
+        h0 = T.Tensor(rng.normal(size=(rows, d)), requires_grad=True)
+        params = ffn_params(rng, d, n)
+        g = T.Tensor(rng.normal(size=(rows, d)))
+        results = []
+        for block in (fused_block_ffn, chain_block_ffn):
+            h = h0
+            for _ in range(depth):
+                h = block(h, *params)
+            grads = T.backward((h * g).sum())
+            results.append([h.array.tobytes()] + [grads[p].tobytes() for p in (h0, *params)])
+        assert results[0] == results[1]
+
+    def test_gradchecks(self):
+        rng = np.random.default_rng(9)
+        h = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        params = ffn_params(rng, 4, 6)
+        g = T.Tensor(rng.normal(size=(5, 4)))
+        assert_gradcheck(lambda: (fused_block_ffn(h, *params) * g).sum(), [h, *params])
+        x, w, bias = (T.Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 3, 4), (4, 5), (5,)))
+        assert_gradcheck(lambda: (T.linear_gelu(x, w, bias) * T.linear_gelu(x, w, bias)).mean(), [x, w, bias])
+
     def test_shape_errors_name_the_shapes(self):
         x, w = T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((4, 5)))
         with pytest.raises(T.ShapeError, match=r"\(2, 3, 4\) @ \(4, 5\) \+ \(4,\)"):
             T.linear(x, w, T.Tensor(np.zeros(4)))
+        with pytest.raises(T.ShapeError, match=r"^linear_gelu needs .*\(2, 3, 4\) @ \(5, 4\) \+ \(4,\)$"):
+            T.linear_gelu(x, T.Tensor(np.zeros((5, 4))), T.Tensor(np.zeros(4)))
+        five, four = T.Tensor(np.zeros(5)), T.Tensor(np.zeros(4))
+        r = T.Tensor(np.zeros((2, 3, 5)))
+        with pytest.raises(T.ShapeError, match=r"^linear_layer_norm needs .*\(2, 3, 4\) @ \(4, 5\) \+ \(4,\)$"):
+            T.linear_layer_norm(x, w, four, five, five, residual=r)
+        # a gain, a bias or a residual that does not fit the projection
+        for gain, bias, res in ((four, five, r), (five, four, r), (five, five, T.Tensor(np.zeros((3, 2, 5))))):
+            with pytest.raises(T.ShapeError, match=r"^linear_layer_norm: gain .* must fit the projection "
+                                                   r"\(2, 3, 4\) @ \(4, 5\)$"):
+                T.linear_layer_norm(x, w, five, gain, bias, residual=res)
         with pytest.raises(T.ShapeError, match=r"3 heads.*\(2, 3, 4\)"):
             T.attention(x, x, x, 3, ((0, 6, 2, 3),))
         rows = T.Tensor(np.zeros((6, 4)))
@@ -518,6 +607,19 @@ class TestFusedOps:
                 T.attention(rows, rows, rows, 2, spans)
 
 
+def gelu_derivative(x):
+    """GELU's derivative at ``x`` as one out-of-place expression."""
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x)))
+    du = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * x**2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du
+
+
+# signed zeros, subnormals, the smallest normal, and values where tanh
+# saturates (|x| >= 20), where the cube overflows and where the square does
+GELU_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 20.0, -20.0,
+              37.5, -37.5, 1e3, -1e3, 1e120, -1e120, 1e200, -1e200]
+
+
 class TestGeluBackward:
     @settings(max_examples=100)
     @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1),
@@ -526,7 +628,30 @@ class TestGeluBackward:
         rng = np.random.default_rng(seed)
         x, g = rng.normal(size=shape) * scale, rng.normal(size=shape)
         out = T.gelu(T.Tensor(x, requires_grad=True))
-        t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x)))
-        du = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * x**2)
-        want = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
-        assert out.node.backward(g)[0].tobytes() == want.tobytes()
+        assert out.node.backward(g)[0].tobytes() == (g * gelu_derivative(x)).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=200)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-300, 1e-3, 1.0, 10.0, 30.0, 1e3]),
+           edges=st.lists(st.sampled_from(GELU_EDGES), max_size=12))
+    def test_fused_forward_keeps_the_derivative_bits(self, n, seed, scale, edges):
+        """``linear_gelu``'s forward computes the derivative that ``gelu``'s
+        backward computes, bit for bit, at any pre-activation: the node's
+        gradients are those of ``gelu``'s backward, which is the formula's
+        product, followed by ``linear``'s. The node projects one zero row,
+        so its bias is the pre-activation, a -0.0 read as 0.0."""
+        rng = np.random.default_rng(seed)
+        pre = rng.normal(size=n) * scale
+        pre[rng.permutation(n)[:len(edges)]] = edges[:n]
+        g = rng.normal(size=(1, n))
+        assert T._gelu_grad(pre, T._gelu_fwd(pre)[1]).tobytes() == gelu_derivative(pre).tobytes()
+        params = T.Tensor(np.zeros((1, 1))), T.Tensor(np.zeros((1, n))), T.Tensor(pre, requires_grad=True)
+        out = T.linear_gelu(*params)
+        projection = T.linear(*params)
+        chain = T.gelu(projection)
+        assert out.array.tobytes() == chain.array.tobytes()
+        gy = chain.node.backward(g)[0]
+        assert gy.tobytes() == (g * gelu_derivative(projection.array)).tobytes()
+        for got, want in zip(out.node.backward(g), projection.node.backward(gy)):
+            assert got.tobytes() == want.tobytes()
