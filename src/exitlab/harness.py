@@ -256,13 +256,19 @@ class _LayerCache:
         encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
         lengths = np.array([len(ids) for ids in encoded], dtype=np.int64)
         ids = np.concatenate(encoded) if encoded else np.empty(0, dtype=np.int64)
-        memo = model.derived()
+        self._memo = memo = model.derived()
         rec = memo.get("recording")
         if rec is None or not (np.array_equal(rec.lengths, lengths) and np.array_equal(rec.ids, ids)):
             probs, pooled = _record(model, encoded, lengths, _row_shape(dataset))
             rec = memo["recording"] = _Recording(*map(_read_only, (lengths, ids, probs, pooled)))
         self._rec = rec
         self.probs = rec.probs
+
+    @property
+    def model_hash(self) -> str:
+        """The model's :meth:`~exitlab.model.MultiExitModel.param_hash`, read from
+        the memo that this cache validated, without comparing the buffer again."""
+        return self._model._param_hash(self._memo)
 
     @property
     def confidences(self) -> np.ndarray:
@@ -419,6 +425,27 @@ def _evaluate(cache: _LayerCache, spec: PolicySpec) -> EvalResult:
     return _result(spec, cache.dataset, cache.n_layers, exits, probs, cache.gold)
 
 
+def _spec_of(policy: ExitPolicy) -> PolicySpec:
+    """The spec that builds a policy equal to ``policy``, an object of one of
+    the six policy classes (not a subclass) whose knobs a spec can hold,
+    fpabee's over a :class:`SimilarityMeasure`; the bare policy name for any
+    other object."""
+    cls, knobs = type(policy), {}
+    if cls is FPabee and type(policy.scorer) is SimilarityMeasure:
+        knobs = dict(measure=policy.scorer.variant, thre=policy.thre, patience=policy.patience,
+                     kl_mode=policy.scorer.subtract_self_entropy)
+    elif cls is Pabee:
+        knobs = dict(patience=policy.patience)
+    elif cls is FixedExit:
+        knobs = dict(fixed_layer=policy.layer)
+    elif cls in (EntropyThreshold, MaxProb, LearnedConfidence):
+        knobs = dict(thre=policy.threshold)
+    try:
+        return PolicySpec(policy.name, **knobs)
+    except ConfigError:  # a knob no spec holds, such as an infinite threshold
+        return PolicySpec(policy.name)
+
+
 def evaluate(
     model: MultiExitModel,
     dataset: Dataset,
@@ -429,7 +456,9 @@ def evaluate(
 
     Runs ``forward_early_exit`` on each encoded sample, with ``spec.build()``
     for a spec and a policy object as given, and scores its exit layers
-    and predictions as :func:`sweep` does.
+    and predictions as :func:`sweep` does. A policy object's result carries
+    the spec that builds an equal policy where a spec can hold its knobs
+    (see :func:`_spec_of`), and otherwise its bare policy name.
     """
     gold = model.check_dataset(dataset)
     n = model.config.n_layers
@@ -437,7 +466,7 @@ def evaluate(
         _check_fixed_layer(policy, n)
         spec, built = policy, policy.build()
     else:
-        spec, built = PolicySpec(policy.name), policy
+        spec, built = _spec_of(policy), policy
     exits = np.zeros(len(dataset), dtype=np.int64)
     probs = np.empty((len(dataset),) + _row_shape(dataset))
     for i, ids in enumerate(encode_dataset(dataset, vocab, model.config.max_seq_len)):
@@ -466,7 +495,7 @@ def sweep(
         rows=rows,
         n_layers=model.config.n_layers,
         seed=seed,
-        model_hash=model.param_hash(),
+        model_hash=cache.model_hash,
         data_hash=dataset.data_hash(),
     )
 

@@ -13,10 +13,10 @@ skip the head.
 One definition serves training and inference. Training runs
 ``_block`` and the heads on taped :class:`~exitlab.tensor.Tensor` values;
 inference runs the same code on plain float64 ndarrays through
-:data:`exitlab.tensor.arrays`, the same forward kernels with nothing
-recorded, and gives the same bits as the taped ops. A block is six
-projections, one attention, a GELU and two residual layer norms in both
-modes. Training tapes them as six nodes: the q, k and v projections one
+:data:`exitlab.tensor.arrays`, the same forward kernels called directly,
+with nothing recorded and no wrapper around them, and gives the same
+bits as the taped ops. A block is six projections, one attention, a GELU
+and two residual layer norms in both modes. Training tapes them as six nodes: the q, k and v projections one
 ``linear`` each, the attention one ``attention``, the w1 projection and
 its GELU one ``linear_gelu``, and each of the wo and w2 projections with
 the residual sum and layer norm after it one ``linear_layer_norm``. So
@@ -30,11 +30,16 @@ each as one ``linear`` node.
 
 Every parameter lives in one contiguous float64 buffer, in init order:
 ``params[name].array`` is a view into it. Optimizers, checkpoint loading
-and tests write parameters in place and never rebind them. Values derived
-from the parameters (the :meth:`~MultiExitModel.param_hash` digest, the
-harness's layer recording) are kept in :meth:`MultiExitModel.derived`,
-which checks the buffer bit for bit against a copy on every call and
-drops them all on any difference.
+and tests write parameters in place and never rebind them. So the model
+looks each layer's parameters up once, when it is built, and keeps them
+as one tuple per mode and layer: the parameter Tensors for taped passes,
+their array views for inference. A layer reads its tuple and formats no
+name; the tuples cannot go stale, as every write lands in the views they
+hold. Values derived from the parameters (the
+:meth:`~MultiExitModel.param_hash` digest, the harness's layer recording)
+are kept in :meth:`MultiExitModel.derived`, which checks the buffer bit
+for bit against a copy on every call and drops them all on any
+difference.
 
 Inference runs one input, a batch of equal-length inputs, or inputs of
 mixed lengths as one state of concatenated rows described by its
@@ -58,6 +63,8 @@ import json
 import zipfile
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +85,11 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+
+# One block's parameter names after its "block{i}." prefix, in init order,
+# which is the order _block unpacks them in.
+_BLOCK_PARAMS = ("wq", "wbq", "wk", "wbk", "wv", "wbv", "wo", "wbo", "ln1.g", "ln1.b",
+                "w1", "b1", "w2", "b2", "ln2.g", "ln2.b")
 
 
 @dataclass(frozen=True)
@@ -169,6 +181,23 @@ class PredictionStream:
         return len(self.probs)
 
 
+class _LayerParams(NamedTuple):
+    """One layer's parameters: its block's, in :data:`_BLOCK_PARAMS` order, and
+    the (w, b) of its exit and confidence heads."""
+
+    block: tuple
+    head: tuple
+    conf: tuple
+
+    @classmethod
+    def of(cls, params: dict, i: int, shared: bool) -> _LayerParams:
+        """Layer i + 1's entries of ``params``, by name; ALBERT-style
+        (``shared``), every layer's block is block0."""
+        pre = "block0" if shared else f"block{i}"
+        return cls(tuple(params[f"{pre}.{name}"] for name in _BLOCK_PARAMS),
+                   (params[f"head{i}.w"], params[f"head{i}.b"]), (params[f"conf{i}.w"], params[f"conf{i}.b"]))
+
+
 class MultiExitModel:
     """Embedding + n transformer blocks + n classifier heads."""
 
@@ -186,6 +215,11 @@ class MultiExitModel:
             offset += array.size
         self.params: dict[str, T.Tensor] = {name: T.Tensor(view, requires_grad=True)
                                             for name, view in self._arrays.items()}
+        # each layer's parameters, looked up once: _layers[taped][j - 1] holds
+        # layer j's, the Tensors of params (taped) or the views of _arrays
+        # (untaped), so every in-place write shows through them
+        self._layers = {taped: [_LayerParams.of(p, i, config.share_layer_params) for i in range(config.n_layers)]
+                        for taped, p in ((False, self._arrays), (True, self.params))}
         self._memo: tuple[np.ndarray, dict] | None = None  # see derived()
 
     # -- parameters ----------------------------------------------------
@@ -240,7 +274,11 @@ class MultiExitModel:
 
     def param_hash(self) -> str:
         """Stable digest of config plus every parameter's bytes."""
-        memo = self.derived()
+        return self._param_hash(self.derived())
+
+    def _param_hash(self, memo: dict) -> str:
+        """:meth:`param_hash` from ``memo``, a dict that :meth:`derived` returned
+        under the current parameters, without comparing the buffer again."""
         if "param_hash" not in memo:
             h = hashlib.sha256()
             h.update(json.dumps(asdict(self.config), sort_keys=True).encode())
@@ -260,13 +298,6 @@ class MultiExitModel:
         if dataset.n_classes != cfg.n_classes:
             raise ConfigError(f"dataset has {dataset.n_classes} classes, model expects {cfg.n_classes}")
         return dataset.gold()
-
-    def _block_prefix(self, layer_index: int) -> str:
-        return "block0" if self.config.share_layer_params else f"block{layer_index - 1}"
-
-    def _ops(self, taped: bool):
-        """The op namespace and parameter map: taped Tensors, or plain arrays."""
-        return (T, self.params) if taped else (T.arrays, self._arrays)
 
     # -- forward pieces --------------------------------------------------
 
@@ -289,14 +320,14 @@ class MultiExitModel:
             seq_len, positions = groups.max_len, groups.positions
         if seq_len > self.config.max_seq_len:
             raise DataError(f"sequence length {seq_len} exceeds max_seq_len {self.config.max_seq_len}")
-        bad = np.flatnonzero((ids < 0) | (ids >= self.config.vocab_size))
-        if bad.size:
-            pos = int(bad[0])
+        # one reduce checks both bounds: as uint64, a negative id is above any vocabulary size
+        if np.maximum.reduce(ids.view(np.uint64), axis=None) >= self.config.vocab_size:
+            pos = int(np.flatnonzero((ids < 0) | (ids >= self.config.vocab_size))[0])
             raise DataError(
                 f"token id {int(ids.reshape(-1)[pos])} at flat position {pos} "
                 f"is outside the vocabulary (size {self.config.vocab_size})"
             )
-        ops, p = self._ops(taped)
+        ops, p = (T, self.params) if taped else (T.arrays, self._arrays)
         tok = ops.embedding_lookup(p["embed.tok"], ids)
         pos = ops.embedding_lookup(p["embed.pos"], positions)
         return tok + pos
@@ -305,83 +336,62 @@ class MultiExitModel:
         """One transformer block on a [b, t, d_model] state, or on the
         [rows, d_model] state of ``groups``.
 
-        A Tensor state runs the taped ops on the parameter tensors: one tape
-        node per q, k and v projection and per attention, and one that folds
-        each of the other three projections into the GELU or the residual
-        layer norm after it. Each projection of a group state is one 2-D gemm
-        over all rows: training needs the same bits from run to run, not
-        batch-1 bits. An ndarray state runs the same kernels in the same
-        order on the parameter arrays, adding residuals in place: the same
-        sums without fresh arrays. There each gemm of a group state runs per
-        group on its [b, t, .] block, as on a [b, t, d_model] state, so every
-        row keeps its batch-1 bits. In both modes the attention runs per
-        group, and every other kernel once over all rows.
+        One definition serves both modes: a Tensor state runs the taped ops
+        on the parameter Tensors, an ndarray state the same kernels in the
+        same order, through :data:`exitlab.tensor.arrays`, on the parameter
+        arrays. Both read the layer's parameters as one tuple of views, kept
+        since the model was built (``_layers``), so a call formats no name
+        and looks nothing up. Taped, there is one tape node per q, k and v
+        projection and per attention, and one that folds each of the other
+        three projections into the GELU or the residual layer norm after it;
+        each projection of a group state is one 2-D gemm over all rows, as
+        training needs the same bits from run to run, not batch-1 bits.
+        Untaped, each gemm of a group state runs per group on its [b, t, .]
+        block, as on a [b, t, d_model] state, so every row keeps its batch-1
+        bits, and each residual sum overwrites its projection. In both modes
+        the attention runs per group, and every other kernel once over all
+        rows.
         """
-        cfg = self.config
-        pre = self._block_prefix(layer_index)
         taped = isinstance(h, T.Tensor)
-        ops, p = self._ops(taped)
+        ops = T if taped else T.arrays
+        params = self._layers[taped][layer_index - 1].block
+        wq, bq, wk, bk, wv, bv, wo, bo, g1, s1, w1, b1, w2, b2, g2, s2 = params
+        spans = None if groups is None else groups.spans
+        linear, linear_gelu, linear_layer_norm = ops.linear, ops.linear_gelu, ops.linear_layer_norm
+        if spans is not None and not taped:
+            linear, linear_gelu, linear_layer_norm = (partial(op, spans=spans) for op in
+                                                      (linear, linear_gelu, linear_layer_norm))
+        q, k, v = linear(h, wq, bq), linear(h, wk, bk), linear(h, wv, bv)
+        h = linear_layer_norm(ops.attention(q, k, v, self.config.n_heads, spans), wo, bo, g1, s1, residual=h)
+        return linear_layer_norm(linear_gelu(h, w1, b1), w2, b2, g2, s2, residual=h)
 
-        def linear(x, w, bias):
-            w, bias = p[f"{pre}.{w}"], p[f"{pre}.{bias}"]
-            if groups is None or taped:
-                return ops.linear(x, w, bias)
-            y = np.empty((groups.n_rows, w.shape[1]))
-            for lo, hi, b, t in groups.spans:
-                ops.matmul(x[lo:hi].reshape((b, t, -1)), w, out=y[lo:hi].reshape((b, t, -1)))
-            y += bias
-            return y
-
-        def attention(q, k, v):
-            if groups is not None:
-                return ops.attention(q, k, v, cfg.n_heads, groups.spans)
-            b, t, d = q.shape  # one group of b samples
-            rows = (x.reshape((b * t, d)) for x in (q, k, v))
-            return ops.attention(*rows, cfg.n_heads, ((0, b * t, b, t),)).reshape((b, t, d))
-
-        def linear_gelu(x):
-            """GELU of the projection w1 of x: taped, one node."""
-            if taped:
-                return ops.linear_gelu(x, p[f"{pre}.w1"], p[f"{pre}.b1"])
-            return ops.gelu(linear(x, "w1", "b1"))
-
-        def linear_add_norm(x, w, bias, residual, ln):
-            """Layer norm ``ln`` of the residual sum residual + (x w + bias):
-            taped, one node that keeps neither the projection nor the sum; on
-            arrays, the sum overwrites the projection."""
-            gain, shift = p[f"{pre}.{ln}.g"], p[f"{pre}.{ln}.b"]
-            if taped:
-                return ops.linear_layer_norm(x, p[f"{pre}.{w}"], p[f"{pre}.{bias}"], gain, shift,
-                                             residual=residual)
-            y = linear(x, w, bias)
-            return ops.layer_norm(np.add(residual, y, out=y), gain, shift)
-
-        q, k, v = linear(h, "wq", "wbq"), linear(h, "wk", "wbk"), linear(h, "wv", "wbv")
-        h = linear_add_norm(attention(q, k, v), "wo", "wbo", h, "ln1")
-        return linear_add_norm(linear_gelu(h), "w2", "b2", h, "ln2")
-
-    def _head(self, first, name: str):
-        """Head ``name``'s logits [b, k] from the first-token rows [b, d_model].
+    @staticmethod
+    def _head(first, params: tuple):
+        """The logits [b, k] of the head with ``params`` (w, b) from the
+        first-token rows [b, d_model].
 
         Taped, the head is one ``linear`` node. Untaped, it runs as
         [b, 1, d] @ [d, k], one product per row, so every row gets the bits
         it gets at batch 1: a 2-D gemm over b > 1 rows may round differently.
         """
-        ops, p = self._ops(isinstance(first, T.Tensor))
-        w, bias = p[f"{name}.w"], p[f"{name}.b"]
-        return ops.linear(first, w, bias) if ops is T else ops.linear(first[:, None], w, bias)[:, 0]
+        w, bias = params
+        if isinstance(first, T.Tensor):
+            return T.linear(first, w, bias)
+        return T.arrays.linear(first[:, None], w, bias)[:, 0]
 
     def _exit_probs(self, first, layer_index: int):
         """Exit ``layer_index``'s class probabilities [b, k] from the first-token
         rows (see :meth:`_head`): softmax for slc, per-label sigmoid for mlc."""
-        ops = self._ops(isinstance(first, T.Tensor))[0]
-        logits = self._head(first, f"head{layer_index - 1}")
-        return ops.softmax(logits, axis=-1) if self.config.task == SLC else ops.sigmoid(logits)
+        taped = isinstance(first, T.Tensor)
+        ops = T if taped else T.arrays
+        logits = self._head(first, self._layers[taped][layer_index - 1].head)
+        return ops.softmax(logits) if self.config.task == SLC else ops.sigmoid(logits)
 
     def _confidence(self, first, layer_index: int):
         """Exit ``layer_index``'s confidence values [b] in (0, 1)."""
-        ops = self._ops(isinstance(first, T.Tensor))[0]
-        logits = self._head(first, f"conf{layer_index - 1}")
+        taped = isinstance(first, T.Tensor)
+        ops = T if taped else T.arrays
+        logits = self._head(first, self._layers[taped][layer_index - 1].conf)
         return ops.sigmoid(logits.reshape((logits.shape[0],)))
 
     # -- training-side forward -------------------------------------------

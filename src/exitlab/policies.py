@@ -66,6 +66,12 @@ class ExitDecision:
     reason: str | None = None
 
 
+# Decisions are frozen values, so every step returns one of these shared ones.
+_CONTINUE = ExitDecision(False)
+_HALT = {reason: ExitDecision(True, reason)
+         for reason in (PATIENCE_REACHED, CONFIDENCE, FIXED_LAYER, FINAL_FALLBACK)}
+
+
 @dataclass(frozen=True)
 class TraceEntry:
     """One executed layer: the exit's ``ProbDist.prediction()`` plus the policy's view of it."""
@@ -113,7 +119,8 @@ def prediction_match_scorer(prev: ProbDist, cur: ProbDist) -> float:
 def max_probs(kind: str, probs: np.ndarray) -> np.ndarray:
     """The winning probability of every row, over any leading shape: the max of
     [..., k] (slc), or the weakest label's max(p, 1-p) of [..., k, 2] (mlc)."""
-    return probs.max(axis=-1) if kind == SLC else probs.max(axis=-1).min(axis=-1)
+    best = np.maximum.reduce(probs, axis=-1)  # ndarray.max minus its wrapper
+    return best if kind == SLC else np.minimum.reduce(best, axis=-1)
 
 
 class ExitPolicy:
@@ -161,7 +168,7 @@ def run_exit(
     for layer, (prob, conf) in enumerate(layers, start=1):
         decision = policy.step(layer, prob, conf)
         if layer == n_layers and not decision.halt:
-            decision = ExitDecision(True, FINAL_FALLBACK)
+            decision = _HALT[FINAL_FALLBACK]
         entries.append(TraceEntry(layer, prob.prediction(), policy.last_score, policy.pat, decision))
         if decision.halt:
             return prob, ExitTrace(tuple(entries), layer, decision.reason)
@@ -196,11 +203,11 @@ class FPabee(ExitPolicy):
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
         prev, self._prev = self._prev, probs
         if prev is None:
-            return ExitDecision(False)
+            return _CONTINUE
         self.last_score = float(self.scorer(prev, probs))
         self.pat = self.pat + 1 if self.last_score < self.thre else 0
         halt = self.pat >= self.patience
-        return ExitDecision(halt, PATIENCE_REACHED if halt else None)
+        return _HALT[PATIENCE_REACHED] if halt else _CONTINUE
 
 
 class Pabee(FPabee):
@@ -224,7 +231,7 @@ class EntropyThreshold(ExitPolicy):
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
         self.last_score = entropy(probs)
         halt = self.sign * self.last_score < self.sign * self.threshold
-        return ExitDecision(halt, CONFIDENCE if halt else None)
+        return _HALT[CONFIDENCE] if halt else _CONTINUE
 
 
 class MaxProb(ExitPolicy):
@@ -242,7 +249,7 @@ class MaxProb(ExitPolicy):
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
         self.last_score = float(max_probs(probs.kind, probs.probs))
         halt = self.sign * self.last_score < self.sign * self.threshold
-        return ExitDecision(halt, CONFIDENCE if halt else None)
+        return _HALT[CONFIDENCE] if halt else _CONTINUE
 
 
 class LearnedConfidence(ExitPolicy):
@@ -260,7 +267,7 @@ class LearnedConfidence(ExitPolicy):
             raise ValueError("learned-confidence policy needs the per-layer confidence value")
         self.last_score = confidence
         halt = self.sign * self.last_score < self.sign * self.threshold
-        return ExitDecision(halt, CONFIDENCE if halt else None)
+        return _HALT[CONFIDENCE] if halt else _CONTINUE
 
 
 class FixedExit(ExitPolicy):
@@ -275,4 +282,4 @@ class FixedExit(ExitPolicy):
 
     def step(self, layer: int, probs: ProbDist, confidence: float | None = None) -> ExitDecision:
         halt = layer == self.layer
-        return ExitDecision(halt, FIXED_LAYER if halt else None)
+        return _HALT[FIXED_LAYER] if halt else _CONTINUE

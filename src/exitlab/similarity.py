@@ -69,10 +69,11 @@ def check_probs(kind: str, probs: np.ndarray, lead: int = 0) -> None:
         return
     # written so that NaN fails: every comparison with NaN is False. Rows are
     # summed only once every entry is nonnegative, so inf + -inf cannot warn.
-    valid = probs.min() >= -_SUM_TOL
+    # The reduces are what ndarray.min, sum and max call, minus their wrappers.
+    valid = np.minimum.reduce(probs, axis=None) >= -_SUM_TOL
     if valid:
-        gaps = abs(probs.sum(axis=-1) - 1.0)
-        valid = (gaps.max() if gaps.ndim else gaps) <= _SUM_TOL  # max() of one row's scalar only slows
+        gaps = abs(np.add.reduce(probs, axis=-1) - 1.0)
+        valid = (np.maximum.reduce(gaps, axis=None) if gaps.ndim else gaps) <= _SUM_TOL
     if not valid:
         raise ValueError(message)
 
@@ -102,7 +103,7 @@ class ProbDist:
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=np.float64, order="C")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
         check_probs(self.kind, arr)
 
@@ -163,13 +164,14 @@ class SimilarityMeasure:
         mass [..., m] (pairs unrolled for mlc), reduced over the last axis."""
         kl = self.subtract_self_entropy
         if self.variant == "kd":
-            return _cross_entropy(p, q, kl)
+            return _cross_entropy(p, _floored_log(q), kl)
         if self.variant == "rekd":
-            return _cross_entropy(q, p, kl)
+            return _cross_entropy(q, _floored_log(p), kl)
         if self.variant == "symkd":
-            return _cross_entropy(p, q, kl) + _cross_entropy(q, p, kl)
+            return _cross_entropy(p, _floored_log(q), kl) + _cross_entropy(q, _floored_log(p), kl)
         mid = (p + q) / 2.0
-        return 0.5 * _cross_entropy(p, mid, kl) + 0.5 * _cross_entropy(q, mid, kl)
+        log_mid = _floored_log(mid)  # both halves read the one log
+        return 0.5 * _cross_entropy(p, log_mid, kl) + 0.5 * _cross_entropy(q, log_mid, kl)
 
 
 def _check_pair(prev: ProbDist, cur: ProbDist) -> None:
@@ -179,11 +181,18 @@ def _check_pair(prev: ProbDist, cur: ProbDist) -> None:
         raise ValueError(f"class counts differ: {prev.k} vs {cur.k}")
 
 
-def _cross_entropy(w: np.ndarray, q: np.ndarray, subtract_self_entropy: bool) -> np.ndarray:
-    """kd over the last axis: -sum w ln q, less w's own cross-entropy in KL mode."""
-    s = -(w * np.log(np.maximum(q, LOG_FLOOR))).sum(axis=-1)
+def _floored_log(q: np.ndarray) -> np.ndarray:
+    """ln q with q floored at :data:`LOG_FLOOR`, the log every score and entropy takes."""
+    return np.log(np.maximum(q, LOG_FLOOR))
+
+
+def _cross_entropy(w: np.ndarray, log_q: np.ndarray, subtract_self_entropy: bool) -> np.ndarray:
+    """kd over the last axis, given ``log_q = _floored_log(q)``: -sum w ln q,
+    less w's own cross-entropy in KL mode. The add-reduce is what
+    ``ndarray.sum`` calls, minus its Python wrapper."""
+    s = -np.add.reduce(w * log_q, axis=-1)
     if subtract_self_entropy:
-        s = s - _cross_entropy(w, w, False)
+        s = s - _cross_entropy(w, _floored_log(w), False)
     return s
 
 
@@ -196,8 +205,9 @@ def score(measure: SimilarityMeasure, prev: ProbDist, cur: ProbDist) -> float:
 def entropies(kind: str, probs: np.ndarray) -> np.ndarray:
     """Shannon entropy in nats of every [..., k] row (slc); the mean per-label
     binary entropy of every [..., k, 2] set of pairs (mlc)."""
-    per_row = -(probs * np.log(np.maximum(probs, LOG_FLOOR))).sum(axis=-1)
-    return per_row if kind == SLC else per_row.mean(axis=-1)
+    per_row = _cross_entropy(probs, _floored_log(probs), False)
+    # an add-reduce and a divide by the count is what ndarray.mean computes
+    return per_row if kind == SLC else np.add.reduce(per_row, axis=-1) / per_row.shape[-1]
 
 
 def entropy(dist: ProbDist) -> float:

@@ -266,9 +266,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result("matmul", np.matmul(aa, ba), (a, b), lambda g: _matmul_grads(aa, ba, g))
 
 
-def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the bias is added in place: the same sums as np.matmul(x, w) + b
-    y = np.matmul(x, w)
+def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                spans: Sequence[tuple[int, int, int, int]] | None = None) -> np.ndarray:
+    """``x @ w + b``, the bias added in place: the same sums as ``np.matmul(x, w) + b``.
+
+    With ``spans`` (see :func:`attention`) over the rows of a [rows, d_in]
+    x, the gemm runs span by span on each [b, t, d_in] block, which gives
+    every row the bits it gets at batch 1, as one 2-D gemm over rows of
+    several samples may not; inference passes them, training does not.
+    """
+    if spans is None:
+        y = np.matmul(x, w)
+    else:
+        y = np.empty((x.shape[0], w.shape[1]))
+        for lo, hi, n, t in spans:
+            np.matmul(x[lo:hi].reshape((n, t, -1)), w, out=y[lo:hi].reshape((n, t, -1)))
     y += b
     return y
 
@@ -380,49 +392,69 @@ def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
     return out * (g - dot)
 
 
-def _split_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                 span: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One span's head-split q [b, h, t, hd], transposed k [b, h, hd, t] and v [b, h, t, hd]."""
-    lo, hi, b, t = span
-    hd = q.shape[1] // n_heads
-    return tuple(_transpose_fwd(x[lo:hi].reshape((b, t, n_heads, hd)), axes)
-                 for x, axes in ((q, (0, 2, 1, 3)), (k, (0, 2, 3, 1)), (v, (0, 2, 1, 3))))
+def _split_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, b: int,
+                 t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The head-split q [b, h, t, hd], transposed k [b, h, hd, t] and v [b, h, t, hd]
+    of b samples of t tokens whose b * t rows q, k and v hold, in any shape:
+    C-contiguous copies, as :func:`_transpose_fwd` makes."""
+    shape = (b, t, n_heads, q.shape[-1] // n_heads)
+    return (q.reshape(shape).transpose((0, 2, 1, 3)).copy(),
+            k.reshape(shape).transpose((0, 2, 3, 1)).copy(),
+            v.reshape(shape).transpose((0, 2, 1, 3)).copy())
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, b: int, t: int,
+            saved: list | None) -> np.ndarray:
+    """The context [b, t, h, hd] of b samples of t tokens (see :func:`_split_heads`),
+    a strided view; ``saved``, if given, gets the softmax [b, h, t, t]."""
+    qh, kt, vh = _split_heads(q, k, v, n_heads, b, t)
+    scores = np.matmul(qh, kt)
+    scores *= 1.0 / math.sqrt(qh.shape[-1])  # a Python float: the bits of 1.0 / np.sqrt(hd)
+    p = _softmax_fwd(scores)
+    if saved is not None:
+        saved.append(p)
+    return np.matmul(p, vh).transpose((0, 2, 1, 3))
 
 
 def _attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                   spans: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarray, list]:
-    """The [rows, d] context of :func:`attention`, then, per span, the
-    softmax [b, h, t, t] that its backward reads."""
-    hd = q.shape[1] // n_heads
-    scale = 1.0 / np.sqrt(hd)
+                   spans: Sequence[tuple[int, int, int, int]] | None = None,
+                   saved: list | None = None) -> np.ndarray:
+    """The context of :func:`attention`, in q's shape, from [rows, d] q, k and v
+    and their ``spans``, or from [b, t, d] q, k and v (one group) without spans.
+    A taped call passes ``saved``, which gets each span's softmax [b, h, t, t],
+    the one thing its backward reads."""
+    if spans is None or len(spans) == 1:
+        b, t = (q.shape[0], q.shape[1]) if spans is None else spans[0][2:]
+        # the reshape copies the strided context into a fresh C-contiguous array
+        return _attend(q, k, v, n_heads, b, t, saved).reshape(q.shape)
     ctx = np.empty(q.shape)
-    saved = []
-    for span in spans:
-        lo, hi, b, t = span
-        qh, kt, vh = _split_heads(q, k, v, n_heads, span)
-        scores = np.matmul(qh, kt)
-        scores *= scale
-        p = _softmax_fwd(scores)
-        np.copyto(ctx[lo:hi].reshape((b, t, n_heads, hd)), np.matmul(p, vh).transpose((0, 2, 1, 3)))
-        saved.append(p)
-    return ctx, saved
+    for lo, hi, b, t in spans:
+        np.copyto(ctx[lo:hi].reshape((b, t, n_heads, -1)),
+                  _attend(q[lo:hi], k[lo:hi], v[lo:hi], n_heads, b, t, saved))
+    return ctx
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              spans: Sequence[tuple[int, int, int, int]]) -> Tensor:
+              spans: Sequence[tuple[int, int, int, int]] | None = None) -> Tensor:
     """Multi-head scaled dot-product attention within groups of rows, as one node.
 
     q, k and v are [rows, d] projections. ``spans`` tiles the rows in order
     as (lo, hi, b, t): rows lo..hi hold b samples of t tokens each, and each
     sample attends over its own t rows only, so no position is padding and
-    no mask is needed. Each of ``n_heads`` heads attends over its
-    d / n_heads columns: softmax(q k^T / sqrt(d / n_heads)) v. The tape
-    keeps only each group's softmax; the backward splits the heads of the
-    parents' q, k and v again with the forward's copies, then replays,
+    no mask is needed. Without ``spans``, q, k and v are [b, t, d], one such
+    group, which runs as its rows, reshaped. Each of ``n_heads`` heads
+    attends over its d / n_heads columns: softmax(q k^T / sqrt(d / n_heads)) v.
+    The tape keeps only each group's softmax; the backward splits the heads
+    of the parents' q, k and v again with the forward's copies, then replays,
     group by group, the backward rules of the reshape, transpose, matmul,
     scale and softmax chain that computes the same forward, in reverse, so
     the gradients are that chain's bit for bit.
     """
+    if spans is None and q.ndim == 3:
+        b, t, d = q.shape
+        rows = [x.reshape((b * t, d)) for x in (q, k, v)]
+        return attention(*rows, n_heads, ((0, b * t, b, t),)).reshape((b, t, d))
+    spans = tuple(spans or ())
     starts = [0] + [hi for _, hi, _, _ in spans]
     if (q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[1] % n_heads
             or starts[-1] != q.shape[0] or not spans
@@ -430,16 +462,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                    for (lo, hi, b, t), start in zip(spans, starts))):
         raise ShapeError(f"attention needs equal [rows, d] q, k and v with d divisible by {n_heads} heads "
                          f"and spans (lo, hi, b, t) tiling the rows, got {q.shape}, {k.shape} and "
-                         f"{v.shape} with spans {tuple(spans)}")
+                         f"{v.shape} with spans {spans}")
     hd = q.shape[1] // n_heads
-    out, saved = _attention_fwd(q.array, k.array, v.array, n_heads, spans)
+    saved = []
+    out = _attention_fwd(q.array, k.array, v.array, n_heads, spans, saved)
     scale = 1.0 / np.sqrt(hd)
 
     def back(g):
         grads = tuple(np.empty(g.shape) for _ in range(3))
-        for span, p in zip(spans, saved):
-            lo, hi, b, t = span
-            qh, kt, vh = _split_heads(q.array, k.array, v.array, n_heads, span)
+        for (lo, hi, b, t), p in zip(spans, saved):
+            qh, kt, vh = _split_heads(q.array[lo:hi], k.array[lo:hi], v.array[lo:hi], n_heads, b, t)
             gh = g[lo:hi].reshape((b, t, n_heads, hd)).transpose((0, 2, 1, 3))
             gp, gv = _matmul_grads(p, vh, gh)
             gq, gk = _matmul_grads(qh, kt, _softmax_grad(p, gp) * scale)
@@ -698,24 +730,47 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 # -- untaped inference ---------------------------------------------------
 
+
+def _linear_gelu_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                     spans: Sequence[tuple[int, int, int, int]] | None = None) -> np.ndarray:
+    """:func:`linear_gelu`'s value: the projection (see :func:`_linear_fwd`), then GELU."""
+    return _gelu_fwd(_linear_fwd(x, w, b, spans))[0]
+
+
+def _linear_layer_norm_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray, gain: np.ndarray,
+                           bias: np.ndarray, *, residual: np.ndarray,
+                           spans: Sequence[tuple[int, int, int, int]] | None = None) -> np.ndarray:
+    """:func:`linear_layer_norm`'s value: the projection (see :func:`_linear_fwd`),
+    overwritten by the residual sum ``residual + projection``, then the layer norm."""
+    y = _linear_fwd(x, w, b, spans)
+    return _layer_norm_fwd(np.add(residual, y, out=y), gain, bias)[0]
+
+
 arrays = SimpleNamespace(
-    matmul=np.matmul,
     linear=_linear_fwd,
-    attention=lambda q, k, v, n_heads, spans: _attention_fwd(q, k, v, n_heads, spans)[0],
+    linear_gelu=_linear_gelu_fwd,
+    linear_layer_norm=_linear_layer_norm_fwd,
+    attention=_attention_fwd,
     softmax=_softmax_fwd,
     sigmoid=_sigmoid_fwd,
-    gelu=lambda x: _gelu_fwd(x)[0],
     layer_norm=lambda x, gain, bias: _layer_norm_fwd(x, gain, bias)[0],
     embedding_lookup=_embedding_fwd,
 )
 """The forward kernels on plain float64 ndarrays, under the taped ops' names.
 
-Code written against ``ops.matmul``, ``ops.softmax`` ... runs taped with
+Code written against ``ops.linear``, ``ops.attention`` ... runs taped with
 ``ops = tensor`` on :class:`Tensor` inputs and untaped with ``ops = arrays``
-on ndarrays, where each call is the kernel alone: no Tensor, no tape node,
-no backward closure and no shape check. Operators (``+``, ``*``) and
-``reshape`` are the types' own. The names are kept apart from the taped
-ops', so a wrapper around a taped op only ever sees Tensors.
+on ndarrays, where each call is the kernel itself, called directly: no
+Tensor, no tape node, no backward closure, no shape check and no wrapper
+frame (``layer_norm`` alone adds one, which drops what only the backward
+reads). The fused ``linear_gelu`` and ``linear_layer_norm`` run the
+kernels of their taped twins in the same order and give their bits. The
+projections (``linear`` and the two fused ones) take one argument the
+taped ops do not, ``spans``: with it, each gemm runs span by span, so
+that every row of a mixed-length state keeps its batch-1 bits. Operators
+(``+``, ``*``) and ``reshape`` are the types' own. The names are kept
+apart from the taped ops', so a wrapper around a taped op only ever sees
+Tensors.
 """
 
 

@@ -150,6 +150,24 @@ class TestEvaluate:
         with pytest.raises(DataError, match=r"example 5 has label 3 outside \[0, 3\)"):
             evaluate(model, Dataset(task, 3, examples), PolicySpec("fixed", fixed_layer=4), vocab)
 
+    @pytest.mark.parametrize("task, n_classes", [("slc", 3), ("mlc", 4)])
+    def test_a_policy_object_reports_the_spec_that_builds_it(self, task, n_classes):
+        model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
+        specs = SIX_POLICIES[task] + [PolicySpec("fpabee", measure=m, thre=0.5, patience=2, kl_mode=kl)
+                                      for m in VARIANTS for kl in (False, True)]
+        for spec in specs:
+            assert evaluate(model, data, spec.build(), vocab) == evaluate(model, data, spec, vocab), spec
+
+    def test_any_other_policy_object_reports_its_bare_name(self):
+        model, data, vocab = make_setup()
+
+        class Patient(Pabee):
+            pass
+
+        for policy in (FPabee(lambda prev, cur: 0.0, 0.5, 1), FPabee(SimilarityMeasure("kd"), math.inf, 1),
+                       Patient(2), ScriptedExits([2] * len(data))):
+            assert evaluate(model, data, policy, vocab).spec == PolicySpec(policy.name)
+
     def test_mlc_metrics(self):
         model, data, vocab = make_setup(task="mlc", n_classes=4)
         r = evaluate(model, data, PolicySpec("fixed", fixed_layer=4), vocab)
@@ -243,6 +261,19 @@ class TestSweep:
         result = sweep(model, data, specs, vocab)
         speedups = [r.speedup for r in result.rows]
         assert speedups == sorted(speedups)
+
+    def test_one_buffer_compare_per_sweep(self, monkeypatch):
+        """The recording's memo check also serves the model hash."""
+        model, data, vocab = make_setup()
+        calls = []
+        derived = model.derived
+        monkeypatch.setattr(model, "derived", lambda: calls.append(1) or derived())
+        result = sweep(model, data, [PolicySpec("fixed", fixed_layer=2)], vocab)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        fresh = MultiExitModel(model.config)
+        fresh._buffer[...] = model._buffer
+        assert result.model_hash == fresh.param_hash() == model.param_hash()
 
     def test_metadata_hashes_are_stable(self):
         model, data, vocab = make_setup()

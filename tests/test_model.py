@@ -15,7 +15,7 @@ from exitlab.data import SyntheticSpec, Vocab, build_vocab, encode_dataset, gene
 from exitlab.errors import ConfigError, DataError
 from exitlab.model import ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
 from exitlab.policies import (CONFIDENCE, FINAL_FALLBACK, EntropyThreshold, FixedExit, FPabee,
-                              LearnedConfidence, MaxProb)
+                              LearnedConfidence, MaxProb, Pabee)
 from exitlab.similarity import SLC, ProbDist, SimilarityMeasure, entropy
 from exitlab.training import AdamW, TrainConfig, _objective, _pad_batch, train
 
@@ -87,6 +87,12 @@ class TestEmbed:
     def test_out_of_vocab_names_position(self, model):
         with pytest.raises(DataError, match="position 2"):
             model.embed([1, 2, 99])
+
+    @pytest.mark.parametrize("tokens, bad, pos", [([1, -1, 3], -1, 1), ([[1, 2], [20, 3]], 20, 2),
+                                                  ([[1, 2], [3, -2**63]], -2**63, 3)])
+    def test_id_below_zero_or_past_the_vocabulary_names_the_first(self, model, tokens, bad, pos):
+        with pytest.raises(DataError, match=f"^token id {bad} at flat position {pos} is outside"):
+            model.embed(np.array(tokens, dtype=np.int64))
 
     def test_too_long_rejected(self, model):
         with pytest.raises(DataError, match="max_seq_len"):
@@ -510,6 +516,88 @@ class TestParameterBuffer:
             assert digests[-1] == ref.param_hash(), value
         assert len(set(digests)) == 5  # the second 0.0 restores the first digest
         assert digests[0] == digests[2]
+
+
+# Thresholds near each random model's median score, so that exits spread.
+PIN_KNOBS = {"slc": dict(kd=1.6, rekd=1.47, symkd=3.1, jskd=1.2, kl=0.09, entropy=1.18, maxprob=0.45,
+                         learned=0.72),
+             "mlc": dict(kd=3.85, rekd=3.8, symkd=7.2, jskd=3.2, kl=0.12, entropy=0.6, maxprob=0.524,
+                         learned=0.37)}
+
+
+def batch_1_digests(task, shared):
+    """SHA-256 of batch-1 inference on a fixture-architecture model at a seeded
+    random parameter state, over one input of every length 1..24: every
+    ``iter_layers`` state, prob and confidence and every ``forward_full`` prob
+    and confidence; and, per policy (fpabee with each measure and in KL mode,
+    pabee, entropy, maxprob, learned, fixed), ``forward_early_exit``'s prob
+    bytes, exit layer and trace scores as ``float.hex``."""
+    arch = dict(FIXTURE_ARCH[task], n_layers=6, share_layer_params=shared)
+    model = randomize(MultiExitModel(ModelConfig(vocab_size=500, task=task, **arch)), seed=7)
+    knobs = PIN_KNOBS[task]
+    policies = [FPabee(SimilarityMeasure(v), knobs[v], 1) for v in ("kd", "rekd", "symkd", "jskd")] + [
+        FPabee(SimilarityMeasure("jskd", subtract_self_entropy=True), knobs["kl"], 1), Pabee(1),
+        EntropyThreshold(knobs["entropy"]), MaxProb(knobs["maxprob"]), LearnedConfidence(knobs["learned"]),
+        FixedExit(4)]
+    rng = np.random.default_rng(8)
+    full, early = hashlib.sha256(), hashlib.sha256()
+    for t in range(1, 25):
+        ids = rng.integers(0, 500, size=t)
+        for h, prob, conf in model.iter_layers(ids):
+            full.update(h.tobytes() + prob.probs.tobytes() + conf.hex().encode())
+        stream = model.forward_full(ids)
+        for prob, conf in zip(stream.probs, stream.confidences):
+            full.update(prob.probs.tobytes() + conf.hex().encode())
+        for policy in policies:
+            prob, layer, trace = model.forward_early_exit(ids, policy)
+            scores = " ".join("-" if e.score is None else float(e.score).hex() for e in trace.entries)
+            early.update(prob.probs.tobytes() + bytes([layer]) + scores.encode())
+    return [full.hexdigest(), early.hexdigest()]
+
+
+# batch_1_digests per fixture, computed before the untaped block read its
+# parameters as kept views and lost its wrappers: the inference bytes have
+# not moved since.
+BATCH_1_PINS = {
+    ("slc", False): ["a35e2c1f2104ecc19167556074456df8d980609b0700d75bee87d38f5c010d09",
+                     "cbda4a00255a26bc072be74a0620c7c3969a2054e2ba6cbfc613d53783e86574"],
+    ("slc", True): ["86596515031a371556b4acd8b1248491dcdc743ff379271625fb256be7237fa2",
+                    "9671795026b312e8a1bbee71b41eeb5a6aa59a43c44370db553a6956f54b04bb"],
+    ("mlc", False): ["862d4d788d6c256994bd6dab7fb39cff2cb0a22f48d6ee23588881fa7172496a",
+                     "d1b9c67963e311ba0a0e21503cb7791833e5c777c75fad184c6be8f1ff70d896"],
+    ("mlc", True): ["b99eb3e2dad931a791762743b4eae35cede3add0cd4c4c4f32b8501dfe7e69fd",
+                    "23a4c3e7aae7df4ed3b470b331df450a847dff9a41f4502ce9152fa4524048ac"],
+}
+
+
+class TestBatch1Pins:
+    @pytest.mark.parametrize("shared", [False, True], ids=["bert", "albert"])
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    def test_inference_bytes_match_the_pins(self, task, shared):
+        assert batch_1_digests(task, shared) == BATCH_1_PINS[task, shared]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["bert", "albert"])
+    def test_in_place_writes_reach_the_kept_parameter_views(self, shared, tmp_path):
+        """After in-place writes to a block parameter (ALBERT's shared block0
+        included) and a head, the next layers equal a reloaded model's."""
+        model = randomize(MultiExitModel(tiny_config(share_layer_params=shared)), seed=5)
+        h = model.embed([1, 2, 3])
+        before = [model.forward_layer(h, j) for j in (1, 2, 3)]
+        block = "block0" if shared else "block1"
+        model.params[f"{block}.wq"].array[0] += 0.5
+        model._arrays[f"{block}.ln2.g"][:] = 0.75
+        model.params["head2.w"].array[...] *= -1.0
+        save_checkpoint(model, tmp_path / "m.npz")
+        loaded, _ = load_checkpoint(tmp_path / "m.npz")
+        after = [model.forward_layer(h, j) for j in (1, 2, 3)]
+        for j, (h1, prob1) in enumerate(after, start=1):
+            h2, prob2 = loaded.forward_layer(h, j)
+            assert h1.tobytes() == h2.tobytes() and prob1.probs.tobytes() == prob2.probs.tobytes()
+        assert after[1][0].tobytes() != before[1][0].tobytes()  # layer 2 runs the written block
+        assert after[2][1].probs.tobytes() != before[2][1].probs.tobytes()  # layer 3 the written head
+        ids, mask = _pad_batch([np.array([1, 2, 3]), np.array([4, 5])])
+        for taped, ref in zip(*(m.forward_batch(ids, mask)[0] for m in (model, loaded))):
+            assert taped.array.tobytes() == ref.array.tobytes()
 
 
 def tape_results(loss):

@@ -503,6 +503,48 @@ class TestFusedOps:
             for whole, single in zip(got, alone.node.backward(g[lo:hi])):
                 assert whole[lo:hi].tobytes() == single.tobytes()
 
+    @pytest.mark.parametrize("b, t, d, n_heads", [(1, 1, 8, 2), (1, 9, 64, 4), (3, 5, 12, 1), (2, 1, 16, 4)])
+    def test_attention_over_a_batch_equals_its_rows_as_one_span(self, b, t, d, n_heads):
+        """[b, t, d] q, k and v without spans give the value and gradients
+        of their rows as one span, reshaped, taped and untaped."""
+        rng = np.random.default_rng(b * t * d)
+        q, k, v = (T.Tensor(rng.normal(size=(b, t, d)), requires_grad=True) for _ in range(3))
+        g = T.Tensor(rng.normal(size=(b, t, d)))
+        out = T.attention(q, k, v, n_heads)
+        rows = (x.reshape((b * t, d)) for x in (q, k, v))
+        want = T.attention(*rows, n_heads, ((0, b * t, b, t),)).reshape((b, t, d))
+        assert out.array.tobytes() == want.array.tobytes()
+        untaped = T.arrays.attention(q.array, k.array, v.array, n_heads)
+        assert untaped.tobytes() == want.array.tobytes() and untaped.flags.c_contiguous
+        got, ref = T.backward((out * g).sum()), T.backward((want * g).sum())
+        for p in (q, k, v):
+            assert got[p].tobytes() == ref[p].tobytes()
+
+    @pytest.mark.parametrize("b, t, d, n", [(1, 1, 8, 8), (6, 7, 16, 32), (32, 14, 64, 256), (3, 5, 64, 1)])
+    def test_untaped_projections_bit_equal_to_the_taped_ops(self, b, t, d, n):
+        """``arrays.linear``, ``linear_gelu`` and ``linear_layer_norm`` give the
+        taped ops' bits; with ``spans``, each span's rows get the bits of the
+        same call on that span's [b, t, d] block alone."""
+        rng = np.random.default_rng(b * t + 3)
+        spans = length_spans(rng, b, t)
+        rows = spans[-1][1]
+        x, w, bias, r = (rng.normal(size=s) for s in ((rows, d), (d, n), (n,), (rows, n)))
+        gain, shift = rng.normal(1.0, 0.1, size=n), rng.normal(0.0, 0.1, size=n)
+        taped = [T.Tensor(a) for a in (x, w, bias, gain, shift, r)]
+        A = T.arrays
+        assert A.linear(x, w, bias).tobytes() == T.linear(*taped[:3]).array.tobytes()
+        assert A.linear_gelu(x, w, bias).tobytes() == T.linear_gelu(*taped[:3]).array.tobytes()
+        want = T.linear_layer_norm(*taped[:5], residual=taped[5]).array
+        assert A.linear_layer_norm(x, w, bias, gain, shift, residual=r).tobytes() == want.tobytes()
+        calls = [(A.linear, (w, bias), {}), (A.linear_gelu, (w, bias), {}),
+                 (A.linear_layer_norm, (w, bias, gain, shift), {"residual": r})]
+        for op, args, kw in calls:
+            grouped = op(x, *args, **kw, spans=spans)
+            for lo, hi, gb, gt in spans:
+                alone = op(x[lo:hi].reshape((gb, gt, d)), *args,
+                           **{key: a[lo:hi].reshape((gb, gt, n)) for key, a in kw.items()})
+                assert grouped[lo:hi].tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("shape", [(1, 1), (5, 8), (2, 7, 16), (12, 64)])
     def test_layer_norm_with_residual_equals_add_then_layer_norm(self, shape):
         """The value and the gradients of both addends, gain and bias bit
