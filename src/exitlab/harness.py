@@ -9,25 +9,27 @@ micro-averaged F1 over those sets and equals accuracy on single-label
 tasks. ``MultiExitModel.check_dataset`` rejects a mismatched dataset first
 and returns those gold answers, ``Dataset.gold()``.
 
-Record once, one halting rule: :func:`sweep`, :func:`compare_policies`
-and ``training.dev_accuracy`` read every layer of every sample from one
-recording, a [samples, n, ...] probability array plus each sample-layer's
-first-token row. A split is recorded once per parameter state: the model
-keeps the last recording (:meth:`MultiExitModel.derived`), and a call on
-the same encoded split under bitwise-unchanged parameters runs no layer.
-The samples run in the order of ``LengthGroups.by_length``, cut into
-chunks of up to ``_CHUNK_ROWS`` token rows of mixed lengths, one layer
-call per chunk: the gemms and attention run per length group and
+Record once, score from arrays: :func:`sweep`, :func:`compare_policies`
+and ``training.dev_accuracy`` score every spec on one scoring core,
+:class:`_LayerScores`, which holds only arrays: a [samples, n, ...]
+probability array, the answer key and, for a ``learned`` spec, the
+confidences. It knows no model, dataset or vocabulary; :func:`_record_layers`
+builds it from a model's recording. A split is recorded once per parameter
+state: the model keeps the last recording (:meth:`MultiExitModel.derived`),
+and a call on the same encoded split under bitwise-unchanged parameters
+runs no layer. The samples run in the order of ``LengthGroups.by_length``,
+cut into chunks of up to ``_CHUNK_ROWS`` token rows of mixed lengths, one
+layer call per chunk: the gemms and attention run per length group and
 everything else once over the chunk's rows, with no padding, so every row
 keeps its batch-1 bits. The confidence head runs over the recorded
-first-token rows the first time a ``learned`` spec reads it. Every policy
+first-token rows in the first call with a ``learned`` spec. Every policy
 but ``fixed`` halts at the first layer whose key, the max of its signed
 scores over the last ``patience`` layers (fpabee, pabee) or one layer
 (the others), is below its signed threshold (signed by the policy's
 ``ExitPolicy.sign``, as its ``step`` compares). The scores are the
 formulas each policy's ``step`` applies to one row, applied to the whole
 array in one call per policy family, so they give the exits of every grid
-point and knob of the call (:meth:`_LayerCache.scores`, :func:`_exits`).
+point and knob of the call (:meth:`_LayerScores.scores`, ``exits``).
 Stopping at layer j reproduces the first j layers of a full pass bit for
 bit, so these are the live exits and predictions. ``evaluate`` runs
 ``forward_early_exit`` on each sample; both paths score their exits with
@@ -91,7 +93,7 @@ POLICY_FIELDS = {
     "fixed": ("fixed_layer",),
 }
 
-# Token rows per recorded chunk (see _LayerCache). A 4-point sweep of a
+# Token rows per recorded chunk (see _record). A 4-point sweep of a
 # 500-sample split at the test fixtures' architectures (2-vCPU Xeon, numpy
 # 2.4, one BLAS thread) took the same time within 10% at 256, 512 and 1024
 # rows, and 30-50% longer as one chunk of the whole split (4,200-4,800
@@ -141,11 +143,17 @@ class PolicySpec:
             object.__setattr__(self, "measure", "jskd")
         if self.measure is not None and self.measure not in VARIANTS:
             raise ConfigError(f"unknown similarity measure {self.measure!r}; expected one of {VARIANTS}")
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError(f"patience must be at least 1, got {self.patience}")
-        if self.fixed_layer is not None and self.fixed_layer < 1:
-            raise ConfigError(f"fixed exit layer must be at least 1, got {self.fixed_layer}")
-        if self.thre is not None and not math.isfinite(self.thre):
+        for name, label in (("patience", "patience"), ("fixed_layer", "fixed exit layer")):
+            value = getattr(self, name)  # integral values only, kept as int
+            if value is None:
+                continue
+            if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or isinstance(
+                    value, (float, np.floating)) and value.is_integer()):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+            if value < 1:
+                raise ConfigError(f"{label} must be at least 1, got {int(value)}")
+        if self.thre is not None and (isinstance(self.thre, bool) or not math.isfinite(self.thre)):
             raise ConfigError(f"thre must be a finite number, got {self.thre}")
 
     @property
@@ -164,8 +172,9 @@ class PolicySpec:
         return _POLICY_CLASSES[self.policy](getattr(self, self.knob))
 
     def with_knob(self, knob) -> PolicySpec:
-        """This spec with its knob (see :meth:`knob_value`) set to ``knob``."""
-        return replace(self, **{self.knob: float(knob) if self.knob == "thre" else int(knob)})
+        """This spec with its knob (see :meth:`knob_value`) set to ``knob``;
+        a layer or patience knob must be integral."""
+        return replace(self, **{self.knob: float(knob) if self.knob == "thre" else knob})
 
     def knob_value(self) -> float | None:
         value = getattr(self, self.knob)
@@ -209,93 +218,42 @@ class CompareResult:
 
 
 @dataclass
-class _Recording:
-    """Every layer of one model over one encoded split: the split's ``lengths``
-    and concatenated ``ids``, each sample-layer's exit distribution
-    ``probs`` and first-token row ``pooled``, and what is derived from them
-    on demand (``confidences``, and the ``scores`` of each policy family).
-    Every array is read-only, since calls under the same parameters share it."""
+class _LayerScores:
+    """Exits scored from arrays alone: every layer of every sample of one split.
 
-    lengths: np.ndarray
-    ids: np.ndarray
-    probs: np.ndarray
-    pooled: np.ndarray
-    confidences: np.ndarray | None = None
-    scores: dict = field(default_factory=dict)
-
-
-class _LayerCache:
-    """Every layer of one model over one dataset, recorded once per parameter state.
-
-    The samples, in ``LengthGroups.by_length`` order of their encoded
-    lengths, are cut greedily into chunks of at most ``_CHUNK_ROWS`` token
-    rows (:func:`_record`; a longer sample is a chunk of its own). Each chunk runs
-    :meth:`MultiExitModel.iter_layers` once, as one unpadded state of its
-    :class:`~exitlab.model.LengthGroups` whose rows keep their batch-1
-    bits, so each sample-layer runs exactly once, in one ``forward_layer``
-    call per chunk-layer. Each layer's rows go straight into one float64
-    array: ``probs[i, j - 1]`` is sample i's exit distribution at layer j
-    in the ``ProbDist.probs`` layout, so ``probs`` is [samples, n, k] (slc)
-    or [samples, n, k, 2] (mlc), and ``pooled[i, j - 1]`` is the state's
-    first-token row there, [samples, n, d_model]. :attr:`confidences` runs
-    the confidence head on ``pooled`` when first read, so it runs only
-    for a ``learned`` spec. ``gold`` is the answer key, ``Dataset.gold()``,
-    which :func:`_result` scores against.
-
-    The recording is kept in :meth:`MultiExitModel.derived`, so it lives
-    until any parameter changes. A cache of the same encoded split (the
-    same lengths and ids) under unchanged parameters reuses it and runs
-    no layer; the dataset check, which returns ``gold``, runs on every call.
-    :meth:`scores` scores each policy family once per recording, with
-    array ops.
+    ``probs[i, j - 1]`` is sample i's exit distribution at layer j in the
+    ``ProbDist.probs`` layout, so ``probs`` is [samples, n, k] (``task``
+    slc) or [samples, n, k, 2] (mlc). ``gold`` is the answer key in
+    ``Dataset.gold()``'s layout, which :func:`_result` scores against, and
+    ``confidences`` [samples, n] holds each sample-layer's confidence value,
+    which only a ``learned`` spec reads. ``memo`` keeps each policy
+    family's :meth:`scores`; the cores of one recording share it.
     """
 
-    def __init__(self, model: MultiExitModel, dataset: Dataset, vocab: Vocab):
-        self.dataset, self.gold, self._model = dataset, model.check_dataset(dataset), model
-        self.n_layers = model.config.n_layers
-        encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
-        lengths = np.array([len(ids) for ids in encoded], dtype=np.int64)
-        ids = np.concatenate(encoded) if encoded else np.empty(0, dtype=np.int64)
-        self._memo = memo = model.derived()
-        rec = memo.get("recording")
-        if rec is None or not (np.array_equal(rec.lengths, lengths) and np.array_equal(rec.ids, ids)):
-            probs, pooled = _record(model, encoded, lengths, _row_shape(dataset))
-            rec = memo["recording"] = _Recording(*map(_read_only, (lengths, ids, probs, pooled)))
-        self._rec = rec
-        self.probs = rec.probs
+    task: str
+    probs: np.ndarray
+    gold: np.ndarray
+    confidences: np.ndarray | None = None
+    memo: dict = field(default_factory=dict)
 
     @property
-    def model_hash(self) -> str:
-        """The model's :meth:`~exitlab.model.MultiExitModel.param_hash`, read from
-        the memo that this cache validated, without comparing the buffer again."""
-        return self._model._param_hash(self._memo)
-
-    @property
-    def confidences(self) -> np.ndarray:
-        """Each sample-layer's confidence value, [samples, n]: the confidence
-        head over ``pooled``, run once per recording when first read."""
-        rec = self._rec
-        if rec.confidences is None:
-            confs = np.empty(rec.pooled.shape[:2])
-            for j in range(self.n_layers if len(confs) else 0):
-                confs[:, j] = self._model.layer_confidence(rec.pooled[:, j][:, None], j + 1)
-            rec.confidences = _read_only(confs)
-        return rec.confidences
+    def n_layers(self) -> int:
+        return self.probs.shape[1]
 
     def scores(self, spec: PolicySpec) -> np.ndarray:
-        """The signed score ``spec``'s policy compares at every recorded layer, [samples, n].
+        """The signed score ``spec``'s policy compares at every layer, [samples, n].
 
         The score is the policy's ``step`` ``last_score``, from the same
         formula applied to every layer at once, times its class's
         ``ExitPolicy.sign`` (see :meth:`keys`); a layer where nothing is
         compared (layer 1 of fpabee and pabee) scores ``inf``. Computed once
-        per policy family (policy, measure, ``kl_mode``) per recording.
+        per policy family (policy, measure, ``kl_mode``) per :attr:`memo`.
         """
         family = (spec.policy, spec.measure, spec.kl_mode)
-        scores = self._rec.scores.get(family)
+        scores = self.memo.get(family)
         if scores is not None:
             return scores
-        kind, probs = self.dataset.task, self.probs
+        kind, probs = self.task, self.probs
         if spec.policy in ("fpabee", "pabee"):
             scores = np.full(probs.shape[:2], np.inf)
             if spec.policy == "pabee":
@@ -311,7 +269,7 @@ class _LayerCache:
             scores = max_probs(kind, probs)
         else:
             scores = self.confidences
-        self._rec.scores[family] = scores = _read_only(_POLICY_CLASSES[spec.policy].sign * scores)
+        self.memo[family] = scores = _read_only(_POLICY_CLASSES[spec.policy].sign * scores)
         return scores
 
     def keys(self, spec: PolicySpec) -> tuple[np.ndarray, float]:
@@ -321,8 +279,9 @@ class _LayerCache:
         sign * its threshold. The key is the max of the signed
         :meth:`scores` at the last ``patience`` layers for fpabee and pabee,
         and the signed score at that layer otherwise; a layer with fewer
-        scores up to it never halts. The sign is the policy class's
-        ``ExitPolicy.sign``: -1 for maxprob and learned, which halt above it.
+        scores up to it never halts, as its window reaches layer 1's ``inf``.
+        The sign is the policy class's ``ExitPolicy.sign``: -1 for maxprob
+        and learned, which halt above it.
         """
         sign = _POLICY_CLASSES[spec.policy].sign
         window = min(spec.patience, self.n_layers) if "patience" in POLICY_FIELDS[spec.policy] else 1
@@ -330,15 +289,104 @@ class _LayerCache:
         keys = scores.copy()
         for lag in range(1, window):
             np.maximum(keys[:, lag:], scores[:, :-lag], out=keys[:, lag:])
-        keys[:, :window - 1] = np.inf
         return keys, sign
+
+    def exits(self, spec: PolicySpec) -> np.ndarray:
+        """Each sample's exit layer under ``spec``: the first layer whose key
+        (:meth:`keys`) is below the signed threshold, 0.5 for pabee, or else
+        the final layer; ``fixed`` exits at its layer."""
+        policy = spec.build()  # an incomplete spec raises its ConfigError here
+        if spec.policy == "fixed":
+            return np.full(len(self.probs), spec.fixed_layer, dtype=np.int64)
+        keys, sign = self.keys(spec)
+        halts = keys < sign * (policy.thre if spec.policy == "pabee" else spec.thre)
+        halts[:, -1] = True
+        return halts.argmax(axis=1) + 1
+
+    def evaluate(self, spec: PolicySpec) -> EvalResult:
+        """``spec`` over the recorded layers: its exits and the distributions there."""
+        _check_fixed_layer(spec, self.n_layers)
+        exits = self.exits(spec)
+        probs = self.probs[np.arange(len(exits)), exits - 1]
+        return _result(spec, self.task, self.n_layers, exits, probs, self.gold)
+
+    def knob_curve(self, spec: PolicySpec) -> tuple[np.ndarray, np.ndarray]:
+        """Every knob value of ``spec`` with its own exit pattern, and each one's speedup.
+
+        A knob value is what :meth:`PolicySpec.with_knob` takes, so a caller
+        builds specs only for the knobs it evaluates.
+
+        fixed and pabee take layers / patience 1..n, the speedup of each read
+        from its :meth:`exits` as :func:`_result` reads it. A threshold
+        policy halts at the first layer whose key (:meth:`keys`) is below its
+        signed threshold t, so a sample runs layer j+1 exactly when the prefix
+        minimum of its keys at layer j is at least t. The knobs are the distinct
+        finite prefix minima and the next float above them; speedup is
+        monotone along them.
+        """
+        n, count = self.n_layers, len(self.probs)
+        if spec.knob != "thre":
+            knobs = np.arange(1, n + 1)
+            return knobs, np.array([1.0 - _mean_exit(self.exits(spec.with_knob(j)), n) / n
+                                    for j in knobs])
+        replace(spec, thre=0.0).build()  # fpabee without patience raises here
+        keys, sign = self.keys(spec)
+        ranked = np.sort(np.minimum.accumulate(keys[:, :-1], axis=1), axis=None)
+        ts = np.unique(ranked[np.isfinite(ranked)])
+        ts = np.append(ts, np.nextafter(ts[-1], np.inf) if ts.size else 0.0)
+        # each sample runs 1 + (its prefix minima >= t) layers; the division is evaluate's mean
+        layers_run = count + ranked.size - np.searchsorted(ranked, ts)
+        mean_exit = layers_run / count if count else np.full(ts.size, float(n))
+        return sign * ts, 1.0 - mean_exit / n
+
+
+def _record_layers(model: MultiExitModel, dataset: Dataset, vocab: Vocab,
+                   specs: list[PolicySpec], memo: dict | None = None) -> _LayerScores:
+    """The scoring core of ``model`` over ``dataset``, recorded once per
+    parameter state, with confidences when a spec's policy class
+    ``reads_confidence``.
+
+    ``model.check_dataset``, which gives ``gold``, runs on every call. The
+    model keeps the last recording in :meth:`MultiExitModel.derived`
+    (``memo``, when the caller holds it from that call already): the
+    split's lengths and concatenated ids, each sample-layer's first-token
+    row ``pooled`` [samples, n, d_model] (see :func:`_record`) and a core of
+    read-only arrays. A call on the same encoded split under unchanged
+    parameters runs no layer and gets that core's arrays and score memo
+    with its own ``gold``. The confidence head runs over ``pooled`` once
+    per recording, in the first call that reads it.
+    """
+    gold = model.check_dataset(dataset)
+    encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
+    lengths = np.array([len(ids) for ids in encoded], dtype=np.int64)
+    ids = np.concatenate(encoded) if encoded else np.empty(0, dtype=np.int64)
+    memo = model.derived() if memo is None else memo
+    kept = memo.get("recording")
+    if kept is None or not (np.array_equal(kept[0], lengths) and np.array_equal(kept[1], ids)):
+        probs, pooled = _record(model, encoded, lengths, _row_shape(dataset))
+        kept = memo["recording"] = (lengths, ids, _read_only(pooled),
+                                    _LayerScores(dataset.task, _read_only(probs), gold))
+    _, _, pooled, core = kept
+    if core.confidences is None and any(_POLICY_CLASSES[s.policy].reads_confidence for s in specs):
+        confs = np.empty(pooled.shape[:2])
+        for j in range(confs.shape[1] if len(confs) else 0):
+            confs[:, j] = model.layer_confidence(pooled[:, j][:, None], j + 1)
+        core.confidences = _read_only(confs)
+    return replace(core, gold=gold)
 
 
 def _record(model: MultiExitModel, encoded: list[np.ndarray], lengths: np.ndarray,
             row_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Every layer of every encoded sample, run in chunks of length groups:
-    the exit distributions [samples, n, *row_shape] and first-token rows
-    [samples, n, d_model] (see :class:`_LayerCache`)."""
+    """Every layer of every encoded sample: the exit distributions
+    [samples, n, *row_shape] and first-token rows [samples, n, d_model].
+
+    The samples, in ``LengthGroups.by_length`` order of their encoded
+    lengths, are cut greedily into chunks of at most ``_CHUNK_ROWS`` token
+    rows (a longer sample is a chunk of its own). Each chunk runs
+    :meth:`MultiExitModel.iter_layers` once, as one unpadded state of its
+    :class:`~exitlab.model.LengthGroups` whose rows keep their batch-1
+    bits, so each sample-layer runs exactly once, in one ``forward_layer``
+    call per chunk-layer, and its rows go straight into the two arrays."""
     n = model.config.n_layers
     probs = np.empty((len(encoded), n) + row_shape)
     pooled = np.empty((len(encoded), n, model.config.d_model))
@@ -363,19 +411,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _exits(cache: _LayerCache, spec: PolicySpec) -> np.ndarray:
-    """Each sample's exit layer under ``spec``: the first layer whose key
-    (:meth:`_LayerCache.keys`) is below the signed threshold, 0.5 for
-    pabee, or else the final layer; ``fixed`` exits at its layer."""
-    policy = spec.build()  # an incomplete spec raises its ConfigError here
-    if spec.policy == "fixed":
-        return np.full(len(cache.probs), spec.fixed_layer, dtype=np.int64)
-    keys, sign = cache.keys(spec)
-    halts = keys < sign * (policy.thre if spec.policy == "pabee" else spec.thre)
-    halts[:, -1] = True
-    return halts.argmax(axis=1) + 1
-
-
 def _check_fixed_layer(spec: PolicySpec, n: int) -> None:
     if spec.fixed_layer is not None and spec.fixed_layer > n:
         raise ConfigError(f"fixed exit layer {spec.fixed_layer} exceeds the model's {n} layers")
@@ -391,12 +426,12 @@ def _mean_exit(exits: np.ndarray, n: int) -> float:
     return int(exits.sum()) / len(exits) if len(exits) else float(n)
 
 
-def _result(spec: PolicySpec, dataset: Dataset, n: int, exits: np.ndarray,
+def _result(spec: PolicySpec, task: str, n: int, exits: np.ndarray,
             probs: np.ndarray, gold: np.ndarray) -> EvalResult:
     """Score per-sample exit layers and the exits' distributions, [samples, k]
-    or [samples, k, 2], against ``gold``, ``dataset.gold()``."""
-    pred, count = predictions(dataset.task, probs), len(dataset)
-    if dataset.task == MLC:
+    or [samples, k, 2], against ``gold``, in ``Dataset.gold()``'s layout."""
+    pred, count = predictions(task, probs), len(exits)
+    if task == MLC:
         accuracy = int((pred == gold).all(axis=1).sum()) / max(1, count)
         tp, fp, fn = (int((pred & gold).sum()), int((pred & ~gold).sum()),
                       int((~pred & gold).sum()))
@@ -407,7 +442,7 @@ def _result(spec: PolicySpec, dataset: Dataset, n: int, exits: np.ndarray,
     mean_exit = _mean_exit(exits, n)
     return EvalResult(
         spec=spec,
-        task=dataset.task,
+        task=task,
         n_samples=count,
         accuracy=accuracy,
         micro_f1=micro_f1,
@@ -415,14 +450,6 @@ def _result(spec: PolicySpec, dataset: Dataset, n: int, exits: np.ndarray,
         mean_exit_layer=mean_exit,
         histogram=np.bincount(exits, minlength=n + 1)[1:].tolist(),
     )
-
-
-def _evaluate(cache: _LayerCache, spec: PolicySpec) -> EvalResult:
-    """``spec`` over the recorded layers: its exits and the distributions there."""
-    _check_fixed_layer(spec, cache.n_layers)
-    exits = _exits(cache, spec)
-    probs = cache.probs[np.arange(len(exits)), exits - 1]
-    return _result(spec, cache.dataset, cache.n_layers, exits, probs, cache.gold)
 
 
 def _spec_of(policy: ExitPolicy) -> PolicySpec:
@@ -472,7 +499,7 @@ def evaluate(
     for i, ids in enumerate(encode_dataset(dataset, vocab, model.config.max_seq_len)):
         prob, exits[i], _ = model.forward_early_exit(ids, built)
         probs[i] = prob.probs
-    return _result(spec, dataset, n, exits, probs, gold)
+    return _result(spec, dataset.task, n, exits, probs, gold)
 
 
 def sweep(
@@ -484,20 +511,16 @@ def sweep(
 ) -> SweepResult:
     """One evaluation per grid point, rows sorted by ascending speedup.
 
-    All grid points read their exits from one layer cache, which records
-    every layer of every sample once, in chunks of length groups, or reuses
-    the model's recording of the same split under unchanged parameters.
+    All grid points are scored on one scoring core (:func:`_record_layers`),
+    which records every layer of every sample once, in chunks of length
+    groups, or reuses the model's recording of the same split under
+    unchanged parameters; the confidence head runs only for a ``learned`` spec.
     """
-    cache = _LayerCache(model, dataset, vocab)
-    rows = [_evaluate(cache, spec) for spec in specs]
-    rows.sort(key=lambda r: r.speedup)
-    return SweepResult(
-        rows=rows,
-        n_layers=model.config.n_layers,
-        seed=seed,
-        model_hash=cache.model_hash,
-        data_hash=dataset.data_hash(),
-    )
+    memo = model.derived()  # one buffer compare serves the recording and the model hash
+    layers = _record_layers(model, dataset, vocab, specs, memo)
+    rows = sorted((layers.evaluate(spec) for spec in specs), key=lambda r: r.speedup)
+    return SweepResult(rows=rows, n_layers=model.config.n_layers, seed=seed,
+                       model_hash=model._param_hash(memo), data_hash=dataset.data_hash())
 
 
 def pareto_curve(result: SweepResult | list[EvalResult]) -> list[tuple[float, float]]:
@@ -672,35 +695,6 @@ def emit_svg(curves: list[tuple[str, list[tuple[float, float]]]], path) -> None:
 # -- matched-speedup comparison ------------------------------------------------
 
 
-def _knob_curve(cache: _LayerCache, spec: PolicySpec) -> tuple[np.ndarray, np.ndarray]:
-    """Every knob value of ``spec`` with its own exit pattern, and each one's speedup.
-
-    A knob value is what :meth:`PolicySpec.with_knob` takes, so a caller
-    builds specs only for the knobs it evaluates.
-
-    fixed and pabee take layers / patience 1..n, the speedup of each read
-    from its :func:`_exits` as :func:`_result` reads it. A threshold
-    policy halts at the first layer whose key (:meth:`_LayerCache.keys`) is
-    below its signed threshold t, so a sample runs layer j+1 exactly when
-    the prefix minimum of its keys at layer j is at least t. The knobs are the distinct finite prefix
-    minima and the next float above them; speedup is monotone along them.
-    """
-    n, count = cache.n_layers, len(cache.dataset)
-    if spec.knob != "thre":
-        knobs = np.arange(1, n + 1)
-        return knobs, np.array([1.0 - _mean_exit(_exits(cache, spec.with_knob(j)), n) / n
-                                for j in knobs])
-    replace(spec, thre=0.0).build()  # fpabee without patience raises here
-    keys, sign = cache.keys(spec)
-    ranked = np.sort(np.minimum.accumulate(keys[:, :-1], axis=1), axis=None)
-    ts = np.unique(ranked[np.isfinite(ranked)])
-    ts = np.append(ts, np.nextafter(ts[-1], np.inf) if ts.size else 0.0)
-    # each sample runs 1 + (its prefix minima >= t) layers; the division is _evaluate's mean
-    layers_run = count + ranked.size - np.searchsorted(ranked, ts)
-    mean_exit = layers_run / count if count else np.full(ts.size, float(n))
-    return sign * ts, 1.0 - mean_exit / n
-
-
 def compare_policies(
     model: MultiExitModel,
     dataset: Dataset,
@@ -711,22 +705,24 @@ def compare_policies(
 ) -> list[CompareResult]:
     """Report each policy at the knob whose speedup is closest to the target.
 
-    :func:`_knob_curve` gives every knob's speedup; only the equally close
-    knobs are evaluated, and the highest score wins, then the first in knob
-    order. ``attained`` says whether that speedup lies within ``tolerance``
-    (a number >= 0) of the target. One layer cache serves every policy.
+    The scoring core's ``knob_curve`` gives every knob's speedup; only the
+    equally close knobs are evaluated, and the highest score wins, then the
+    first in knob order. ``attained`` says whether that speedup lies within
+    ``tolerance`` (a number >= 0) of the target. Every policy is scored on
+    one recording of the split, which a sweep of it under the same
+    parameters leaves for compare to reuse, score memo included.
     """
     if not 0.0 <= target_speedup < 1.0:
         raise ConfigError(f"target speedup must lie in [0, 1), got {target_speedup}")
     if not tolerance >= 0.0:
         raise ConfigError(f"tolerance must be a number >= 0, got {tolerance}")
-    cache = _LayerCache(model, dataset, vocab)
+    layers = _record_layers(model, dataset, vocab, specs)
     out: list[CompareResult] = []
     for spec in specs:
-        knobs, speedups = _knob_curve(cache, spec)
+        knobs, speedups = layers.knob_curve(spec)
         gaps = np.abs(speedups - target_speedup)
         closest = gaps.min()
-        best = max((_evaluate(cache, spec.with_knob(knobs[k])) for k in np.flatnonzero(gaps == closest)),
+        best = max((layers.evaluate(spec.with_knob(knobs[k])) for k in np.flatnonzero(gaps == closest)),
                    key=lambda r: r.score)
         out.append(CompareResult(spec=best.spec, target_speedup=target_speedup, result=best,
                                  attained=bool(closest <= tolerance)))

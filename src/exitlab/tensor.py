@@ -485,7 +485,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 def _sigmoid_fwd(x: np.ndarray) -> np.ndarray:
     # e = exp(-|x|) never overflows; min(x, -x) is -|x| that keeps a NaN's sign
     e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    total = 1.0 + e
+    out = np.where(x >= 0, 1.0 / total, e / total)
     # float64 saturates to exactly 0/1 beyond |x| ~ 37; keep the bound strict
     np.clip(out, _SIG_LO, _SIG_HI, out=out)
     return out

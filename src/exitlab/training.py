@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset, DataSplits, Vocab, encode_dataset, text_lines
 from .errors import ConfigError
-from .harness import PolicySpec, _evaluate, _LayerCache
+from .harness import PolicySpec, _record_layers
 from .model import MultiExitModel
 from .similarity import LOG_FLOOR, SLC, mlc_pairs, predictions
 
@@ -319,9 +319,10 @@ def make_grid(batch_sizes, learning_rates, base: TrainConfig | None = None) -> l
 
 def dev_accuracy(model: MultiExitModel, dataset: Dataset, vocab: Vocab) -> float:
     """Final-layer accuracy (slc) or exact-set accuracy (mlc), from one
-    length-grouped recording of the dataset (see ``harness._LayerCache``)."""
-    cache = _LayerCache(model, dataset, vocab)
-    return _evaluate(cache, PolicySpec("fixed", fixed_layer=model.config.n_layers)).accuracy
+    length-grouped recording of the dataset, scored on the harness's
+    scoring core (see ``harness._record_layers``); the confidence head does not run."""
+    fixed = PolicySpec("fixed", fixed_layer=model.config.n_layers)
+    return _record_layers(model, dataset, vocab, [fixed]).evaluate(fixed).accuracy
 
 
 def grid_search(

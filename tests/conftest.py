@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from exitlab.data import SyntheticSpec, build_vocab, generate_synthetic
-from exitlab.harness import EvalResult
+from exitlab.harness import EvalResult, PolicySpec, _record_layers
 from exitlab.model import ModelConfig, MultiExitModel
 from exitlab.policies import run_exit
 from exitlab.similarity import MLC, ProbDist
@@ -30,21 +30,26 @@ MLC_DATA = SyntheticSpec(task="mlc", n_classes=5, n_train=2000, n_dev=200, n_tes
 MLC_TRAIN = TrainConfig(batch_size=32, learning_rate=1.5e-3, epochs=10, seed=6)
 
 
-def recorded_layers(cache, i):
+def record(model, dataset, vocab):
+    """The harness's scoring core of ``model`` over ``dataset``, confidences included."""
+    return _record_layers(model, dataset, vocab, [PolicySpec("learned")])
+
+
+def recorded_layers(core, i):
     """Sample ``i``'s recorded layers as the live path yields them: ``(ProbDist,
-    confidence)`` pairs, the confidence ``None`` when the cache holds none."""
-    confs = cache.confidences[i].tolist() if cache.confidences is not None else [None] * cache.n_layers
-    return [(ProbDist(cache.dataset.task, row), conf) for row, conf in zip(cache.probs[i], confs)]
+    confidence)`` pairs, the confidence ``None`` when the core holds none."""
+    confs = core.confidences[i].tolist() if core.confidences is not None else [None] * core.n_layers
+    return [(ProbDist(core.task, row), conf) for row, conf in zip(core.probs[i], confs)]
 
 
-def replay(cache, policy):
+def replay(core, policy):
     """Reference exits for the harness's closed form: per-sample exit layer and
     prediction from :func:`run_exit` over each sample's recorded layers, the
     loop ``forward_early_exit`` runs."""
-    exits = np.zeros(len(cache.probs), dtype=np.int64)
+    exits = np.zeros(len(core.probs), dtype=np.int64)
     probs = []
-    for i in range(len(cache.probs)):
-        prob, trace = run_exit(policy, recorded_layers(cache, i), cache.n_layers)
+    for i in range(len(core.probs)):
+        prob, trace = run_exit(policy, recorded_layers(core, i), core.n_layers)
         exits[i] = trace.exit_layer
         probs.append(prob)
     return exits, probs
@@ -80,9 +85,10 @@ def reference_result(spec, dataset, n, exits, probs):
     )
 
 
-def replay_result(cache, spec):
-    """``spec``'s EvalResult scored from :func:`replay` by :func:`reference_result`."""
-    return reference_result(spec, cache.dataset, cache.n_layers, *replay(cache, spec.build()))
+def replay_result(core, dataset, spec):
+    """``spec``'s EvalResult on ``dataset``, the split ``core`` holds, scored
+    from :func:`replay` by :func:`reference_result`."""
+    return reference_result(spec, dataset, core.n_layers, *replay(core, spec.build()))
 
 
 @pytest.fixture(scope="session")

@@ -13,13 +13,13 @@ import pytest
 from exitlab import tensor as T
 from exitlab.cli import main as cli_main
 from exitlab.data import SyntheticSpec, build_vocab, generate_synthetic
-from exitlab.harness import PolicySpec, _LayerCache, _exits, compare_policies, evaluate, sweep
+from exitlab.harness import PolicySpec, compare_policies, evaluate, sweep
 from exitlab.model import ModelConfig, MultiExitModel
 from exitlab.policies import FPabee, Pabee
 from exitlab.similarity import ProbDist, SimilarityMeasure
 from exitlab.training import TrainConfig, layer_weights, train, _batch_losses, _weighted_total
 
-from conftest import replay
+from conftest import record, replay
 
 LN2 = math.log(2.0)
 
@@ -120,7 +120,7 @@ def test_criterion_4_monotonicity_on_trained_model(slc_workbench):
     test = splits.test
     assert len(test) == 500
 
-    cache = _LayerCache(model, test, vocab)
+    cache = record(model, test, vocab)
     thre_grid = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0]
     exits_by_thre = [
         replay(cache, PolicySpec("fpabee", measure="jskd", thre=t, patience=2).build())[0]
@@ -292,7 +292,7 @@ def test_criterion_9_multi_label_path(mlc_workbench):
     learned_row = next(r for r in ran if r.spec.policy == "learned")
     policies_ok = policies_ok and learned_row.mean_exit_layer < model.config.n_layers
 
-    cache = _LayerCache(model, test, vocab)
+    cache = record(model, test, vocab)
     thre_grid = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6]
     exits_by_thre = [
         replay(cache, PolicySpec("fpabee", measure="jskd", thre=t, patience=2).build())[0]
@@ -342,11 +342,11 @@ def test_replay_equals_live_on_trained_fixtures(workbench, request):
     exits and their predictions equal the live ``forward_early_exit``."""
     model, splits, vocab = request.getfixturevalue(workbench)
     test = splits.test
-    cache = _LayerCache(model, test, vocab)
+    cache = record(model, test, vocab)
     specs = criteria_specs(model.config.task, model, test, vocab)
     mismatches = []
     for spec in specs:
-        exits = _exits(cache, spec)
+        exits = cache.exits(spec)
         probs = cache.probs[np.arange(len(exits)), exits - 1]
         policy = spec.build()
         for i, ex in enumerate(test.examples):

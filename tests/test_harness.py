@@ -22,10 +22,7 @@ from exitlab.errors import ConfigError, DataError
 from exitlab.harness import (
     POLICY_NAMES,
     EvalResult,
-    _LayerCache,
-    _evaluate,
-    _exits,
-    _knob_curve,
+    _LayerScores,
     PolicySpec,
     SweepResult,
     compare_policies,
@@ -39,10 +36,10 @@ from exitlab.harness import (
 )
 from exitlab.model import LengthGroups, ModelConfig, MultiExitModel, load_checkpoint, save_checkpoint
 from exitlab.policies import FIXED_LAYER, ExitDecision, ExitPolicy, FPabee, Pabee, run_exit
-from exitlab.similarity import VARIANTS, SimilarityMeasure
+from exitlab.similarity import VARIANTS, SimilarityMeasure, mlc_pairs
 from exitlab.training import dev_accuracy
 
-from conftest import recorded_layers, replay, replay_result
+from conftest import record, recorded_layers, replay, replay_result
 
 
 def make_setup(n_layers=4, task="slc", n_classes=3, n_examples=12, seed=0, share_layer_params=False):
@@ -242,6 +239,43 @@ class TestPolicySpec:
     def test_fpabee_measure_defaults_to_jskd(self):
         assert (PolicySpec("fpabee", thre=0.1, patience=1)
                 == PolicySpec("fpabee", measure="jskd", thre=0.1, patience=1))
+
+    @pytest.mark.parametrize("policy, field", [("pabee", "patience"), ("fixed", "fixed_layer"),
+                                               ("fpabee", "patience")])
+    def test_layer_and_patience_knobs_are_integers(self, policy, field, tmp_path):
+        extra = {"thre": 0.1} if policy == "fpabee" else {}
+        for bad in (2.5, 1.9, True, np.float64(0.5), float("nan"), float("inf"), "2"):
+            with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+                PolicySpec(policy, **extra, **{field: bad})
+        for good in (2, 2.0, np.int64(2), np.float32(2.0)):
+            spec = PolicySpec(policy, **extra, **{field: good})
+            assert type(getattr(spec, field)) is int and getattr(spec, field) == 2
+            assert spec == PolicySpec(policy, **extra, **{field: 2})
+        if policy == "fpabee":
+            return
+        spec = PolicySpec(policy)
+        assert spec.with_knob(np.float64(3.0)) == spec.with_knob(3) == PolicySpec(policy, **{field: 3})
+        assert type(spec.with_knob(np.int64(3)).knob_value()) is float
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got 2.5$"):
+            spec.with_knob(2.5)
+        # a hand-edited knob cell fails to parse instead of running another knob
+        model, data, vocab = make_setup()
+        path = tmp_path / "sweep.csv"
+        emit_csv(sweep(model, data, [spec.with_knob(2)], vocab), path)
+        assert parse_csv(path).rows[0].spec == spec.with_knob(2)
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        assert cells[2] == "2.0"
+        path.write_text("\n".join([lines[0], ",".join(cells[:2] + ["2.5"] + cells[3:])]) + "\n")
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got 2.5$"):
+            parse_csv(path)
+
+    def test_thre_is_not_a_bool(self):
+        for policy in ("entropy", "maxprob", "learned"):
+            with pytest.raises(ConfigError, match="^thre must be a finite number, got True$"):
+                PolicySpec(policy, thre=True)
+        with pytest.raises(ConfigError, match="^thre must be a finite number, got True$"):
+            PolicySpec("fpabee", thre=True, patience=1)
 
 
 class TestSweep:
@@ -479,12 +513,12 @@ COMPARED_SPECS = THRESHOLD_SPECS + [PolicySpec("pabee"), PolicySpec("fixed")]
 
 @pytest.fixture(scope="module", params=[("slc", 3), ("mlc", 4)], ids=["slc", "mlc"])
 def knob_frontier(request):
-    """(model, data, vocab, {policy: [(knob, result)] for every knob of _knob_curve})."""
+    """(model, data, vocab, {policy: [(knob, result)] for every knob of knob_curve})."""
     task, n_classes = request.param
     model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
-    cache = _LayerCache(model, data, vocab)
-    frontier = {spec.policy: [(k, replay_result(cache, k))
-                              for k in map(spec.with_knob, _knob_curve(cache, spec)[0])]
+    cache = record(model, data, vocab)
+    frontier = {spec.policy: [(k, replay_result(cache, data, k))
+                              for k in map(spec.with_knob, cache.knob_curve(spec)[0])]
                 for spec in COMPARED_SPECS}
     return model, data, vocab, frontier
 
@@ -502,11 +536,11 @@ class TestExactKnobSearch:
             assert abs(res.result.speedup - target) == closest, (spec, target)
             assert res.attained == (closest <= tolerance), (spec, target)
             assert res.spec == next(k for k, r in tied if r.score == best), (spec, target)
-            assert res.result == replay_result(_LayerCache(model, data, vocab), res.spec)
+            assert res.result == replay_result(record(model, data, vocab), data, res.spec)
 
     def test_candidates_cover_every_exit_pattern(self, knob_frontier):
         model, data, vocab, frontier = knob_frontier
-        cache = _LayerCache(model, data, vocab)
+        cache = record(model, data, vocab)
         for pairs in frontier.values():
             speedups = [r.speedup for _, r in pairs]
             assert speedups in (sorted(speedups), sorted(speedups, reverse=True))
@@ -535,7 +569,7 @@ class TestExactKnobSearch:
                      if evaluate(model, data, PolicySpec("pabee", patience=p), vocab).speedup == 0.0)
         assert res.spec.patience == first <= 3
 
-    @settings(max_examples=30)  # each example builds a fresh layer cache
+    @settings(max_examples=30)  # each example scores a fresh recording
     @given(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.005, 0.02, 0.1]))
     def test_random_targets(self, knob_frontier, target, tolerance):
         self.check(knob_frontier, target, tolerance)
@@ -548,7 +582,7 @@ def six_policies(measure, kl_mode, patience):
 
 
 class TestKnobCurve:
-    """The closed-form speedups of _knob_curve against run_exit over every knob."""
+    """The closed-form speedups of knob_curve against run_exit over every knob."""
 
     @settings(max_examples=25)
     @given(task=st.sampled_from(["slc", "mlc"]), seed=st.integers(0, 1000),
@@ -556,12 +590,12 @@ class TestKnobCurve:
            kl_mode=st.booleans(), patience=st.integers(1, 3))
     def test_speedups_equal_replay(self, task, seed, n_layers, measure, kl_mode, patience):
         model, data, vocab = make_setup(n_layers=n_layers, task=task, n_classes=3, seed=seed)
-        cache = _LayerCache(model, data, vocab)
+        cache = record(model, data, vocab)
         for spec in six_policies(measure, kl_mode, patience):
-            values, speedups = _knob_curve(cache, spec)
+            values, speedups = cache.knob_curve(spec)
             knobs = [spec.with_knob(v) for v in values]
             assert [k.knob_value() for k in knobs] == values.tolist(), spec
-            assert speedups.tolist() == [replay_result(cache, k).speedup for k in knobs], spec
+            assert speedups.tolist() == [replay_result(cache, data, k).speedup for k in knobs], spec
             assert speedups.tolist() in (sorted(speedups.tolist()),
                                          sorted(speedups.tolist(), reverse=True)), spec
             if spec.policy in ("fixed", "pabee"):
@@ -575,11 +609,11 @@ class TestKnobCurve:
 
     def test_empty_split_gives_zero_speedup(self):
         model, data, vocab = make_setup()
-        cache = _LayerCache(model, Dataset(data.task, data.n_classes, []), vocab)
+        cache = record(model, Dataset(data.task, data.n_classes, []), vocab)
         for spec in six_policies("jskd", False, 2):
-            values, speedups = _knob_curve(cache, spec)
+            values, speedups = cache.knob_curve(spec)
             knobs = [spec.with_knob(v) for v in values]
-            assert speedups.tolist() == [_evaluate(cache, k).speedup for k in knobs] == [0.0] * len(knobs)
+            assert speedups.tolist() == [cache.evaluate(k).speedup for k in knobs] == [0.0] * len(knobs)
 
 
 # Knobs under which the six policies exit at different layers of make_setup(n_layers=5),
@@ -639,8 +673,8 @@ class TestReplay:
         model, data, vocab = make_setup(n_layers=5, task=task, n_classes=n_classes)
         for spec in SIX_POLICIES[task]:
             live = self.live(model, data, spec, vocab)
-            cache = _LayerCache(model, data, vocab)
-            exits = _exits(cache, spec)
+            cache = record(model, data, vocab)
+            exits = cache.exits(spec)
             probs = cache.probs[np.arange(len(exits)), exits - 1]
             assert exits.tolist() == [layer for layer, _ in live], spec
             for prob, (_, live_prob) in zip(probs, live):
@@ -714,9 +748,9 @@ class TestReplay:
         assert ([replace(r, spec=spec) for r, spec in zip(first, (fpabee, pabee))]
                 == [evaluate(model, data, spec, vocab) for spec in (fpabee, pabee)])
         for row in swept.rows:
-            assert row == _evaluate(_LayerCache(model, other, vocab), row.spec)
+            assert row == record(model, other, vocab).evaluate(row.spec)
         for res in compared:
-            assert res.result == _evaluate(_LayerCache(model, other, vocab), res.spec)
+            assert res.result == record(model, other, vocab).evaluate(res.spec)
 
 
 N_CLASSES = {"slc": 3, "mlc": 4}
@@ -889,6 +923,33 @@ class TestRecordingReuse:
             fresh._buffer[...] = model._buffer
         assert after == outcomes(fresh, split, vocab, [])[0], kind
 
+    @pytest.mark.parametrize("task", ["slc", "mlc"])
+    def test_each_score_family_is_computed_once_per_recording(self, task, monkeypatch):
+        model, data, vocab = make_setup(n_layers=5, task=task, n_classes=N_CLASSES[task])
+        _, other, _ = make_setup(n_layers=5, task=task, n_classes=N_CLASSES[task], seed=7)
+        scored = []
+        original = SimilarityMeasure.scores
+        monkeypatch.setattr(SimilarityMeasure, "scores",
+                            lambda self, p, q: scored.append(self.variant) or original(self, p, q))
+        grid = [PolicySpec("fpabee", measure="jskd", thre=t, patience=p) for t in (0.5, 1.0) for p in (1, 2)]
+        compared = [PolicySpec("fpabee", measure="jskd", patience=2), PolicySpec("pabee")]
+
+        def sweep_then_compare(split):
+            scored.clear()
+            swept = sweep(model, split, grid, vocab)
+            compare_policies(model, split, 0.4, compared, vocab)
+            return scored.copy(), swept
+
+        # the compare reuses the sweep's jskd scores, as does a later call on the same split
+        assert sweep_then_compare(data)[0] == ["jskd"]
+        assert sweep_then_compare(data)[0] == []
+        assert sweep_then_compare(other)[0] == ["jskd"]  # a new split is a new recording
+        assert sweep_then_compare(other)[0] == []
+        before = sweep_then_compare(other)[1]
+        model.params["head4.w"].array[0, 0] += 0.5  # so is an in-place parameter write
+        scores, after = sweep_then_compare(other)
+        assert scores == ["jskd"] and after.model_hash != before.model_hash
+
 
 @st.composite
 def ragged_splits(draw, task, share_layer_params):
@@ -919,7 +980,7 @@ def ragged_splits(draw, task, share_layer_params):
 
 
 class TestRaggedRecording:
-    """The layer cache records a split in chunks of mixed lengths, one
+    """The recording takes a split in chunks of mixed lengths, one
     forward_layer call per chunk-layer; every sample keeps its batch-1 bytes."""
 
     @pytest.mark.parametrize("share_layer_params", [False, True], ids=["bert", "albert"])
@@ -938,7 +999,7 @@ class TestRaggedRecording:
 
         with mock.patch.object(harness, "_CHUNK_ROWS", budget), \
                 mock.patch.object(model, "forward_layer", recorded_chunk):
-            cache = _LayerCache(model, dataset, vocab)
+            cache = record(model, dataset, vocab)
         encoded = encode_dataset(dataset, vocab, model.config.max_seq_len)
         n = model.config.n_layers
         assert cache.probs.shape[:2] == cache.confidences.shape == (len(dataset), n)
@@ -959,7 +1020,7 @@ class TestRaggedRecording:
     def test_empty_split_runs_no_layer(self, task, monkeypatch):
         model, data, vocab = make_setup(n_layers=3, task=task, n_classes=N_CLASSES[task])
         calls = count_layer_calls(model, monkeypatch)
-        cache = _LayerCache(model, Dataset(task, data.n_classes, []), vocab)
+        cache = record(model, Dataset(task, data.n_classes, []), vocab)
         assert calls == [] and cache.probs.shape[:2] == cache.confidences.shape == (0, 3)
 
 
@@ -1002,9 +1063,9 @@ def test_recorded_chunks_cut_the_by_length_order_at_the_budget(lengths, budget):
 
 @functools.lru_cache(maxsize=None)
 def recorded(task, n_layers):
-    """(model, data, vocab, layer cache) of make_setup, built once per task and depth."""
+    """(model, data, vocab, scoring core) of make_setup, built once per task and depth."""
     model, data, vocab = make_setup(n_layers=n_layers, task=task, n_classes=N_CLASSES[task])
-    return model, data, vocab, _LayerCache(model, data, vocab)
+    return model, data, vocab, record(model, data, vocab)
 
 
 def observed_scores(cache, spec):
@@ -1020,25 +1081,70 @@ def observed_scores(cache, spec):
 
 
 @st.composite
-def closed_form_cases(draw):
-    """(task, n, spec): any of the six policies at any knob, with thresholds often
-    exactly at a score the policy compares, or one float either side of it."""
-    task, n = draw(st.sampled_from(["slc", "mlc"])), draw(st.integers(2, 5))
+def any_spec(draw, core):
+    """Any of the six policies at any knob over ``core``'s layers, with thresholds
+    often exactly at a score the policy compares, or one float either side of it."""
+    n = core.n_layers
     policy = draw(st.sampled_from(POLICY_NAMES))
     if policy == "fixed":
-        return task, n, PolicySpec("fixed", fixed_layer=draw(st.integers(1, n)))
+        return PolicySpec("fixed", fixed_layer=draw(st.integers(1, n)))
     if policy == "pabee":
-        return task, n, PolicySpec("pabee", patience=draw(st.integers(1, n + 1)))
+        return PolicySpec("pabee", patience=draw(st.integers(1, n + 1)))
     if policy == "fpabee":
         spec = PolicySpec("fpabee", measure=draw(st.sampled_from(VARIANTS)), thre=0.0,
                           patience=draw(st.integers(1, n + 1)), kl_mode=draw(st.booleans()))
     else:
         spec = PolicySpec(policy, thre=0.0)
-    scores = observed_scores(recorded(task, n)[3], spec)
+    scores = observed_scores(core, spec) or [0.0]
     at_score = st.sampled_from(scores).flatmap(
         lambda s: st.sampled_from([s, s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)]))
     thre = draw(st.one_of(at_score, st.floats(scores[0] - 1, scores[-1] + 1)))
-    return task, n, replace(spec, thre=float(thre))
+    return replace(spec, thre=float(thre))
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(task, n, spec): any of the six policies at any knob of a recorded model."""
+    task, n = draw(st.sampled_from(["slc", "mlc"])), draw(st.integers(2, 5))
+    return task, n, draw(any_spec(recorded(task, n)[3]))
+
+
+@st.composite
+def drawn_cores(draw):
+    """A scoring core of drawn arrays and no model: 0-6 samples of 2-5 layers,
+    slc rows or mlc pairs with exact 0 and 1 entries, tied classes and layers
+    equal to the one before, gold answers, and confidences in (0, 1), often tied."""
+    task = draw(st.sampled_from(["slc", "mlc"]))
+    samples, n, k = draw(st.integers(0, 6)), draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    probs = np.empty((samples, n) + ((k,) if task == "slc" else (k, 2)))
+    for i, j in np.ndindex(samples, n):
+        if j and draw(st.integers(0, 3)) == 0:
+            probs[i, j] = probs[i, j - 1]
+        elif task == "slc":
+            w = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.0]) | st.floats(0.0, 1.0),
+                                       min_size=k, max_size=k)))
+            probs[i, j] = w / w.sum() if w.sum() > 0 else np.eye(k)[draw(st.integers(0, k - 1))]
+        else:
+            positive = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                                     min_size=k, max_size=k))
+            probs[i, j] = mlc_pairs(np.array(positive))
+    if task == "slc":
+        gold = np.array(draw(st.lists(st.integers(0, k - 1), min_size=samples, max_size=samples)),
+                        dtype=np.int64)
+    else:
+        gold = np.array(draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                                      min_size=samples, max_size=samples)), dtype=bool).reshape(samples, k)
+    conf = st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    confs = np.array(draw(st.lists(conf, min_size=samples * n, max_size=samples * n))).reshape(samples, n)
+    return _LayerScores(task, probs, gold, confs)
+
+
+def gold_dataset(core):
+    """The Dataset whose ``gold()`` is ``core.gold``, for :func:`replay_result`."""
+    k = core.probs.shape[2]
+    examples = [Example("", label=int(g)) if core.task == "slc" else
+                Example("", labels=tuple(np.flatnonzero(g).tolist())) for g in core.gold]
+    return Dataset(core.task, k, examples)
 
 
 class TestClosedForm:
@@ -1049,18 +1155,51 @@ class TestClosedForm:
     def test_exits_and_results_equal_run_exit(self, case):
         task, n, spec = case
         model, data, vocab, cache = recorded(task, n)
-        exits = _exits(cache, spec)
+        exits = cache.exits(spec)
         ref_exits, ref_probs = replay(cache, spec.build())
         assert exits.tolist() == ref_exits.tolist(), spec
         assert all(prob.probs.tobytes() == row.tobytes()
                    for prob, row in zip(ref_probs, cache.probs[np.arange(len(exits)), exits - 1])), spec
-        assert _evaluate(cache, spec) == evaluate(model, data, spec, vocab) == replay_result(cache, spec), spec
+        assert cache.evaluate(spec) == evaluate(model, data, spec, vocab) == replay_result(cache, data, spec), spec
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_drawn_arrays_exits_and_results_equal_run_exit(self, data):
+        core = data.draw(drawn_cores())
+        spec = data.draw(any_spec(core))
+        assert gold_dataset(core).gold().tolist() == core.gold.tolist()
+        exits = core.exits(spec)
+        ref_exits, ref_probs = replay(core, spec.build())
+        assert exits.tolist() == ref_exits.tolist(), spec
+        assert all(prob.probs.tobytes() == row.tobytes()
+                   for prob, row in zip(ref_probs, core.probs[np.arange(len(exits)), exits - 1])), spec
+        assert core.evaluate(spec) == replay_result(core, gold_dataset(core), spec), spec
+
+    @settings(max_examples=100)
+    @given(core=drawn_cores(), measure=st.sampled_from(VARIANTS), kl_mode=st.booleans(),
+           patience=st.integers(1, 3))
+    def test_drawn_arrays_knob_curve_speedups_equal_evaluate(self, core, measure, kl_mode, patience):
+        for spec in six_policies(measure, kl_mode, patience):
+            values, speedups = core.knob_curve(spec)
+            assert speedups.tolist() == [core.evaluate(spec.with_knob(v)).speedup for v in values], spec
 
 
 ARRAY_FAMILIES = ([PolicySpec("fpabee", measure=m, thre=0.0, patience=1, kl_mode=kl)
                    for m in VARIANTS for kl in (False, True)]
                   + [PolicySpec("pabee", patience=1)]
                   + [PolicySpec(p, thre=0.0) for p in ("entropy", "maxprob", "learned")])
+
+
+def assert_step_scores(core, spec):
+    """``core``'s signed scores for ``spec`` equal its policy's ``step`` ``last_score``, bit for bit."""
+    scores, (_, sign) = core.scores(spec), core.keys(spec)
+    policy = spec.build()
+    for i in range(len(core.probs)):
+        policy.reset()
+        for j, (prob, conf) in enumerate(recorded_layers(core, i)):
+            policy.step(j + 1, prob, conf)
+            want = np.inf if policy.last_score is None else sign * policy.last_score
+            assert scores[i, j].tobytes() == np.float64(want).tobytes(), (spec, i, j)
 
 
 class TestArrayScores:
@@ -1075,15 +1214,12 @@ class TestArrayScores:
         rng = np.random.default_rng(seed)
         for p in model.params.values():  # large scales saturate the heads to exact 0 and 1
             p.array[...] = rng.normal(0, scale, p.shape)
-        cache = _LayerCache(model, data, vocab)
-        scores, (_, sign) = cache.scores(spec), cache.keys(spec)
-        policy = spec.build()
-        for i in range(len(data)):
-            policy.reset()
-            for j, (prob, conf) in enumerate(recorded_layers(cache, i)):
-                policy.step(j + 1, prob, conf)
-                want = np.inf if policy.last_score is None else sign * policy.last_score
-                assert scores[i, j].tobytes() == np.float64(want).tobytes(), (spec, i, j)
+        assert_step_scores(record(model, data, vocab), spec)
+
+    @settings(max_examples=150)
+    @given(core=drawn_cores(), spec=st.sampled_from(ARRAY_FAMILIES))
+    def test_drawn_arrays_scores_equal_step_last_score(self, core, spec):
+        assert_step_scores(core, spec)
 
     @pytest.mark.parametrize("task", ["slc", "mlc"])
     def test_nan_head_weight_raises_the_live_error(self, task):
@@ -1122,9 +1258,9 @@ class TestArrayScores:
 
     def test_pabee_and_fixed_knob_curves_evaluate_nothing(self, monkeypatch):
         model, data, vocab = make_setup(n_layers=5)
-        cache = _LayerCache(model, data, vocab)
-        monkeypatch.setattr(harness, "_evaluate", None)
+        cache = record(model, data, vocab)
+        monkeypatch.setattr(harness._LayerScores, "evaluate", None)
         monkeypatch.setattr(harness, "_result", None)
         for spec in (PolicySpec("pabee"), PolicySpec("fixed")):
-            knobs, speedups = _knob_curve(cache, spec)
+            knobs, speedups = cache.knob_curve(spec)
             assert knobs.tolist() == [1, 2, 3, 4, 5] and len(speedups) == 5
